@@ -191,8 +191,16 @@ def power_function(x, field, lam):
     logs = _log_minors(x, field)
     if lam.shape != logs.shape[-1:]:
         raise ValueError("lam must be a vector of length q")
-    dlog = np.diff(logs, axis=-1, prepend=0.0)
-    return np.exp(dlog @ lam)
+    return _power_from_logs(logs, lam)
+
+
+def _power_from_logs(logs, nu):
+    """Power function exp(diff(logs) @ nu) from logs of principal minors.
+
+    nu is a length-q exponent vector, or a (q, m) matrix with one
+    power function per column.
+    """
+    return np.exp(np.diff(logs, axis=-1, prepend=0.0) @ nu)
 
 
 def singular_values(a, field):

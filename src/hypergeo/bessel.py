@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import algebra, sampling
+from . import sampling
 from .algebra import field_dim, normalize_field
 from .hyper_bc import McEstimate
 
@@ -210,23 +210,6 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     return SeriesResult(total, degree, tail, converged)
 
 
-def _phase_sums(field, q, p, lam, t, seed, shard, count):
-    gen_b = sampling.shard_stream(seed, shard, sampling.ROLE_BALL).generator()
-    if p == 2 * q - 1:
-        w = sampling._mp_degenerate_batch(field, q, count, gen_b)
-    else:
-        w = sampling._mp_batch(field, q, p, count, gen_b)
-    gen_u = sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY).generator()
-    u = sampling._haar_batch(field, q, count, gen_u)
-    tt, ll = t, lam
-    if field == "h":
-        tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
-    tr = np.einsum("nij,nji->n", w * tt, u * ll)
-    phase = tr.real if field != "h" else 0.5 * tr.real
-    vals = np.exp(-1j * phase)
-    return vals.sum(), float((np.abs(vals) ** 2).sum())
-
-
 def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
                      max_degree=30, seed=0, workers=1, rel_tol=1e-12):
     """Bessel-Fourier transform phi-tilde of the cone with parameter p.
@@ -263,12 +246,15 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
         raise ValueError("integral mode needs p >= 2q - 1")
     if np.all(t == 0.0) or np.all(lam == 0.0):
         return McEstimate(1.0 + 0.0j, 0.0, samples, seed)
+    tt, ll = t, lam
+    if field == "h":
+        tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
 
-    def fn(i, n):
-        return _phase_sums(field, q, p, lam, t, seed, i, n)
+    def shard(i, n):
+        u, w = sampling.draw_shard(field, q, p, seed, i, n)
+        tr = np.einsum("nij,nji->n", w * tt, u * ll)
+        phase = tr.real if field != "h" else 0.5 * tr.real
+        return sampling.shard_moments([np.exp(-1j * phase)[:, None]])
 
-    (tot, tot2), _ = sampling.mc_run(fn, samples, workers=workers)
-    mean = tot / samples
-    var = max(tot2 / samples - abs(mean) ** 2, 0.0)
-    return McEstimate(complex(mean), float(np.sqrt(var / samples)),
-                      samples, seed)
+    mean, err, _ = sampling.mc_run(shard, samples, workers=workers)
+    return McEstimate(complex(mean[0]), float(err[0]), samples, seed)

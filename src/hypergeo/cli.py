@@ -5,9 +5,9 @@ CSV; experiment subcommands emit CSV rows plus a one-line JSON summary.
 Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
-Exit codes: 0 success, 2 configuration problems, 3 domain errors
-(a named precondition failed), 4 a declared acceptance predicate
-failed.
+Exit codes: 0 success, 2 configuration problems (including sample or
+worker counts below 1), 3 domain errors (a named precondition failed or
+an estimate is not finite), 4 a declared acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -102,12 +102,17 @@ def _close_out(handle):
 
 
 def _write_records(args, records):
-    """Emit evaluation records as JSONL (default) or CSV."""
+    """Emit evaluation records as JSONL (default) or CSV.
+
+    Every record is serialized first, so a non-finite value is a domain
+    error before anything is written, whatever the format.
+    """
+    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+             for rec in records]
     out = _open_out(args.output)
     try:
         if args.format == "jsonl":
-            for rec in records:
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
+            out.writelines(lines)
         else:
             cols = ["command", "field", "q", "p", "lambda", "t",
                     "value", "stderr", "samples", "seed", "pass"]
@@ -218,6 +223,7 @@ def _cmd_eval_ho(args):
 
 
 def _emit_experiment(args, rows, cols, summary):
+    text = json.dumps(summary, sort_keys=True, allow_nan=False)
     out = _open_out(args.output)
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -226,7 +232,6 @@ def _emit_experiment(args, rows, cols, summary):
             writer.writerow(row)
     finally:
         _close_out(out)
-    text = json.dumps(summary, sort_keys=True)
     if args.output:
         with open(args.output + ".summary.json", "w") as handle:
             handle.write(text + "\n")
@@ -562,6 +567,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        for name in ("samples", "workers"):
+            if getattr(args, name, 1) < 1:
+                raise _ConfigError("--%s must be at least 1" % (name,))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

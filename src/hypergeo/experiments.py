@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln
 
-from . import algebra, sampling, weyl
+from . import sampling, weyl
 from .algebra import field_dim, normalize_field
 from .bessel import bessel_phi_tilde
-from .hyper_bc import eval_phi_bc_quadrature_q1, rho_bc, rho_shift
+from .hyper_bc import (_phi_columns, eval_phi_bc_quadrature_q1, rho_bc,
+                       rho_shift)
 from .sampling import kappa
+from .spherical_a import _psi_columns
 
 
 @dataclass(frozen=True)
@@ -44,63 +46,23 @@ class BoundednessReport:
     out_of_hull_exceeds: bool
 
 
-def _mc_pairs(field, q, p, pairs, samples, seed, workers, degenerate=False,
-              psi_pairs=(), keep_parts=False):
-    """Shard-summed integrand values for many (t, exponent) pairs at once.
+def _mc_pairs(field, q, p, pairs, samples, seed, workers, psi=False):
+    """Integrand means for many (t, exponent) pairs on common draws.
 
-    pairs is a sequence of (t vector, nu matrix of shape (q, m)); the
-    phi integrand is evaluated for each pair on one common set of
-    (u, w) draws per shard.  psi_pairs are evaluated on the same u
-    draws with the cosh^2 argument instead.  Returns flat means and
-    standard errors (phi columns first), plus the per-shard value sums
-    when requested.
+    pairs is a sequence of (t vector, nu matrix of shape (q, m)); every
+    shard draws once and evaluates each pair on those draws: the phi
+    integrand on (u, w), or with psi the cosh^2 integrand on u alone.
+    Returns mc_run's flat means, standard errors and per-shard sums.
     """
 
     def shard_fn(shard, count):
-        if pairs:
-            gen_b = sampling.shard_stream(
-                seed, shard, sampling.ROLE_BALL).generator()
-            if degenerate:
-                w = sampling._mp_degenerate_batch(field, q, count, gen_b)
-            else:
-                w = sampling._mp_batch(field, q, p, count, gen_b)
-        if q > 1 or psi_pairs:
-            gen_u = sampling.shard_stream(
-                seed, shard, sampling.ROLE_UNITARY).generator()
-            u = sampling._haar_batch(field, q, count, gen_u)
-        else:
-            u = None
-        sums, sqs = [], []
-        for t, nu in pairs:
-            if np.all(t == 0.0):
-                vals = np.ones((count, nu.shape[1]), complex)
-            else:
-                g = algebra._build_g_embedded(t, u, w, field, "g")
-                dlog = np.diff(algebra._log_minors_embedded(g, field),
-                               axis=-1, prepend=0.0)
-                vals = np.exp(dlog @ nu)
-            sums.append(vals.sum(axis=0))
-            sqs.append((np.abs(vals) ** 2).sum(axis=0))
-        for t, nu in psi_pairs:
-            if np.all(t == 0.0):
-                vals = np.ones((count, nu.shape[1]), complex)
-            else:
-                tt = np.repeat(t, 2) if field == "h" else t
-                m = (algebra._ct(u) * np.cosh(tt) ** 2) @ u
-                m = 0.5 * (m + algebra._ct(m))
-                dlog = np.diff(algebra._log_minors_embedded(m, field),
-                               axis=-1, prepend=0.0)
-                vals = np.exp(dlog @ nu)
-            sums.append(vals.sum(axis=0))
-            sqs.append((np.abs(vals) ** 2).sum(axis=0))
-        return np.concatenate(sums), np.concatenate(sqs)
+        u, w = sampling.draw_shard(field, q, p, seed, shard, count,
+                                   ball=not psi, unitary=psi or q > 1)
+        return sampling.shard_moments(
+            _psi_columns(field, t, nu, u) if psi
+            else _phi_columns(field, t, nu, u, w) for t, nu in pairs)
 
-    (tot, tot2), parts = sampling.mc_run(shard_fn, samples, workers=workers,
-                                         keep_parts=keep_parts)
-    mean = tot / samples
-    err = np.sqrt(np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
-                  / samples)
-    return mean, err, parts
+    return sampling.mc_run(shard_fn, samples, workers=workers)
 
 
 def _fit_slope(params, errors):
@@ -208,16 +170,15 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
             psi_err = np.zeros(len(t_grid))
             psi_parts = psi_exact = None
         else:
-            psi_mean, psi_err, parts = _mc_pairs(
-                field, q, p_list[0], [], samples, seed, workers,
-                psi_pairs=[(t, nu) for t in t_grid], keep_parts=True)
-            psi_parts = [part[0] for part in parts]
+            psi_mean, psi_err, psi_parts = _mc_pairs(
+                field, q, None, [(t, nu) for t in t_grid], samples, seed,
+                workers, psi=True)
         phi_parts, diffs, errors, stderrs = [], [], [], []
         for p in p_list:
             mean, err, parts = _mc_pairs(
                 field, q, p, [(t, nu) for t in t_grid], samples, seed,
-                workers, keep_parts=True)
-            phi_parts.append([part[0] for part in parts])
+                workers)
+            phi_parts.append(parts)
             diff = np.abs(mean - psi_mean)
             diffs.append(diff)
             k = int(np.argmax(diff))
@@ -266,12 +227,11 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
         halfwidth = 0.0
     else:
         pairs = [(t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
-        mean, err, parts = _mc_pairs(
-            field, q, p, pairs, samples, seed, workers,
-            degenerate=(p == 2 * q - 1), keep_parts=True)
+        mean, err, parts = _mc_pairs(field, q, p, pairs, samples, seed,
+                                     workers)
         errors = np.abs(mean - ref)
         stderrs = [float(e) for e in err]
-        phi_parts = [[part[0][k:k + 1] for part in parts]
+        phi_parts = [[part[k:k + 1] for part in parts]
                      for k in range(len(n_list))]
         halfwidth = _jackknife_slope_halfwidth(
             n_list, phi_parts, samples, psi_exact=np.array([ref]))
@@ -376,20 +336,17 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
         pp = p - shift
 
         def shard_fn(shard, count, pp=pp):
-            gen = sampling.shard_stream(
-                seed, shard, sampling.ROLE_BALL).generator()
-            w = sampling._mp_batch(field, q, pp, count, gen)
-            vals = np.linalg.svd(w, compute_uv=False)[:, 0] ** (2 * n)
-            return np.array([vals.sum()]), np.array([(vals ** 2).sum()])
+            _, w = sampling.draw_shard(field, q, pp, seed, shard, count,
+                                       unitary=False)
+            s1 = np.linalg.svd(w, compute_uv=False)[:, :1]
+            return sampling.shard_moments([s1 ** (2 * n)])
 
-        (tot, tot2), parts = sampling.mc_run(shard_fn, samples,
-                                             workers=workers, keep_parts=True)
+        mean, err, parts = sampling.mc_run(shard_fn, samples,
+                                           workers=workers)
         ratio = kappa(pp, d, q) / kappa(p, d, q)
-        mean = tot[0] / samples
-        var = max(tot2[0] / samples - mean ** 2, 0.0)
-        values.append(float(ratio * mean))
-        stderrs.append(float(ratio * np.sqrt(var / samples)))
-        parts_all.append([ratio * part[0] for part in parts])
+        values.append(float(ratio * mean[0]))
+        stderrs.append(float(ratio * err[0]))
+        parts_all.append([ratio * part for part in parts])
 
     halfwidth = _jackknife_slope_halfwidth(
         p_list, parts_all, samples, psi_exact=np.zeros(1))

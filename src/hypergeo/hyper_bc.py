@@ -142,45 +142,36 @@ def _nu_matrix(lam, q, rho):
     return nu.reshape(-1, q).T, lam.shape[:-1]
 
 
-def _integrand_sums(field, q, nu_mat, t, seed, shard, count, p, degenerate, variant):
-    """Per-shard sums of the integrand and of its squared modulus."""
-    gen_b = sampling.shard_stream(seed, shard, sampling.ROLE_BALL).generator()
-    if degenerate:
-        w = sampling._mp_degenerate_batch(field, q, count, gen_b)
-    else:
-        w = sampling._mp_batch(field, q, p, count, gen_b)
-    if q > 1:
-        gen_u = sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY).generator()
-        u = sampling._haar_batch(field, q, count, gen_u)
-    else:
-        u = None
+def _phi_columns(field, t, nu_mat, u, w, variant="g"):
+    """Integrand values on one shard's draws, one column per exponent.
+
+    At t = 0 the integrand is identically 1.
+    """
+    if np.all(t == 0.0):
+        return np.ones((w.shape[0], nu_mat.shape[1]), complex)
     g = algebra._build_g_embedded(t, u, w, field, variant)
-    logs = algebra._log_minors_embedded(g, field)
-    dlog = np.diff(logs, axis=-1, prepend=0.0)
-    vals = np.exp(dlog @ nu_mat)
-    return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+    return algebra._power_from_logs(algebra._log_minors_embedded(g, field),
+                                    nu_mat)
 
 
-def _mc_phi(field, q, nu_mat, t, samples, seed, workers, p=None, degenerate=False,
-            variant="g", keep_parts=False):
+def _mc_phi(field, q, p, nu_mat, t, samples, seed, workers, variant="g"):
     """Mean and standard error of the power-function integrand.
 
     At t = 0 the integrand is identically 1, so the exact constant is
-    returned without consuming any random stream.
+    returned without consuming any random stream.  The Haar draw is
+    skipped at q = 1, where minors are conjugation invariant.
     """
     m = nu_mat.shape[1]
     if np.all(t == 0.0):
-        ones = np.ones(m, dtype=complex)
-        return ones, np.zeros(m), None
-    def fn(i, n):
-        return _integrand_sums(
-            field, q, nu_mat, t, seed, i, n, p, degenerate, variant
-        )
-    (tot, tot2), parts = sampling.mc_run(fn, samples, workers=workers,
-                                         keep_parts=keep_parts)
-    mean = tot / samples
-    var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / samples), parts
+        return np.ones(m, dtype=complex), np.zeros(m)
+
+    def shard(i, n):
+        u, w = sampling.draw_shard(field, q, p, seed, i, n, unitary=q > 1)
+        return sampling.shard_moments(
+            [_phi_columns(field, t, nu_mat, u, w, variant)])
+
+    mean, err, _ = sampling.mc_run(shard, samples, workers=workers)
+    return mean, err
 
 
 def _shape_estimate(mean, err, batch, samples, seed):
@@ -205,8 +196,8 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(p, field_dim(field), q))
-    mean, err, _ = _mc_phi(field, q, nu_mat, t, samples, seed, workers,
-                           p=p, variant=variant)
+    mean, err = _mc_phi(field, q, p, nu_mat, t, samples, seed, workers,
+                        variant)
     return _shape_estimate(mean, err, batch, samples, seed)
 
 
@@ -216,8 +207,8 @@ def eval_phi_bc_degenerate(field, q, lam, t, samples=100000, seed=0, workers=1):
     t = np.asarray(t, float).reshape(-1)
     assert t.size == q, "t must have length q"
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(2 * q - 1, field_dim(field), q))
-    mean, err, _ = _mc_phi(field, q, nu_mat, t, samples, seed, workers,
-                           degenerate=True)
+    mean, err = _mc_phi(field, q, 2 * q - 1, nu_mat, t, samples, seed,
+                        workers)
     return _shape_estimate(mean, err, batch, samples, seed)
 
 
@@ -268,6 +259,6 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     k = multiplicity_bc(p, d, q)
     norm = c_function(mu + rho_k(k, q), k, q)
     nu_mat = 0.5 * mu.astype(complex).reshape(q, 1)
-    mean, err, _ = _mc_phi(field, q, nu_mat, t, samples, seed, workers, p=p)
+    mean, err = _mc_phi(field, q, p, nu_mat, t, samples, seed, workers)
     return McEstimate(complex(mean[0]) / norm, float(err[0]) / abs(norm),
                       samples, seed)

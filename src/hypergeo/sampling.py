@@ -44,34 +44,72 @@ def shard_stream(seed, shard, role):
     return RngStream(seed, 4 * shard + role)
 
 
-def shard_plan(samples, shard_size=SHARD_SIZE):
+def shard_plan(samples):
     """Fixed shard sizes for a sample budget, independent of workers."""
-    assert samples >= 1
-    sizes = [shard_size] * (samples // shard_size)
-    if samples % shard_size:
-        sizes.append(samples % shard_size)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
+    if samples % SHARD_SIZE:
+        sizes.append(samples % SHARD_SIZE)
     return sizes
 
 
-def mc_run(shard_fn, samples, workers=1, shard_size=SHARD_SIZE, keep_parts=False):
-    """Reduce shard_fn(shard_index, shard_count) over the shard plan.
+def draw_shard(field, q, p, seed, shard, count, ball=True, unitary=True):
+    """(u, w) for one shard: embedded Haar and ball draws, None if not asked.
 
-    shard_fn returns a tuple of arrays holding per-shard sums.  Sums are
-    accumulated in shard order whatever the completion order, so the
-    totals do not depend on the worker count.  keep_parts also returns
-    the per-shard tuples (jackknife estimates need them).
+    w follows the ball law of parameter p, or the boundary law when
+    p = 2q - 1; each role reads its own stream, so evaluators that
+    share a role see the same draws.
     """
-    sizes = shard_plan(samples, shard_size)
+    u = w = None
+    if ball:
+        gen = shard_stream(seed, shard, ROLE_BALL).generator()
+        w = _mp_batch(field, q, p, count, gen)
+    if unitary:
+        gen = shard_stream(seed, shard, ROLE_UNITARY).generator()
+        u = _haar_batch(field, q, count, gen)
+    return u, w
+
+
+def shard_moments(blocks):
+    """Sums of values and of squared moduli over (count, m) value blocks.
+
+    Blocks are reduced one at a time, so a generator of blocks never
+    holds more than one in memory; the sums of all blocks are joined.
+    """
+    sums, sqs = [], []
+    for vals in blocks:
+        sums.append(vals.sum(axis=0))
+        sqs.append((np.abs(vals) ** 2).sum(axis=0))
+    return np.concatenate(sums), np.concatenate(sqs)
+
+
+def mc_run(shard_fn, samples, workers=1):
+    """Mean, standard error and per-shard value sums of a sharded average.
+
+    shard_fn(shard_index, shard_count) returns the shard's sums of values
+    and of squared moduli (see shard_moments).  Sums are accumulated in
+    shard order whatever the completion order, so the results do not
+    depend on the worker count.  The per-shard value sums are returned
+    too; jackknife estimates need them.  A non-finite mean or standard
+    error raises ValueError.
+    """
+    sizes = shard_plan(samples)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(shard_fn, range(len(sizes)), sizes))
     else:
         parts = [shard_fn(i, n) for i, n in enumerate(sizes)]
-    totals = [np.array(a, copy=True) for a in parts[0]]
-    for part in parts[1:]:
-        for j, a in enumerate(part):
-            totals[j] = totals[j] + a
-    return tuple(totals), (parts if keep_parts else None)
+    tot, tot2 = parts[0]
+    for s, s2 in parts[1:]:
+        tot = tot + s
+        tot2 = tot2 + s2
+    mean = tot / samples
+    var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
+    err = np.sqrt(var / samples)
+    if not (np.isfinite(mean).all() and np.isfinite(err).all()):
+        raise ValueError("Monte-Carlo estimate is not finite")
+    return mean, err, [s for s, _ in parts]
 
 
 def _haar_batch(field, q, n, gen):
@@ -140,25 +178,23 @@ def _sphere_batch(field, q, n, gen):
     return _row_embed(field, v.reshape(n, q, d))
 
 
-def _ball_rows(field, q, p, n, gen, degenerate=False):
+def _ball_rows(field, q, p, n, gen):
     """Embedded row factors y_1 .. y_q of the ball parametrization.
 
     y_j = r_j theta_j with theta_j uniform on the unit sphere of F^q and
     r_j^2 Beta distributed with shapes (dq/2, d(p-q-j+1)/2); Beta draws
-    use two Gamma variates so non-integer shapes are exact.  In the
-    degenerate case (p = 2q-1) the last factor sits on the sphere.
+    use two Gamma variates so non-integer shapes are exact.  At the
+    boundary p = 2q-1 the last factor sits on the sphere.
     """
     d = field_dim(field)
     rows = []
     for j in range(1, q + 1):
         theta = _sphere_batch(field, q, n, gen)
-        if degenerate and j == q:
+        if j == q and p == 2 * q - 1:
             rows.append(theta)
             continue
-        a = 0.5 * d * q
-        b = 0.5 * d * (q - j) if degenerate else 0.5 * d * (p - q - j + 1)
-        g1 = gen.standard_gamma(a, n)
-        g2 = gen.standard_gamma(b, n)
+        g1 = gen.standard_gamma(0.5 * d * q, n)
+        g2 = gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
         r2 = g1 / (g1 + g2)
         rows.append(theta * np.sqrt(r2)[:, None, None])
     return rows
@@ -229,7 +265,7 @@ def _mp_batch(field, q, p, n, gen):
 
 
 def _mp_degenerate_batch(field, q, n, gen):
-    return _p_map_batch(_ball_rows(field, q, None, n, gen, degenerate=True))
+    return _mp_batch(field, q, 2 * q - 1, n, gen)
 
 
 def sample_mp(field, q, p, rng):

@@ -18,19 +18,21 @@ def rho_a(d, q):
     return 0.5 * d * (q + 1 - 2 * i)
 
 
-def _psi_sums(field, q, nu_mat, t, seed, shard, count):
-    gen = sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY).generator()
-    u = sampling._haar_batch(field, q, count, gen)
+def _psi_columns(field, t, nu_mat, u):
+    """Integrand values on one shard's Haar draws, one column per exponent.
+
+    At t = 0 the integrand is identically 1.
+    """
+    if np.all(t == 0.0):
+        return np.ones((u.shape[0], nu_mat.shape[1]), complex)
     tt = np.repeat(t, 2) if field == "h" else t
     m = (algebra._ct(u) * np.cosh(tt) ** 2) @ u
     m = 0.5 * (m + algebra._ct(m))
-    logs = algebra._log_minors_embedded(m, field)
-    dlog = np.diff(logs, axis=-1, prepend=0.0)
-    vals = np.exp(dlog @ nu_mat)
-    return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+    return algebra._power_from_logs(algebra._log_minors_embedded(m, field),
+                                    nu_mat)
 
 
-def eval_psi(field, lam, t, samples=100000, seed=0, workers=1, _force_mc=False):
+def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of psi_lam(t); exact at q = 1.
 
     lam is a length-q complex vector (or batch of shape (..., q)) in
@@ -44,7 +46,7 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1, _force_mc=False):
         lam = lam.reshape(1)
     if lam.shape[-1] != q:
         raise ValueError("lam must have length q along its last axis")
-    if q == 1 and not _force_mc:
+    if q == 1:
         val = np.cosh(t[0]) ** (1j * lam[..., 0])
         if lam.shape == (1,):
             return McEstimate(complex(val), 0.0, 0, seed)
@@ -54,10 +56,8 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1, _force_mc=False):
         mean = np.ones(nu_mat.shape[1], dtype=complex)
         err = np.zeros(nu_mat.shape[1])
     else:
-        def fn(i, n):
-            return _psi_sums(field, q, nu_mat, t, seed, i, n)
-        (tot, tot2), _ = sampling.mc_run(fn, samples, workers=workers)
-        mean = tot / samples
-        err = np.sqrt(np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
-                      / samples)
+        def shard(i, n):
+            u, _ = sampling.draw_shard(field, q, None, seed, i, n, ball=False)
+            return sampling.shard_moments([_psi_columns(field, t, nu_mat, u)])
+        mean, err, _ = sampling.mc_run(shard, samples, workers=workers)
     return _shape_estimate(mean, err, batch, samples, seed)

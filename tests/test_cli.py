@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +168,37 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--workers", "0")])
+    def test_config_error_counts_below_one(self, flag, value, capsys):
+        for argv in (["eval-bc", "--q", "1", "--p", "3", "--lambda", "1",
+                      "--t", "0.5"],
+                     ["moment-decay", "--q", "1", "--n", "1",
+                      "--p-list", "9,17"]):
+            code, out = run(argv + [flag, value], capsys)
+            assert code == 2 and out == ""
+
+    def test_config_error_under_optimize(self):
+        """The sample-count check is no assert, so -O keeps it."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hypergeo.cli", "eval-bc", "--q",
+             "1", "--p", "3", "--lambda", "1", "--t", "0.5", "--samples",
+             "0"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "config error" in proc.stderr
+
+    def test_domain_error_non_finite_estimate(self, capsys):
+        """An overflowing integrand is a domain error, not a pass."""
+        code, out = run(["eval-bc", "--q", "2", "--p", "5", "--lambda",
+                         "800i,0", "--t", "2,1", "--samples", "8192"],
+                        capsys)
+        assert code == 3
+        assert out == ""
 
 
 class TestWeylScan:

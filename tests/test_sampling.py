@@ -137,6 +137,17 @@ class TestShardEngine:
         assert sum(sampling.shard_plan(100000)) == 100000
         assert max(sampling.shard_plan(100000)) <= sampling.SHARD_SIZE
 
+    def test_shard_plan_rejects_empty_budget(self):
+        with pytest.raises(ValueError):
+            sampling.shard_plan(0)
+
+    def test_non_finite_estimate_rejected(self):
+        def shard_fn(shard, count):
+            return sampling.shard_moments([np.full((count, 1), np.inf)])
+
+        with pytest.raises(ValueError):
+            sampling.mc_run(shard_fn, 100)
+
     def test_streams_differ_by_role(self):
         a = sampling.shard_stream(0, 0, sampling.ROLE_UNITARY)
         b = sampling.shard_stream(0, 0, sampling.ROLE_BALL)
@@ -150,20 +161,20 @@ class TestShardEngine:
     def test_worker_count_is_invisible(self):
         def shard_fn(shard, count):
             gen = sampling.shard_stream(0, shard, sampling.ROLE_AUX).generator()
-            x = gen.random(count)
-            return (np.array([x.sum()]), np.array([(x ** 2).sum()]))
+            return sampling.shard_moments([gen.random((count, 1))])
 
-        one, _ = sampling.mc_run(shard_fn, 50000, workers=1)
-        four, _ = sampling.mc_run(shard_fn, 50000, workers=4)
+        one = sampling.mc_run(shard_fn, 50000, workers=1)
+        four = sampling.mc_run(shard_fn, 50000, workers=4)
         np.testing.assert_array_equal(one[0], four[0])
         np.testing.assert_array_equal(one[1], four[1])
+        np.testing.assert_array_equal(one[2], four[2])
 
     def test_keep_parts_sums_to_totals(self):
         def shard_fn(shard, count):
             gen = sampling.shard_stream(1, shard, 2).generator()
-            return (np.array([gen.random(count).sum()]),)
+            return sampling.shard_moments([gen.random((count, 1))])
 
-        totals, parts = sampling.mc_run(shard_fn, 30000, keep_parts=True)
+        mean, _, parts = sampling.mc_run(shard_fn, 30000)
         assert len(parts) == len(sampling.shard_plan(30000))
         np.testing.assert_allclose(
-            totals[0], sum(p[0] for p in parts), rtol=1e-12)
+            30000 * mean[0], sum(p[0] for p in parts), rtol=1e-12)
