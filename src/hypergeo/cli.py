@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import weyl
+from . import experiments, weyl
 from .algebra import field_dim, normalize_field
 from .bessel import (_c_scale, _jack_tables, bessel_phi_tilde, jack_C,
                      partitions_of_weight)
@@ -87,9 +87,36 @@ def _field_of(args):
 
 
 def _seed_of(args):
+    """--seed, else HYPERGEO_SEED, else 0; a nonnegative integer."""
     if args.seed is not None:
-        return int(args.seed)
-    return int(os.environ.get("HYPERGEO_SEED", "0"))
+        seed, source = args.seed, "--seed"
+    else:
+        source = "HYPERGEO_SEED"
+        text = os.environ.get(source, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise _ConfigError("%s must be an integer, not %r"
+                               % (source, text))
+    if seed < 0:
+        raise _ConfigError("%s must be nonnegative, not %d" % (source, seed))
+    return seed
+
+
+def _vector(values, q, label):
+    """values, if there are exactly q of them."""
+    if len(values) != q:
+        raise _ConfigError("%s has %d entries, expected q=%d"
+                           % (label, len(values), q))
+    return values
+
+
+def _increasing(values, flag):
+    """values, if they strictly increase."""
+    try:
+        return experiments._increasing(values, flag)
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
 
 
 def _open_out(path):
@@ -207,8 +234,7 @@ def _cmd_eval_ho(args):
         mu = [int(x) for x in str(args.mu).split(",")]
     except ValueError:
         raise _ConfigError("cannot parse mu %r" % (args.mu,))
-    if len(mu) != q:
-        raise _ConfigError("mu has %d entries, expected q=%d" % (len(mu), q))
+    _vector(mu, q, "mu")
     records = []
     for t in _chunk(_parse_reals(args.t), q, "t"):
         est = eval_ho_polynomial(field, args.p, mu, t, samples=args.samples,
@@ -222,7 +248,24 @@ def _cmd_eval_ho(args):
     return 0
 
 
+# Why a summary field can be non-finite when every estimate is finite.
+_NON_FINITE_CAUSE = {
+    "slope": " because an error is 0: a log-log fit needs every error "
+             "positive",
+}
+
+
 def _emit_experiment(args, rows, cols, summary):
+    """Write the CSV rows and the JSON summary line.
+
+    A non-finite summary field is a domain error that names the field;
+    nothing is written then.
+    """
+    for key in sorted(summary):
+        value = summary[key]
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError("summary field %s is %r%s"
+                             % (key, value, _NON_FINITE_CAUSE.get(key, "")))
     text = json.dumps(summary, sort_keys=True, allow_nan=False)
     out = _open_out(args.output)
     try:
@@ -273,7 +316,8 @@ def _cmd_rate_p(args):
     seed = _seed_of(args)
     lam = _parse_complex_list(args.lam, args.q, "lambda")[0]
     t_grid = _chunk(_parse_reals(args.t_grid), args.q, "t-grid")
-    p_list = [float(x) for x in _parse_reals(args.p_list)]
+    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
+                         "--p-list")
     report = rate_p_experiment(field, args.q, lam, t_grid, p_list,
                                samples=args.samples, seed=seed,
                                workers=args.workers)
@@ -288,9 +332,13 @@ def _cmd_rate_p(args):
 def _cmd_contraction(args):
     field = _field_of(args)
     seed = _seed_of(args)
-    lam = _parse_reals(args.lam)
-    t = _parse_reals(args.t)
-    n_list = [int(x) for x in str(args.n_list).split(",")]
+    lam = _vector(_parse_reals(args.lam), args.q, "lambda")
+    t = _vector(_parse_reals(args.t), args.q, "t")
+    try:
+        n_list = [int(x) for x in str(args.n_list).split(",")]
+    except ValueError:
+        raise _ConfigError("cannot parse --n-list %r" % (args.n_list,))
+    _increasing(n_list, "--n-list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,
                                     workers=args.workers)
@@ -331,7 +379,8 @@ def _cmd_boundedness(args):
 def _cmd_moment_decay(args):
     field = _field_of(args)
     seed = _seed_of(args)
-    p_list = [float(x) for x in _parse_reals(args.p_list)]
+    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
+                         "--p-list")
     report = moment_decay_experiment(field, args.q, args.n, p_list,
                                      samples=args.samples, seed=seed,
                                      workers=args.workers)
@@ -567,7 +616,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        for name in ("samples", "workers"):
+        for name in ("samples", "workers", "n"):
             if getattr(args, name, 1) < 1:
                 raise _ConfigError("--%s must be at least 1" % (name,))
         return int(args.func(args) or 0)

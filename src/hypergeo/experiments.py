@@ -65,6 +65,14 @@ def _mc_pairs(field, q, p, pairs, samples, seed, workers, psi=False):
     return sampling.mc_run(shard_fn, samples, workers=workers)
 
 
+def _increasing(values, name):
+    """values, if strictly increasing; ValueError naming them otherwise."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("%s must be strictly increasing, got %s"
+                         % (name, ",".join("%g" % v for v in values)))
+    return values
+
+
 def _fit_slope(params, errors):
     """Least-squares slope of log error against log parameter."""
     errors = np.asarray(errors, float)
@@ -128,16 +136,17 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     field = normalize_field(field)
     d = field_dim(field)
     lam = np.asarray(lam, complex).reshape(-1)
-    assert lam.size == q
-    p_list = [float(p) for p in p_list]
-    assert all(b > a for a, b in zip(p_list, p_list[1:])), \
-        "p_list must be increasing"
+    if lam.size != q:
+        raise ValueError("lam has %d entries, expected q=%d" % (lam.size, q))
+    p_list = _increasing([float(p) for p in p_list], "p_list")
     if not min(p_list) > 2 * q - 1:
         raise ValueError("rate_p_experiment needs min(p_list) > 2q - 1")
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim == 1:
         t_grid = t_grid[:, None]
-    assert t_grid.shape[1] == q
+    if t_grid.shape[1] != q:
+        raise ValueError("t_grid rows have %d entries, expected q=%d"
+                         % (t_grid.shape[1], q))
 
     rho0 = rho_bc(p_list[0], d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
@@ -208,10 +217,10 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     d = field_dim(field)
     lam = np.asarray(lam, float).reshape(-1)
     t = np.asarray(t, float).reshape(-1)
-    assert lam.size == q and t.size == q
-    n_list = [int(n) for n in n_list]
-    assert all(b > a for a, b in zip(n_list, n_list[1:])), \
-        "n_list must be increasing"
+    if lam.size != q or t.size != q:
+        raise ValueError("lam and t have %d and %d entries, expected q=%d"
+                         % (lam.size, t.size, q))
+    n_list = _increasing([int(n) for n in n_list], "n_list")
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
@@ -321,10 +330,9 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     field = normalize_field(field)
     d = field_dim(field)
     n = int(n_exponent)
-    assert n >= 1
-    p_list = [float(p) for p in p_list]
-    assert all(b > a for a, b in zip(p_list, p_list[1:])), \
-        "p_list must be increasing"
+    if n < 1:
+        raise ValueError("moment exponent n must be at least 1, not %d" % n)
+    p_list = _increasing([float(p) for p in p_list], "p_list")
     if not min(p_list) > 2 * q:
         raise ValueError("moment_decay_experiment needs min(p_list) > 2q")
     shift = 4.0 * n / d

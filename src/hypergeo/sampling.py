@@ -31,7 +31,9 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        assert self.seed >= 0 and self.stream_id >= 0
+        if self.seed < 0 or self.stream_id < 0:
+            raise ValueError("seed and stream id must be nonnegative, not "
+                             "(%d, %d)" % (self.seed, self.stream_id))
 
     def generator(self):
         """A fresh generator; identical inputs give identical draws."""
@@ -74,13 +76,18 @@ def draw_shard(field, q, p, seed, shard, count, ball=True, unitary=True):
 def shard_moments(blocks):
     """Sums of values and of squared moduli over (count, m) value blocks.
 
-    Blocks are reduced one at a time, so a generator of blocks never
-    holds more than one in memory; the sums of all blocks are joined.
+    Blocks are reduced one at a time, and each is dropped before the
+    next is asked for, so a generator of blocks never holds more than one
+    in memory; the sums of all blocks are joined.
     """
     sums, sqs = [], []
     for vals in blocks:
         sums.append(vals.sum(axis=0))
-        sqs.append((np.abs(vals) ** 2).sum(axis=0))
+        sq = np.abs(vals)
+        del vals
+        np.square(sq, out=sq)
+        sqs.append(sq.sum(axis=0))
+        del sq
     return np.concatenate(sums), np.concatenate(sqs)
 
 
@@ -92,21 +99,29 @@ def mc_run(shard_fn, samples, workers=1):
     shard order whatever the completion order, so the results do not
     depend on the worker count.  The per-shard value sums are returned
     too; jackknife estimates need them.  A non-finite mean or standard
-    error raises ValueError.
+    error raises ValueError, which is then the only report of an overflow:
+    numpy's overflow and invalid-value warnings are off inside, in every
+    worker thread too.
     """
     sizes = shard_plan(samples)
+
+    def run(shard, count):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return shard_fn(shard, count)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(shard_fn, range(len(sizes)), sizes))
+            parts = list(pool.map(run, range(len(sizes)), sizes))
     else:
-        parts = [shard_fn(i, n) for i, n in enumerate(sizes)]
-    tot, tot2 = parts[0]
-    for s, s2 in parts[1:]:
-        tot = tot + s
-        tot2 = tot2 + s2
-    mean = tot / samples
-    var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
-    err = np.sqrt(var / samples)
+        parts = [run(i, n) for i, n in enumerate(sizes)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tot, tot2 = parts[0]
+        for s, s2 in parts[1:]:
+            tot = tot + s
+            tot2 = tot2 + s2
+        mean = tot / samples
+        var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
+        err = np.sqrt(var / samples)
     if not (np.isfinite(mean).all() and np.isfinite(err).all()):
         raise ValueError("Monte-Carlo estimate is not finite")
     return mean, err, [s for s, _ in parts]

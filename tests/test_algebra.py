@@ -1,9 +1,11 @@
 """Tests for the matrix algebra layer over R, C, and H."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hypergeo import algebra
+from hypergeo import algebra, sampling
 from oracles import quat_matmul
 
 
@@ -162,6 +164,44 @@ class TestPowerFunction:
         got = algebra.power_function(x, "r", lam)
         want = [algebra.power_function(x[i], "r", lam) for i in range(5)]
         np.testing.assert_allclose(got, want)
+
+
+class TestPowerFromLogs:
+    """Two real products give the complex product's exp(diff(logs) @ nu)."""
+
+    @staticmethod
+    def _complex_product(logs, nu):
+        return np.exp(np.diff(logs, axis=-1, prepend=0.0) @ nu)
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_matches_complex_product(self, q):
+        gen = np.random.default_rng(40 + q)
+        m = 0.5 * gen.standard_normal((3, 50, q, q))
+        x = np.swapaxes(m, -2, -1) @ m + np.eye(q)
+        logs = algebra._log_minors(x, "r")
+        nu = 0.5 * (gen.standard_normal((q, 7))
+                    + 1j * gen.standard_normal((q, 7)))
+        for lg in (logs[0, 0], logs[0], logs):  # none, one, two batch axes
+            for n in (nu[:, 0], nu):  # power_function's vector, or columns
+                got = algebra._power_from_logs(lg, n)
+                want = self._complex_product(lg, n)
+                assert np.shape(got) == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_overflow_is_a_domain_error(self):
+        logs = np.array([[0.0, 900.0]])
+        nu = np.array([[0.0], [1.0 + 1.0j]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(algebra._power_from_logs(logs, nu)).all()
+
+        def shard_fn(shard, count):
+            return sampling.shard_moments(
+                [algebra._power_from_logs(np.repeat(logs, count, 0), nu)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                sampling.mc_run(shard_fn, 100)
 
 
 class TestBuildG:

@@ -22,6 +22,17 @@ def run(argv, capsys):
     return code, out
 
 
+def run_process(argv, optimize=False):
+    """The CLI in a fresh interpreter, so real warnings reach stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "hypergeo.cli",
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 class TestEvalRecords:
     def test_t_zero_is_exact(self, capsys):
         code, out = run(["eval-bc", "--field", "r", "--q", "1", "--p", "3",
@@ -181,16 +192,37 @@ class TestExitCodes:
 
     def test_config_error_under_optimize(self):
         """The sample-count check is no assert, so -O keeps it."""
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "hypergeo.cli", "eval-bc", "--q",
-             "1", "--p", "3", "--lambda", "1", "--t", "0.5", "--samples",
-             "0"], capture_output=True, text=True, env=env)
+        proc = run_process(["eval-bc", "--q", "1", "--p", "3", "--lambda",
+                            "1", "--t", "0.5", "--samples", "0"],
+                           optimize=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        ("eval-bc --q 1 --p 3 --lambda 1 --t 0.5 --seed -1",
+         "--seed must be nonnegative, not -1"),
+        ("rate-p --q 2 --lambda 1,0.5 --t-grid 0.5,0.2 --p-list 9,5",
+         "--p-list must be strictly increasing, got 9,5"),
+        ("contraction --q 2 --p 5 --lambda 1 --t 1 --n-list 2,4",
+         "lambda has 1 entries, expected q=2"),
+        ("contraction --q 2 --p 5 --lambda 1,0 --t 1,0.5 --n-list 4,2",
+         "--n-list must be strictly increasing, got 4,2"),
+        ("moment-decay --q 1 --n 0 --p-list 9,17",
+         "--n must be at least 1"),
+    ], ids=["seed", "p-list", "lambda-length", "n-list", "moment-n"])
+    def test_input_error_under_optimize(self, argv, message):
+        """Bad arguments are config errors naming them, also under -O."""
+        proc = run_process(argv.split(), optimize=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "config error: %s\n" % message
+
+    @pytest.mark.parametrize("value", ["-1", "seven"])
+    def test_seed_env_config_error(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERGEO_SEED", value)
+        code, out = run(["eval-bc", "--q", "1", "--p", "3", "--lambda", "1",
+                         "--t", "0.5"], capsys)
+        assert (code, out) == (2, "")
 
     def test_domain_error_non_finite_estimate(self, capsys):
         """An overflowing integrand is a domain error, not a pass."""
@@ -199,6 +231,21 @@ class TestExitCodes:
                         capsys)
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        ("eval-bc --q 2 --p 5 --lambda 800i,0 --t 2,1 --samples 8192",
+         "Monte-Carlo estimate is not finite"),
+        ("eval-bc --q 2 --p 5 --lambda 800i,0 --t 2,1 --samples 16384 "
+         "--workers 2", "Monte-Carlo estimate is not finite"),
+        ("rate-p --q 1 --lambda 2 --t-grid 0 --p-list 10,20",
+         "summary field slope is -inf because an error is 0: a log-log "
+         "fit needs every error positive"),
+    ], ids=["overflow", "overflow-workers-2", "slope"])
+    def test_domain_error_stderr_is_one_line(self, argv, message):
+        """A domain error prints its own line and no numpy warnings."""
+        proc = run_process(argv.split())
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "domain error: %s\n" % message
 
 
 class TestWeylScan:

@@ -43,7 +43,7 @@ class TestRateQuadrature:
         with pytest.raises(ValueError):
             ex.rate_p_experiment("r", 1, np.array([1.0 + 0j]), t_grid,
                                  [1, 2, 4])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="p_list"):
             ex.rate_p_experiment("r", 1, np.array([1.0 + 0j]), t_grid,
                                  [20, 10])
 

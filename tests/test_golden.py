@@ -20,7 +20,7 @@ EVAL = {
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
          ' "stderr": 0.006129713121001285,'
          ' "value_im": -0.02422477276449804,'
-         ' "value_re": 0.6811437340183789}\n'),
+         ' "value_re": 0.6811437340183788}\n'),
     ),
     "eval-bc-c2": (
         ("eval-bc --field c --q 2 --p 5 --lambda 1+0.5i,0.5 --t "
@@ -29,7 +29,7 @@ EVAL = {
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
          ' "stderr": 0.0071973473023627926,'
-         ' "value_im": -0.00497154915194802,'
+         ' "value_im": -0.0049715491519480215,'
          ' "value_re": 0.353087505230213}\n'),
     ),
     "eval-bc-h2": (
@@ -38,9 +38,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.004439068373688132,'
-         ' "value_im": 0.000532561819758993,'
-         ' "value_re": 0.08526340926777905}\n'
+         ' "stderr": 0.0044390683736881325,'
+         ' "value_im": 0.0005325618197589925,'
+         ' "value_re": 0.08526340926777908}\n'
          '{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "2+0i,0-1i", "p": 5.0, "q": 2, "t": [0.8, 0.4]},'
          ' "pass": true, "samples": 20000, "seed": 1,'

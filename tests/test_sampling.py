@@ -1,5 +1,7 @@
 """Tests for the Haar and matrix-ball samplers and the shard engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,40 @@ class TestShardEngine:
 
         with pytest.raises(ValueError):
             sampling.mc_run(shard_fn, 100)
+
+    def test_negative_seed_rejected(self):
+        for seed, stream_id in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sampling.RngStream(seed, stream_id)
+
+    def test_shard_moments_bits(self):
+        gen = np.random.default_rng(8)
+        real = gen.standard_normal((300, 3))
+        cplx = real + 1j * gen.standard_normal((300, 3))
+        sums, sqs = sampling.shard_moments([real, cplx])
+        np.testing.assert_array_equal(
+            sums, np.concatenate([real.sum(axis=0), cplx.sum(axis=0)]))
+        np.testing.assert_array_equal(
+            sqs, np.concatenate([(np.abs(real) ** 2).sum(axis=0),
+                                 (np.abs(cplx) ** 2).sum(axis=0)]))
+
+    def test_shard_moments_drops_each_block(self):
+        """Block k is freed before block k + 1 is built."""
+        refs = []
+
+        def block(k):
+            vals = np.full((64, 2), k + 1j)
+            refs.append(weakref.ref(vals))
+            return vals
+
+        def blocks():
+            for k in range(3):
+                assert all(ref() is None for ref in refs), \
+                    "block %d still alive" % (k - 1)
+                yield block(k)
+
+        sums, _ = sampling.shard_moments(blocks())
+        np.testing.assert_array_equal(sums.real, np.repeat([0, 64, 128], 2))
 
     def test_streams_differ_by_role(self):
         a = sampling.shard_stream(0, 0, sampling.ROLE_UNITARY)
