@@ -5,9 +5,11 @@ CSV; experiment subcommands emit CSV rows plus a one-line JSON summary.
 Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
-Exit codes: 0 success, 2 configuration problems (including sample or
-worker counts below 1), 3 domain errors (a named precondition failed or
-an estimate is not finite), 4 a declared acceptance predicate failed.
+Exit codes: 0 success, 2 configuration problems (including a count
+such as --samples or --n-t below 1, or a --rho, --rank, --resolution or
+--alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors (a
+named precondition failed or an estimate is not finite), 4 a declared
+acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -15,7 +17,9 @@ stderr, the truncation degree as samples, and convergence as pass.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -37,12 +41,28 @@ class _ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _config_errors(prefix=""):
+    """Report a ValueError raised inside as a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _ConfigError(prefix + str(exc))
+
+
+def _finite(x):
+    """x, if finite: no writer prints NaN or Infinity."""
+    if not np.isfinite(x):
+        raise ValueError("cannot write the non-finite value %r" % (x,))
+    return x
+
+
 def _fmt(x):
-    return "%.17g" % float(x)
+    return "%.17g" % _finite(float(x))
 
 
 def _fmt_complex(z):
-    z = complex(z)
+    z = _finite(complex(z))
     return "%.17g%+.17gi" % (z.real, z.imag)
 
 
@@ -65,6 +85,13 @@ def _parse_reals(s):
         raise _ConfigError("cannot parse value list %r" % (s,))
 
 
+def _parse_ints(s, label):
+    try:
+        return [int(x) for x in str(s).split(",")]
+    except ValueError:
+        raise _ConfigError("cannot parse %s %r" % (label, s))
+
+
 def _chunk(values, q, label):
     values = np.asarray(values)
     if values.size == 0 or values.size % q != 0:
@@ -80,10 +107,8 @@ def _parse_complex_list(s, q, label):
 
 
 def _field_of(args):
-    try:
+    with _config_errors():
         return normalize_field(args.field)
-    except ValueError as exc:
-        raise _ConfigError(str(exc))
 
 
 def _seed_of(args):
@@ -113,138 +138,112 @@ def _vector(values, q, label):
 
 def _increasing(values, flag):
     """values, if they strictly increase."""
-    try:
+    with _config_errors():
         return experiments._increasing(values, flag)
-    except ValueError as exc:
-        raise _ConfigError(str(exc))
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _json_line(obj):
+    """obj as one sorted JSON line; a non-finite float is a ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _close_out(handle):
-    if handle is not sys.stdout:
-        handle.close()
+def _csv_text(cols, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_records(args, records):
-    """Emit evaluation records as JSONL (default) or CSV.
-
-    Every record is serialized first, so a non-finite value is a domain
-    error before anything is written, whatever the format.
-    """
-    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
-             for rec in records]
-    out = _open_out(args.output)
-    try:
-        if args.format == "jsonl":
-            out.writelines(lines)
-        else:
-            cols = ["command", "field", "q", "p", "lambda", "t",
-                    "value", "stderr", "samples", "seed", "pass"]
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(cols)
-            for rec in records:
-                inp = rec["inputs"]
-                writer.writerow([
-                    rec["command"], inp.get("field", ""), inp["q"],
-                    inp.get("p", ""), inp.get("lambda", ""),
-                    ",".join(_fmt(x) for x in inp.get("t", [])),
-                    _fmt_complex(complex(rec["value_re"], rec["value_im"])),
-                    _fmt(rec["stderr"]), rec["samples"], rec["seed"],
-                    rec["pass"]])
-    finally:
-        _close_out(out)
+def _write(path, text):
+    """text to the file at path, or to stdout when path is empty."""
+    if path:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _eval_record(command, inputs, seed, value, stderr, samples, ok):
-    value = complex(value)
-    return {"command": command, "inputs": inputs,
-            "value_re": value.real, "value_im": value.imag,
-            "stderr": float(stderr), "samples": int(samples),
-            "seed": int(seed), "pass": bool(ok)}
+def _mc(est):
+    return est.value, est.stderr, est.samples, True
+
+
+def _series(res):
+    return res.value, res.tail_bound, res.truncation_degree, res.converged
+
+
+# Each evaluator maps (args, field, lambda row, t row, seed) to the
+# record's (value, stderr, samples, pass).
+_EVALUATORS = {
+    "eval-bc": lambda a, field, lam, t, seed: _mc(eval_phi_bc(
+        field, a.p, lam, t, samples=a.samples, seed=seed,
+        workers=a.workers)),
+    "eval-bc-degenerate": lambda a, field, lam, t, seed: _mc(
+        eval_phi_bc_degenerate(field, a.q, lam, t, samples=a.samples,
+                               seed=seed, workers=a.workers)),
+    "eval-a": lambda a, field, lam, t, seed: _mc(eval_psi(
+        field, lam, t, samples=a.samples, seed=seed, workers=a.workers)),
+    "eval-bessel-series": lambda a, field, lam, t, seed: _series(
+        bessel_phi_tilde(field, a.p, lam, t, mode="series",
+                         max_degree=a.max_degree, rel_tol=a.rel_tol)),
+    "eval-bessel-integral": lambda a, field, lam, t, seed: _mc(
+        bessel_phi_tilde(field, a.p, lam, t, mode="integral",
+                         samples=a.samples, seed=seed, workers=a.workers)),
+    "eval-ho-poly": lambda a, field, lam, t, seed: _mc(eval_ho_polynomial(
+        field, a.p, lam, t, samples=a.samples, seed=seed,
+        workers=a.workers)),
+    "c-function": lambda a, field, lam, t, seed: (c_function(
+        lam, multiplicity_bc(a.p, field_dim(field), a.q), a.q), 0.0, 0,
+        True),
+}
+
+_RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
+                   "stderr", "samples", "seed", "pass"]
 
 
 def _cmd_eval(args):
+    """One record per (lambda, t) pair of the cross product."""
     field = _field_of(args)
     q = args.q
     seed = _seed_of(args)
-    lam_rows = _parse_complex_list(args.lam, q, "lambda")
-    t_arg = getattr(args, "t", None)
-    t_rows = _chunk(_parse_reals(t_arg), q, "t") if t_arg is not None \
+    if hasattr(args, "mu"):
+        lam_rows = [_vector(_parse_ints(args.mu, "mu"), q, "mu")]
+    else:
+        lam_rows = _parse_complex_list(args.lam, q, "lambda")
+    t_rows = _chunk(_parse_reals(args.t), q, "t") if hasattr(args, "t") \
         else [None]
+    evaluate = _EVALUATORS[args.command]
     records = []
     for lam in lam_rows:
         for t in t_rows:
             inputs = {"field": field, "q": q,
                       "lambda": ",".join(_fmt_complex(z) for z in lam)}
+            if hasattr(args, "p"):
+                inputs["p"] = args.p
             if t is not None:
                 inputs["t"] = [float(x) for x in t]
-            if args.command == "eval-bc":
-                inputs["p"] = args.p
-                est = eval_phi_bc(field, args.p, lam, t,
-                                  samples=args.samples, seed=seed,
-                                  workers=args.workers)
-                rec = _eval_record(args.command, inputs, seed, est.value,
-                                   est.stderr, est.samples, True)
-            elif args.command == "eval-bc-degenerate":
-                est = eval_phi_bc_degenerate(field, q, lam, t,
-                                             samples=args.samples, seed=seed,
-                                             workers=args.workers)
-                rec = _eval_record(args.command, inputs, seed, est.value,
-                                   est.stderr, est.samples, True)
-            elif args.command == "eval-a":
-                est = eval_psi(field, lam, t, samples=args.samples,
-                               seed=seed, workers=args.workers)
-                rec = _eval_record(args.command, inputs, seed, est.value,
-                                   est.stderr, est.samples, True)
-            elif args.command == "eval-bessel-series":
-                inputs["p"] = args.p
-                res = bessel_phi_tilde(field, args.p, lam, t, mode="series",
-                                       max_degree=args.max_degree,
-                                       rel_tol=args.rel_tol)
-                rec = _eval_record(args.command, inputs, seed, res.value,
-                                   res.tail_bound, res.truncation_degree,
-                                   res.converged)
-            elif args.command == "eval-bessel-integral":
-                inputs["p"] = args.p
-                est = bessel_phi_tilde(field, args.p, lam, t,
-                                       mode="integral",
-                                       samples=args.samples, seed=seed,
-                                       workers=args.workers)
-                rec = _eval_record(args.command, inputs, seed, est.value,
-                                   est.stderr, est.samples, True)
-            else:
-                inputs["p"] = args.p
-                k = multiplicity_bc(args.p, field_dim(field), q)
-                val = c_function(lam, k, q)
-                rec = _eval_record(args.command, inputs, seed, val,
-                                   0.0, 0, True)
-            records.append(rec)
-    _write_records(args, records)
-    return 0
-
-
-def _cmd_eval_ho(args):
-    field = _field_of(args)
-    q = args.q
-    seed = _seed_of(args)
-    try:
-        mu = [int(x) for x in str(args.mu).split(",")]
-    except ValueError:
-        raise _ConfigError("cannot parse mu %r" % (args.mu,))
-    _vector(mu, q, "mu")
-    records = []
-    for t in _chunk(_parse_reals(args.t), q, "t"):
-        est = eval_ho_polynomial(field, args.p, mu, t, samples=args.samples,
-                                 seed=seed, workers=args.workers)
-        inputs = {"field": field, "q": q, "p": args.p,
-                  "lambda": ",".join(_fmt_complex(m) for m in mu),
-                  "t": [float(x) for x in t]}
-        records.append(_eval_record("eval-ho-poly", inputs, seed, est.value,
-                                    est.stderr, est.samples, True))
-    _write_records(args, records)
+            value, stderr, samples, ok = evaluate(args, field, lam, t, seed)
+            value = complex(value)
+            records.append({"command": args.command, "inputs": inputs,
+                            "value_re": value.real, "value_im": value.imag,
+                            "stderr": float(stderr), "samples": int(samples),
+                            "seed": int(seed), "pass": bool(ok)})
+    # Serializing every record first makes a non-finite value a domain
+    # error before anything is written, whatever the format.
+    lines = [_json_line(rec) for rec in records]
+    if args.format == "jsonl":
+        _write(args.output, "".join(lines))
+        return 0
+    rows = []
+    for rec in records:
+        inp = rec["inputs"]
+        rows.append([rec["command"], inp["field"], inp["q"],
+                     inp.get("p", ""), inp["lambda"],
+                     ",".join(_fmt(x) for x in inp.get("t", [])),
+                     _fmt_complex(complex(rec["value_re"], rec["value_im"])),
+                     _fmt(rec["stderr"]), rec["samples"], rec["seed"],
+                     rec["pass"]])
+    _write(args.output, _csv_text(_RECORD_COLUMNS, rows))
     return 0
 
 
@@ -255,31 +254,28 @@ _NON_FINITE_CAUSE = {
 }
 
 
-def _emit_experiment(args, rows, cols, summary):
-    """Write the CSV rows and the JSON summary line.
+def _emit_experiment(args, cols, rows, summary, checks):
+    """Write the CSV rows and the JSON summary line; 4 if a check failed.
 
-    A non-finite summary field is a domain error that names the field;
-    nothing is written then.
+    The summary's pass field is the conjunction of checks.  A non-finite
+    summary field is a domain error that names the field; nothing is
+    written then.
     """
+    summary["pass"] = all(checks.values())
     for key in sorted(summary):
         value = summary[key]
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError("summary field %s is %r%s"
                              % (key, value, _NON_FINITE_CAUSE.get(key, "")))
-    text = json.dumps(summary, sort_keys=True, allow_nan=False)
-    out = _open_out(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        _close_out(out)
-    if args.output:
-        with open(args.output + ".summary.json", "w") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    line = _json_line(summary)
+    _write(args.output, _csv_text(cols, rows))
+    _write(args.output and args.output + ".summary.json", line)
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        print("acceptance predicate failed: %s" % ", ".join(sorted(failed)),
+              file=sys.stderr)
+        return 4
+    return 0
 
 
 def _ratio_ok(normalized):
@@ -289,26 +285,15 @@ def _ratio_ok(normalized):
     return max(pos) / min(pos) < 10.0
 
 
-def _finish(checks):
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        print("acceptance predicate failed: %s" % ", ".join(sorted(failed)),
-              file=sys.stderr)
-        return 4
-    return 0
-
-
-def _rate_rows(report):
-    return [[_fmt(p), _fmt(e), _fmt(s), _fmt(c)]
-            for p, e, s, c in zip(report.params, report.errors,
-                                  report.stderrs, report.normalized)]
-
-
-def _rate_summary(report, checks):
-    return {"slope": report.slope, "slope_halfwidth": report.slope_halfwidth,
-            "scale": report.scale, "normalized_max": max(report.normalized),
-            "unbounded_regime": report.unbounded_regime,
-            "pass": all(checks.values())}
+def _emit_rate(args, cols, report, checks):
+    rows = [[_fmt(x) for x in row]
+            for row in zip(report.params, report.errors, report.stderrs,
+                           report.normalized)]
+    summary = {"slope": report.slope,
+               "slope_halfwidth": report.slope_halfwidth,
+               "scale": report.scale, "normalized_max": max(report.normalized),
+               "unbounded_regime": report.unbounded_regime}
+    return _emit_experiment(args, cols, rows, summary, checks)
 
 
 def _cmd_rate_p(args):
@@ -323,10 +308,8 @@ def _cmd_rate_p(args):
                                workers=args.workers)
     checks = {"slope<=-0.45": report.slope <= -0.45 + report.slope_halfwidth,
               "normalized-ratio<10": _ratio_ok(report.normalized)}
-    _emit_experiment(args, _rate_rows(report),
-                     ["p", "error", "stderr", "normalized"],
-                     _rate_summary(report, checks))
-    return _finish(checks)
+    return _emit_rate(args, ["p", "error", "stderr", "normalized"], report,
+                      checks)
 
 
 def _cmd_contraction(args):
@@ -334,20 +317,29 @@ def _cmd_contraction(args):
     seed = _seed_of(args)
     lam = _vector(_parse_reals(args.lam), args.q, "lambda")
     t = _vector(_parse_reals(args.t), args.q, "t")
-    try:
-        n_list = [int(x) for x in str(args.n_list).split(",")]
-    except ValueError:
-        raise _ConfigError("cannot parse --n-list %r" % (args.n_list,))
-    _increasing(n_list, "--n-list")
+    n_list = _increasing(_parse_ints(args.n_list, "--n-list"), "--n-list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,
                                     workers=args.workers)
     checks = {"slope<=-0.8": report.slope <= -0.8 + report.slope_halfwidth,
               "normalized-ratio<10": _ratio_ok(report.normalized)}
-    _emit_experiment(args, _rate_rows(report),
-                     ["n", "error", "stderr", "normalized"],
-                     _rate_summary(report, checks))
-    return _finish(checks)
+    return _emit_rate(args, ["n", "error", "stderr", "normalized"], report,
+                      checks)
+
+
+def _cmd_moment_decay(args):
+    field = _field_of(args)
+    seed = _seed_of(args)
+    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
+                         "--p-list")
+    report = moment_decay_experiment(field, args.q, args.n, p_list,
+                                     samples=args.samples, seed=seed,
+                                     workers=args.workers)
+    bound = -0.9 * args.n
+    checks = {"slope<=%.2g" % bound:
+              report.slope <= bound + report.slope_halfwidth}
+    return _emit_rate(args, ["p", "value", "stderr", "normalized"], report,
+                      checks)
 
 
 def _cmd_boundedness(args):
@@ -368,81 +360,52 @@ def _cmd_boundedness(args):
               "out-of-hull-exceeds-1": report.out_of_hull_exceeds}
     summary = {"all_bounded": report.all_bounded,
                "all_positive": report.all_positive,
-               "out_of_hull_max": report.out_of_hull_max,
-               "pass": all(checks.values())}
-    _emit_experiment(args, rows,
-                     ["lambda", "t", "value", "stderr", "bounded",
-                      "positive"], summary)
-    return _finish(checks)
+               "out_of_hull_max": report.out_of_hull_max}
+    return _emit_experiment(args, ["lambda", "t", "value", "stderr",
+                                   "bounded", "positive"], rows, summary,
+                            checks)
 
 
-def _cmd_moment_decay(args):
-    field = _field_of(args)
-    seed = _seed_of(args)
-    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
-                         "--p-list")
-    report = moment_decay_experiment(field, args.q, args.n, p_list,
-                                     samples=args.samples, seed=seed,
-                                     workers=args.workers)
-    bound = -0.9 * args.n
-    checks = {"slope<=%.2g" % bound:
-              report.slope <= bound + report.slope_halfwidth}
-    _emit_experiment(args, _rate_rows(report),
-                     ["p", "value", "stderr", "normalized"],
-                     _rate_summary(report, checks))
-    return _finish(checks)
-
-
-def _weyl_spec(args):
-    try:
-        return weyl.RootSystemSpec(args.family, args.rank)
-    except ValueError as exc:
-        raise _ConfigError(str(exc))
-
-
+# The weyl module names the bad argument first in its ValueError
+# messages, and each argument has the flag of the same name.
 def _cmd_weyl_scan(args):
-    spec = _weyl_spec(args)
-    if args.rho is not None:
-        rhos = [np.asarray(_parse_reals(args.rho), float)]
-    else:
-        gen = np.random.default_rng(408122)
-        rhos = weyl._unit_rho_samples(spec, args.rho_samples, gen)
+    with _config_errors("--"):
+        spec = weyl.RootSystemSpec(args.family, args.rank)
+        if args.rho is not None:
+            rhos = [np.asarray(_parse_reals(args.rho), float)]
+        else:
+            gen = np.random.default_rng(408122)
+            rhos = weyl._unit_rho_samples(spec, args.rho_samples, gen)
+        polys = [weyl.OrbitPolytope(spec, rho) for rho in rhos]
+        vertices = [weyl.polytope_vertices_K(poly) for poly in polys]
     rows = []
     witness = None
-    violations = 0
-    for rho in rhos:
-        poly = weyl.OrbitPolytope(spec, rho)
-        for v in weyl.polytope_vertices_K(poly):
+    for poly, verts in zip(polys, vertices):
+        for v in verts:
             ok = weyl.prop65_check(poly, args.eps, v)
-            if not ok:
-                violations += 1
-                if witness is None:
-                    witness = (rho, v)
+            if not ok and witness is None:
+                witness = (poly.rho, v)
             rows.append([spec.family, spec.rank,
-                         ",".join(_fmt(x) for x in rho), _fmt(args.eps),
+                         ",".join(_fmt(x) for x in poly.rho), _fmt(args.eps),
                          ",".join(_fmt(x) for x in v), ok])
+    violations = sum(not row[-1] for row in rows)
     summary = {"family": spec.family, "rank": spec.rank, "eps": args.eps,
-               "violations": violations, "pass": violations == 0}
+               "violations": violations}
     if witness is not None:
         summary["witness_rho"] = [float(x) for x in witness[0]]
         summary["witness_vertex"] = [float(x) for x in witness[1]]
-    _emit_experiment(args, rows,
-                     ["family", "rank", "rho", "eps", "witness", "pass"],
-                     summary)
-    return _finish({"no-violations": violations == 0})
+    return _emit_experiment(args, ["family", "rank", "rho", "eps", "witness",
+                                   "pass"], rows, summary,
+                            {"no-violations": violations == 0})
 
 
 def _cmd_eps0(args):
-    spec = _weyl_spec(args)
-    value = weyl.eps0_estimate(spec, rho_samples=args.rho_samples,
-                               resolution=args.resolution)
-    text = json.dumps({"family": spec.family, "rank": spec.rank,
-                       "eps0": value}, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _config_errors("--"):
+        spec = weyl.RootSystemSpec(args.family, args.rank)
+        value = weyl.eps0_estimate(spec, rho_samples=args.rho_samples,
+                                   resolution=args.resolution)
+    _write(args.output, _json_line({"family": spec.family,
+                                    "rank": spec.rank, "eps0": value}))
     return 0
 
 
@@ -452,8 +415,9 @@ def _cmd_jack_table(args):
     if args.rank > 6 or args.rank < 1:
         raise _ConfigError("rank must lie in 1..6")
     alpha = float(args.alpha)
-    if alpha <= 0:
-        raise _ConfigError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise _ConfigError("alpha must be positive and finite, not %r"
+                           % alpha)
     ones = np.ones(args.rank)
     rows = []
     for lam in partitions_of_weight(args.weight, args.rank):
@@ -466,44 +430,87 @@ def _cmd_jack_table(args):
                          "+".join(str(x) for x in mu),
                          _fmt(scale * table[mu]), _fmt(alpha),
                          _fmt(at_ones)])
-    out = _open_out(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["partition", "monomial", "coefficient", "alpha",
-                         "c_at_ones"])
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        _close_out(out)
+    _write(args.output, _csv_text(["partition", "monomial", "coefficient",
+                                   "alpha", "c_at_ones"], rows))
     return 0
 
 
-def _add_common(sub, t_required=True):
-    sub.add_argument("--field", default="r",
-                     help="scalar field: r, c, or h (default r)")
-    sub.add_argument("--q", type=int, required=True, help="rank q")
-    sub.add_argument("--lambda", dest="lam", required=True,
-                     help="comma list of complex a+bi, chunked by q")
-    if t_required:
-        sub.add_argument("--t", required=True,
-                         help="comma list or start:stop:count grid, "
-                              "chunked by q")
-    sub.add_argument("--samples", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="falls back to HYPERGEO_SEED, then 0")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    sub.add_argument("--output", default=None, help="file path; stdout "
-                                                    "when omitted")
+# Each flag's argparse keywords.  A COUNT must be at least 1, which main
+# checks for every subcommand.
+_FLAGS = {
+    "--field": dict(default="r",
+                    help="scalar field: r, c, or h (default r)"),
+    "--q": dict(type=int, required=True, help="rank q"),
+    "--p": dict(type=float, required=True),
+    "--lambda": dict(dest="lam", required=True,
+                     help="comma list of complex a+bi, chunked by q"),
+    "--t": dict(required=True,
+                help="comma list or start:stop:count grid, chunked by q"),
+    "--mu": dict(required=True, help="comma list of even integers, length q"),
+    "--samples": dict(type=int, default=100000, metavar="COUNT"),
+    "--seed": dict(type=int, default=None,
+                   help="falls back to HYPERGEO_SEED, then 0"),
+    "--workers": dict(type=int, default=1, metavar="COUNT"),
+    "--format": dict(choices=("jsonl", "csv"), default="jsonl"),
+    "--output": dict(default=None,
+                     help="file path, stdout when omitted; an experiment's "
+                          "JSON summary goes to <path>.summary.json"),
+    "--max-degree": dict(type=int, default=30),
+    "--rel-tol": dict(type=float, default=1e-12),
+    "--t-grid": dict(required=True),
+    "--p-list": dict(required=True),
+    "--n-list": dict(required=True),
+    "--n-lambda": dict(type=int, default=12, metavar="COUNT"),
+    "--n-t": dict(type=int, default=7, metavar="COUNT"),
+    "--n": dict(type=int, required=True, metavar="COUNT",
+                help="moment exponent n"),
+    "--family": dict(required=True),
+    "--rank": dict(type=int, required=True),
+    "--eps": dict(type=float, required=True),
+    "--rho": dict(default=None,
+                  help="scan one chamber point instead of sampling"),
+    "--rho-samples": dict(type=int, default=40),
+    "--resolution": dict(type=float, default=1e-3),
+    "--weight": dict(type=int, required=True),
+    "--alpha": dict(type=float, default=1.0),
+}
 
+_EVAL = ("--field", "--q", "--lambda", "--t", "--samples", "--seed",
+         "--workers", "--format", "--output")
+_EXPERIMENT = ("--samples", "--seed", "--workers", "--output")
 
-def _add_experiment_common(sub):
-    sub.add_argument("--samples", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--output", default=None,
-                     help="CSV path; the JSON summary goes to "
-                          "<path>.summary.json (stdout when omitted)")
+# Each subcommand's runner and flags, in help order.
+_COMMANDS = {
+    "eval-bc": (_cmd_eval, _EVAL + ("--p",)),
+    "eval-bessel-series": (_cmd_eval,
+                           _EVAL + ("--p", "--max-degree", "--rel-tol")),
+    "eval-bessel-integral": (_cmd_eval, _EVAL + ("--p",)),
+    "c-function": (_cmd_eval, ("--field", "--q", "--lambda", "--samples",
+                               "--seed", "--workers", "--format", "--output",
+                               "--p")),
+    "eval-bc-degenerate": (_cmd_eval, _EVAL),
+    "eval-a": (_cmd_eval, _EVAL),
+    "eval-ho-poly": (_cmd_eval, ("--field", "--q", "--p", "--mu", "--t",
+                                 "--samples", "--seed", "--workers",
+                                 "--format", "--output")),
+    "rate-p": (_cmd_rate_p, ("--field", "--q", "--lambda", "--t-grid",
+                             "--p-list") + _EXPERIMENT),
+    "contraction": (_cmd_contraction, ("--field", "--q", "--p", "--lambda",
+                                       "--t", "--n-list") + _EXPERIMENT),
+    "boundedness": (_cmd_boundedness, ("--field", "--q", "--p", "--n-lambda",
+                                       "--n-t") + _EXPERIMENT),
+    "moment-decay": (_cmd_moment_decay, ("--field", "--q", "--n",
+                                         "--p-list") + _EXPERIMENT),
+    "weyl-scan": (_cmd_weyl_scan, ("--family", "--rank", "--eps", "--rho",
+                                   "--rho-samples", "--output")),
+    "eps0": (_cmd_eps0, ("--family", "--rank", "--rho-samples",
+                         "--resolution", "--output")),
+    "jack-table": (_cmd_jack_table, ("--weight", "--rank", "--alpha",
+                                     "--output")),
+}
+
+# Defaults that differ from the flag table's.
+_OWN_DEFAULTS = {"weyl-scan": {"rho_samples": 20}}
 
 
 def build_parser():
@@ -512,100 +519,11 @@ def build_parser():
         description="Evaluators and experiments for matrix-argument "
                     "hypergeometric functions.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("eval-bc", "eval-bessel-series", "eval-bessel-integral",
-                 "c-function"):
+    for name, (run, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub, t_required=(name != "c-function"))
-        sub.add_argument("--p", type=float, required=True)
-        if name == "eval-bessel-series":
-            sub.add_argument("--max-degree", type=int, default=30)
-            sub.add_argument("--rel-tol", type=float, default=1e-12)
-        sub.set_defaults(func=_cmd_eval)
-    sub = subs.add_parser("eval-bc-degenerate")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_eval)
-    sub = subs.add_parser("eval-a")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_eval)
-
-    sub = subs.add_parser("eval-ho-poly")
-    sub.add_argument("--field", default="r")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--p", type=float, required=True)
-    sub.add_argument("--mu", required=True,
-                     help="comma list of even integers, length q")
-    sub.add_argument("--t", required=True)
-    sub.add_argument("--samples", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    sub.add_argument("--output", default=None)
-    sub.set_defaults(func=_cmd_eval_ho)
-
-    sub = subs.add_parser("rate-p")
-    sub.add_argument("--field", default="r")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--lambda", dest="lam", required=True)
-    sub.add_argument("--t-grid", required=True)
-    sub.add_argument("--p-list", required=True)
-    _add_experiment_common(sub)
-    sub.set_defaults(func=_cmd_rate_p)
-
-    sub = subs.add_parser("contraction")
-    sub.add_argument("--field", default="r")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--p", type=float, required=True)
-    sub.add_argument("--lambda", dest="lam", required=True,
-                     help="real vector of length q")
-    sub.add_argument("--t", required=True)
-    sub.add_argument("--n-list", required=True)
-    _add_experiment_common(sub)
-    sub.set_defaults(func=_cmd_contraction)
-
-    sub = subs.add_parser("boundedness")
-    sub.add_argument("--field", default="r")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--p", type=float, required=True)
-    sub.add_argument("--n-lambda", type=int, default=12)
-    sub.add_argument("--n-t", type=int, default=7)
-    _add_experiment_common(sub)
-    sub.set_defaults(func=_cmd_boundedness)
-
-    sub = subs.add_parser("moment-decay")
-    sub.add_argument("--field", default="r")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True,
-                     help="moment exponent n")
-    sub.add_argument("--p-list", required=True)
-    _add_experiment_common(sub)
-    sub.set_defaults(func=_cmd_moment_decay)
-
-    sub = subs.add_parser("weyl-scan")
-    sub.add_argument("--family", required=True)
-    sub.add_argument("--rank", type=int, required=True)
-    sub.add_argument("--eps", type=float, required=True)
-    sub.add_argument("--rho", default=None,
-                     help="scan one chamber point instead of sampling")
-    sub.add_argument("--rho-samples", type=int, default=20)
-    sub.add_argument("--output", default=None)
-    sub.set_defaults(func=_cmd_weyl_scan)
-
-    sub = subs.add_parser("eps0")
-    sub.add_argument("--family", required=True)
-    sub.add_argument("--rank", type=int, required=True)
-    sub.add_argument("--rho-samples", type=int, default=40)
-    sub.add_argument("--resolution", type=float, default=1e-3)
-    sub.add_argument("--output", default=None)
-    sub.set_defaults(func=_cmd_eps0)
-
-    sub = subs.add_parser("jack-table")
-    sub.add_argument("--weight", type=int, required=True)
-    sub.add_argument("--rank", type=int, required=True)
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--output", default=None)
-    sub.set_defaults(func=_cmd_jack_table)
-
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(func=run, **_OWN_DEFAULTS.get(name, {}))
     return parser
 
 
@@ -616,9 +534,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        for name in ("samples", "workers", "n"):
-            if getattr(args, name, 1) < 1:
-                raise _ConfigError("--%s must be at least 1" % (name,))
+        for flag, spec in _FLAGS.items():
+            if (spec.get("metavar") == "COUNT"
+                    and getattr(args, flag[2:].replace("-", "_"), 1) < 1):
+                raise _ConfigError("%s must be at least 1" % (flag,))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

@@ -266,6 +266,9 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     d = field_dim(field)
     if not p > 2 * q - 1:
         raise ValueError("boundedness_sweep needs p > 2q - 1")
+    for name, count in (("n_lambda", n_lambda), ("n_t", n_t)):
+        if not count >= 1:
+            raise ValueError("%s must be at least 1, not %d" % (name, count))
     rho = rho_bc(p, d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
                               np.sort(np.abs(rho))[::-1])

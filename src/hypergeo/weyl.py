@@ -9,6 +9,9 @@ all rank-sized subsets of the bounding hyperplanes.
 Family "b" acts on R^q by signed permutations; family "a" acts on
 R^(q+1) by permutations, with the effective flag marking data lowered
 to the sum-zero subspace.
+
+Invalid arguments raise ValueError with a message that starts with the
+argument's name, so the command line can name the flag it came from.
 """
 
 import itertools
@@ -30,7 +33,8 @@ class RootSystemSpec:
         if fam not in ("a", "b"):
             raise ValueError("family must be 'a' or 'b'")
         object.__setattr__(self, "family", fam)
-        assert self.rank >= 1
+        if not self.rank >= 1:
+            raise ValueError("rank must be at least 1, got %d" % self.rank)
 
     @property
     def dim(self):
@@ -48,13 +52,21 @@ class OrbitPolytope:
     def __post_init__(self):
         rho = np.asarray(self.rho, float)
         object.__setattr__(self, "rho", rho)
-        assert rho.shape == (self.spec.dim,), "rho has the wrong length"
-        assert np.all(np.diff(rho) <= 1e-9), "rho must be weakly decreasing"
-        if self.spec.family == "b":
-            assert rho[-1] >= -1e-9, "rho must be nonnegative for family b"
-        elif self.spec.effective:
-            assert abs(rho.sum()) <= 1e-9, \
-                "effective family a expects a sum-zero rho"
+        _check_vector("rho", rho, self.spec.dim)
+        if not np.all(np.diff(rho) <= 1e-9):
+            raise ValueError("rho must be weakly decreasing, got %s"
+                             % ",".join("%g" % x for x in rho))
+        if self.spec.family == "b" and not rho[-1] >= -1e-9:
+            raise ValueError("rho must be nonnegative for family b")
+        if (self.spec.family == "a" and self.spec.effective
+                and not abs(rho.sum()) <= 1e-9):
+            raise ValueError("rho must sum to zero for effective family a")
+
+
+def _check_vector(name, x, n):
+    if x.shape != (n,):
+        raise ValueError("%s must be a vector of %d entries, got shape %s"
+                         % (name, n, x.shape))
 
 
 def apply_weyl(element, x):
@@ -72,7 +84,7 @@ def chamber_project(spec, x):
     with apply_weyl(element, x) reproducing the projection bitwise.
     """
     x = np.asarray(x, float)
-    assert x.shape == (spec.dim,)
+    _check_vector("x", x, spec.dim)
     if spec.family == "b":
         signs = np.where(x < 0, -1.0, 1.0)
     else:
@@ -111,9 +123,10 @@ def polytope_contains(poly, y, tol=1e-9):
 def orbit(spec, rho):
     """The Weyl orbit of rho as a list of distinct points."""
     if spec.rank > 8:
-        raise ValueError("orbit enumeration is limited to rank <= 8")
+        raise ValueError("rank must be at most 8 for orbit enumeration, "
+                         "got %d" % spec.rank)
     rho = np.asarray(rho, float)
-    assert rho.shape == (spec.dim,)
+    _check_vector("rho", rho, spec.dim)
     pts = set()
     if spec.family == "b":
         for perm in itertools.permutations(rho.tolist()):
@@ -135,7 +148,9 @@ def polytope_vertices_K(poly, tol=1e-9):
     """
     spec, rho = poly.spec, poly.rho
     q = spec.rank
-    assert q <= 6, "vertex enumeration is limited to rank <= 6"
+    if q > 6:
+        raise ValueError("rank must be at most 6 for vertex enumeration, "
+                         "got %d" % q)
     n = spec.dim
     rows, rhs = [], []
     for r in range(n - 1):
@@ -250,9 +265,16 @@ def eps0_estimate(spec, rho_samples=40, resolution=1e-3):
     convex combinations of them as a safety net, over unit-norm chamber
     points, and bisects epsilon to the requested resolution.  The
     search is capped at 1.  The sampling is internally seeded so the
-    report is a deterministic function of its arguments.
+    report is a deterministic function of its arguments.  The bisection
+    cannot narrow below one float spacing, so resolution must be a
+    positive finite number.
     """
-    assert spec.rank <= 4, "eps0_estimate is limited to rank <= 4"
+    if spec.rank > 4:
+        raise ValueError("rank must be at most 4 to estimate eps0, got %d"
+                         % spec.rank)
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be a positive finite number, "
+                         "got %r" % (resolution,))
     gen = np.random.default_rng(408122)
     scans = []
     for rho in _unit_rho_samples(spec, rho_samples, gen):

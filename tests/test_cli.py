@@ -210,7 +210,28 @@ class TestExitCodes:
          "--n-list must be strictly increasing, got 4,2"),
         ("moment-decay --q 1 --n 0 --p-list 9,17",
          "--n must be at least 1"),
-    ], ids=["seed", "p-list", "lambda-length", "n-list", "moment-n"])
+        ("boundedness --q 1 --p 3 --n-lambda 0", "--n-lambda must be at "
+         "least 1"),
+        ("boundedness --q 1 --p 3 --n-t 0", "--n-t must be at least 1"),
+        ("jack-table --weight 2 --rank 2 --alpha nan",
+         "alpha must be positive and finite, not nan"),
+        ("weyl-scan --family b --rank 2 --eps 1 --rho 1,2",
+         "--rho must be weakly decreasing, got 1,2"),
+        ("weyl-scan --family b --rank 0 --eps 1",
+         "--rank must be at least 1, got 0"),
+        ("weyl-scan --family b --rank 7 --eps 1 --rho-samples 1",
+         "--rank must be at most 6 for vertex enumeration, got 7"),
+        ("eps0 --family b --rank 5",
+         "--rank must be at most 4 to estimate eps0, got 5"),
+        # The bisection never ended: it cannot narrow below one float
+        # spacing.
+        ("eps0 --family a --rank 2 --rho-samples 0 --resolution 0",
+         "--resolution must be a positive finite number, got 0.0"),
+        ("eps0 --family a --rank 2 --rho-samples 0 --resolution -1",
+         "--resolution must be a positive finite number, got -1.0"),
+    ], ids=["seed", "p-list", "lambda-length", "n-list", "moment-n",
+            "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
+            "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg"])
     def test_input_error_under_optimize(self, argv, message):
         """Bad arguments are config errors naming them, also under -O."""
         proc = run_process(argv.split(), optimize=True)

@@ -114,6 +114,11 @@ class TestBoundedness:
         with pytest.raises(ValueError):
             ex.boundedness_sweep("r", 2, 3.0, samples=100)
 
+    @pytest.mark.parametrize("name", ["n_lambda", "n_t"])
+    def test_empty_sweep_rejected(self, name):
+        with pytest.raises(ValueError, match="%s must be at least 1" % name):
+            ex.boundedness_sweep("r", 1, 3.0, samples=100, **{name: 0})
+
 
 class TestMomentDecay:
     def test_closed_form_matches_sampler(self):

@@ -3,9 +3,13 @@
 The shard-seeding contract makes every Monte-Carlo number a function of
 the seed alone, so a refactor that keeps the draws and the arithmetic
 keeps these bytes.  A change that deliberately alters either re-pins the
-affected entries and says so in CHANGES.md.  Experiments are pinned by
-their JSON summary line, evaluators by their whole output.
+affected entries and says so in CHANGES.md.  SUMMARY pins experiments
+by their JSON summary line; EVAL and STDOUT pin whole outputs, and FILES
+the files an --output run writes.  The option surface of every
+subcommand is frozen too, help strings aside.
 """
+
+import argparse
 
 import pytest
 
@@ -175,6 +179,198 @@ SUMMARY = {
 }
 
 
+# Whole stdout and stderr, with the exit code.
+STDOUT = {
+    "eval-bessel-series": (
+        ("eval-bessel-series --field r --q 2 --p 7 --lambda 1,0.5 --t "
+         "0.8,0.3,1.2,0.1"), 0,
+        ('{"command": "eval-bessel-series", "inputs": {"field": "r",'
+         ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
+         ' "pass": true, "samples": 8, "seed": 0,'
+         ' "stderr": 5.959480048205e-21, "value_im": 0.0,'
+         ' "value_re": 0.9678808860600279}\n'
+         '{"command": "eval-bessel-series", "inputs": {"field": "r",'
+         ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [1.2, 0.1]},'
+         ' "pass": true, "samples": 9, "seed": 0,'
+         ' "stderr": 7.99281078608905e-21, "value_im": 0.0,'
+         ' "value_re": 0.9371535287139239}\n'), "",
+    ),
+    "eval-bessel-series-csv": (
+        ("eval-bessel-series --field h --q 2 --p 9 --lambda 1+0.5i,0.5 "
+         "--t 0.6,0.2 --max-degree 6 --format csv"), 0,
+        ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
+         'eval-bessel-series,h,2,9.0,"1+0.5i,0.5+0i","0.59999999999999998,'
+         '0.20000000000000001",0.99722191033761565-0.0027699654474797651i,'
+         "5.5671169728498297e-21,6,0,False\n"), "",
+    ),
+    "c-function": (
+        "c-function --field c --q 2 --p 5 --lambda 2.5+1i,1-0.5i,3,1", 0,
+        ('{"command": "c-function", "inputs": {"field": "c",'
+         ' "lambda": "2.5+1i,1-0.5i", "p": 5.0, "q": 2}, "pass": true,'
+         ' "samples": 0, "seed": 0, "stderr": 0.0,'
+         ' "value_im": -484.3839087068274,'
+         ' "value_re": 339.73667194408574}\n'
+         '{"command": "c-function", "inputs": {"field": "c",'
+         ' "lambda": "3+0i,1+0i", "p": 5.0, "q": 2}, "pass": true,'
+         ' "samples": 0, "seed": 0, "stderr": 0.0, "value_im": 0.0,'
+         ' "value_re": 472.1909398175497}\n'), "",
+    ),
+    "weyl-scan-readme": (
+        "weyl-scan --family b --rank 3 --eps 1 --rho 2,1.9,0.1", 4,
+        ("family,rank,rho,eps,witness,pass\n"
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,"0,0,0",True\n'
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
+         '"1.3333333333333335,1.3333333333333335,1.3333333333333333",'
+         "False\n"
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,"1.95,1.95,0",'
+         "True\n"
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
+         '"1.95,1.95,0.10000000000000009",True\n'
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,"2,0,0",True\n'
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,"2,1,1",True\n'
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
+         '"2,1.8999999999999999,0",True\n'
+         'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
+         '"2,1.8999999999999999,0.10000000000000009",True\n'
+         '{"eps": 1.0, "family": "b", "pass": false, "rank": 3,'
+         ' "violations": 1, "witness_rho": [2.0, 1.9, 0.1],'
+         ' "witness_vertex": [1.3333333333333335, 1.3333333333333335,'
+         ' 1.3333333333333333]}\n'),
+        "acceptance predicate failed: no-violations\n",
+    ),
+    "eps0": (
+        "eps0 --family b --rank 2 --rho-samples 4", 0,
+        '{"eps0": 1.0, "family": "b", "rank": 2}\n', "",
+    ),
+    "jack-table-readme": (
+        "jack-table --weight 3 --rank 2", 0,
+        ("partition,monomial,coefficient,alpha,c_at_ones\n"
+         "3,3,1,1,4\n3,2+1,1,1,4\n2+1,2+1,2,1,4\n"), "",
+    ),
+    "boundedness-csv": (
+        ("boundedness --field r --q 1 --p 3 --n-lambda 3 --n-t 2 "
+         "--samples 8192 --seed 9"), 0,
+        ("lambda,t,value,stderr,bounded,positive\n"
+         "0-0.41165740750096891i,0,1+0i,0,True,True\n"
+         "0-0.41165740750096891i,3,0.38607413935691287+0i,"
+         "0.0047649994052632195,True,True\n"
+         "0.10351865637760849-0.85372974945722824i,0,1+0i,0,True,\n"
+         "0.10351865637760849-0.85372974945722824i,3,"
+         "0.73538139132305869+0.14303898554935845i,0.0016255087066867765,"
+         "True,\n"
+         "-0.040966810223886707+0.22927212940944375i,0,1+0i,0,True,\n"
+         "-0.040966810223886707+0.22927212940944375i,3,"
+         "0.3474200790846137+0.011718942367241331i,0.020471843213776153,"
+         "True,\n"
+         '{"all_bounded": true, "all_positive": true,'
+         ' "out_of_hull_max": 2.9803692450760764, "pass": true}\n'), "",
+    ),
+}
+
+# Every file an --output run writes, by suffix; stdout stays empty.
+FILES = {
+    "rate-p": (
+        "rate-p --q 1 --lambda 2 --t-grid 0:2:5 --p-list 10,20,40",
+        {"": ("p,error,stderr,normalized\n"
+              "10,0.20939682354291494,0,0.33108544859999006\n"
+              "20,0.10532864203294114,0,0.23552200356339803\n"
+              "40,0.052435429247032719,0,0.16581538650923125\n"),
+         ".summary.json": (
+             '{"normalized_max": 0.33108544859999006, "pass": true,'
+             ' "scale": 2.0, "slope": -0.9988128598846541,'
+             ' "slope_halfwidth": 0.0, "unbounded_regime": false}\n')},
+    ),
+    "eval-bc-csv": (
+        ("eval-bc --q 2 --p 5 --lambda 1+1i,0.5 --t 0.9,0.3 --samples 4000 "
+         "--seed 11 --format csv"),
+        {"": ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
+              'eval-bc,r,2,5.0,"1+1i,0.5+0i","0.90000000000000002,'
+              '0.29999999999999999",0.68347332465344302-0.066363593760988451i,'
+              "0.019524524827129009,4000,11,True\n")},
+    ),
+    "eps0": (
+        "eps0 --family a --rank 2 --rho-samples 2",
+        {"": '{"eps0": 0.5, "family": "a", "rank": 2}\n'},
+    ),
+    "jack-table": (
+        "jack-table --weight 2 --rank 2 --alpha 0.5",
+        {"": ("partition,monomial,coefficient,alpha,c_at_ones\n"
+              "2,2,1,0.5,3.333333333333333\n"
+              "2,1+1,1.3333333333333333,0.5,3.333333333333333\n"
+              "1+1,1+1,0.66666666666666663,0.5,0.66666666666666663\n")},
+    ),
+    "weyl-scan": (
+        "weyl-scan --family b --rank 2 --eps 0.5 --rho 2,1",
+        {"": ("family,rank,rho,eps,witness,pass\n"
+              'b,2,"2,1",0.5,"0,0",True\nb,2,"2,1",0.5,"1.5,1.5",True\n'
+              'b,2,"2,1",0.5,"2,0",True\nb,2,"2,1",0.5,"2,1",True\n'),
+         ".summary.json": ('{"eps": 0.5, "family": "b", "pass": true,'
+                           ' "rank": 2, "violations": 0}\n')},
+    ),
+}
+
+# Each subcommand's flags in order, as (dest, default, type, choices,
+# required).
+_EVAL = ("--field", "--q", "--lambda", "--t", "--samples", "--seed",
+         "--workers", "--format", "--output")
+_EXPERIMENT = ("--samples", "--seed", "--workers", "--output")
+FLAG = {
+    "--field": ("field", "r", None, None, False),
+    "--q": ("q", None, "int", None, True),
+    "--p": ("p", None, "float", None, True),
+    "--lambda": ("lam", None, None, None, True),
+    "--t": ("t", None, None, None, True),
+    "--mu": ("mu", None, None, None, True),
+    "--samples": ("samples", 100000, "int", None, False),
+    "--seed": ("seed", None, "int", None, False),
+    "--workers": ("workers", 1, "int", None, False),
+    "--format": ("format", "jsonl", None, ("jsonl", "csv"), False),
+    "--output": ("output", None, None, None, False),
+    "--max-degree": ("max_degree", 30, "int", None, False),
+    "--rel-tol": ("rel_tol", 1e-12, "float", None, False),
+    "--t-grid": ("t_grid", None, None, None, True),
+    "--p-list": ("p_list", None, None, None, True),
+    "--n-list": ("n_list", None, None, None, True),
+    "--n-lambda": ("n_lambda", 12, "int", None, False),
+    "--n-t": ("n_t", 7, "int", None, False),
+    "--n": ("n", None, "int", None, True),
+    "--family": ("family", None, None, None, True),
+    "--rank": ("rank", None, "int", None, True),
+    "--eps": ("eps", None, "float", None, True),
+    "--rho": ("rho", None, None, None, False),
+    "--rho-samples": ("rho_samples", 40, "int", None, False),
+    "--resolution": ("resolution", 0.001, "float", None, False),
+    "--weight": ("weight", None, "int", None, True),
+    "--alpha": ("alpha", 1.0, "float", None, False),
+}
+SURFACE = {
+    "eval-bc": _EVAL + ("--p",),
+    "eval-bessel-series": _EVAL + ("--p", "--max-degree", "--rel-tol"),
+    "eval-bessel-integral": _EVAL + ("--p",),
+    "c-function": ("--field", "--q", "--lambda", "--samples", "--seed",
+                   "--workers", "--format", "--output", "--p"),
+    "eval-bc-degenerate": _EVAL,
+    "eval-a": _EVAL,
+    "eval-ho-poly": ("--field", "--q", "--p", "--mu", "--t", "--samples",
+                     "--seed", "--workers", "--format", "--output"),
+    "rate-p": ("--field", "--q", "--lambda", "--t-grid", "--p-list")
+    + _EXPERIMENT,
+    "contraction": ("--field", "--q", "--p", "--lambda", "--t", "--n-list")
+    + _EXPERIMENT,
+    "boundedness": ("--field", "--q", "--p", "--n-lambda", "--n-t")
+    + _EXPERIMENT,
+    "moment-decay": ("--field", "--q", "--n", "--p-list") + _EXPERIMENT,
+    "weyl-scan": ("--family", "--rank", "--eps", "--rho", "--rho-samples",
+                  "--output"),
+    "eps0": ("--family", "--rank", "--rho-samples", "--resolution",
+             "--output"),
+    "jack-table": ("--weight", "--rank", "--alpha", "--output"),
+}
+OWN_FLAG = {
+    ("weyl-scan", "--rho-samples"): ("rho_samples", 20, "int", None, False),
+}
+
+
 def _run(argv, capsys):
     code = cli.main(argv.split())
     return code, capsys.readouterr().out
@@ -194,3 +390,39 @@ def test_experiment_summary_frozen(name, capsys):
     code, out = _run(argv, capsys)
     assert code == 0
     assert out.splitlines(keepends=True)[-1] == want
+
+
+@pytest.mark.parametrize("name", list(STDOUT))
+def test_whole_output_frozen(name, capsys):
+    argv, want_code, want_out, want_err = STDOUT[name]
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (want_code, want_out,
+                                                  want_err)
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_output_files_frozen(name, tmp_path, capsys):
+    argv, want = FILES[name]
+    path = tmp_path / "out"
+    assert cli.main(argv.split() + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    written = {p.name[len("out"):]: p.read_bytes()
+               for p in tmp_path.iterdir()}
+    assert written == {k: v.encode() for k, v in want.items()}
+
+
+def test_option_surface_frozen():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subs) == list(SURFACE)
+    for name, sub in subs.items():
+        seen = [(a.option_strings, (a.dest, a.default,
+                                    a.type and a.type.__name__,
+                                    a.choices, a.required))
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)]
+        want = [([flag], OWN_FLAG.get((name, flag), FLAG[flag]))
+                for flag in SURFACE[name]]
+        assert seen == want, name

@@ -106,11 +106,11 @@ class TestHullMembership:
 
 class TestPolytopeValidation:
     def test_requires_chamber_order(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             weyl.OrbitPolytope(spec_b(2), np.array([1.0, 2.0]))
 
     def test_type_a_requires_zero_sum(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             weyl.OrbitPolytope(spec_a(2), np.array([1.0, 0.0, -0.5]))
 
 
@@ -226,6 +226,12 @@ class TestEps0:
         got = weyl.eps0_estimate(spec_b(3), rho_samples=8)
         assert got < 1.0
 
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan, np.inf])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            weyl.eps0_estimate(spec_a(2), rho_samples=0,
+                               resolution=resolution)
+
     def test_rank_cap(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             weyl.eps0_estimate(spec_b(5), rho_samples=2)
