@@ -119,16 +119,20 @@ def _jack_tables(weight, alpha, q):
 
 
 def _c_scale(lam, alpha):
-    """Factor turning P_lam into C_lam: alpha^|lam| |lam|! / c'_lam."""
-    weight = sum(lam)
+    """Factor turning P_lam into C_lam: alpha^|lam| |lam|! / c'_lam.
+
+    c'_lam has one hook factor per cell and lam has |lam| cells, so each
+    factor takes one alpha: alpha^|lam| and c'_lam underflow together
+    for a tiny alpha, but their ratio does not.
+    """
     conj = _conjugate(lam)
-    hooks = 1.0
+    scale = float(math.factorial(sum(lam)))
     for i, part in enumerate(lam, 1):
         for j in range(1, part + 1):
             arm = part - j
             leg = conj[j - 1] - i
-            hooks *= alpha * (arm + 1) + leg
-    return alpha ** weight * math.factorial(weight) / hooks
+            scale *= alpha / (alpha * (arm + 1) + leg)
+    return scale
 
 
 def _monomial(mu, xi):

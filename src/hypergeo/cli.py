@@ -6,10 +6,10 @@ Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
 Exit codes: 0 success, 2 configuration problems (including a count
-such as --samples or --n-t below 1, or a --rho, --rank, --resolution or
---alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors (a
-named precondition failed or an estimate is not finite), 4 a declared
-acceptance predicate failed.
+such as --q, --samples or --n-t below 1, a --p or --eps that is not
+finite, or a --rho, --rank, --resolution or --alpha that weyl-scan, eps0
+or jack-table rejects), 3 domain errors (a named precondition failed or
+an estimate is not finite), 4 a declared acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -371,6 +371,7 @@ def _cmd_boundedness(args):
 def _cmd_weyl_scan(args):
     with _config_errors("--"):
         spec = weyl.RootSystemSpec(args.family, args.rank)
+        weyl.check_vertex_rank(spec)  # before 2^rank wall pinches are built
         if args.rho is not None:
             rhos = [np.asarray(_parse_reals(args.rho), float)]
         else:
@@ -435,13 +436,13 @@ def _cmd_jack_table(args):
     return 0
 
 
-# Each flag's argparse keywords.  A COUNT must be at least 1, which main
-# checks for every subcommand.
+# Each flag's argparse keywords.  A COUNT must be at least 1 and a REAL
+# finite, which main checks for every subcommand.
 _FLAGS = {
     "--field": dict(default="r",
                     help="scalar field: r, c, or h (default r)"),
-    "--q": dict(type=int, required=True, help="rank q"),
-    "--p": dict(type=float, required=True),
+    "--q": dict(type=int, required=True, metavar="COUNT", help="rank q"),
+    "--p": dict(type=float, required=True, metavar="REAL"),
     "--lambda": dict(dest="lam", required=True,
                      help="comma list of complex a+bi, chunked by q"),
     "--t": dict(required=True,
@@ -466,7 +467,7 @@ _FLAGS = {
                 help="moment exponent n"),
     "--family": dict(required=True),
     "--rank": dict(type=int, required=True),
-    "--eps": dict(type=float, required=True),
+    "--eps": dict(type=float, required=True, metavar="REAL"),
     "--rho": dict(default=None,
                   help="scan one chamber point instead of sampling"),
     "--rho-samples": dict(type=int, default=40),
@@ -535,9 +536,13 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         for flag, spec in _FLAGS.items():
-            if (spec.get("metavar") == "COUNT"
-                    and getattr(args, flag[2:].replace("-", "_"), 1) < 1):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is None:
+                continue
+            if spec.get("metavar") == "COUNT" and value < 1:
                 raise _ConfigError("%s must be at least 1" % (flag,))
+            if spec.get("metavar") == "REAL" and not np.isfinite(value):
+                raise _ConfigError("%s must be finite, not %r" % (flag, value))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

@@ -72,7 +72,8 @@ def _c_factors(lam, k, q):
     """
     k1, k2, k3 = (float(x) for x in k)
     lam = np.asarray(lam, complex).reshape(-1)
-    assert lam.size == q
+    if lam.size != q:
+        raise ValueError("lam must have length q=%d, got %d" % (q, lam.size))
     out = []
     for i in range(q):
         li = lam[i]
@@ -108,6 +109,8 @@ def c_function(lam, k, q):
     value is exactly 1.  A numerator pole raises PoleError carrying the
     offending root; a denominator pole is a legitimate zero.
     """
+    if not np.all(np.isfinite(k)):
+        raise ValueError("multiplicity must be finite, got %s" % (k,))
     facs = _c_factors(lam, k, q)
     ref = _c_factors(rho_k(k, q), k, q)
     for num, _den, root in facs:
@@ -205,7 +208,8 @@ def eval_phi_bc_degenerate(field, q, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of phi_lam at the boundary parameter p = 2q - 1."""
     field = normalize_field(field)
     t = np.asarray(t, float).reshape(-1)
-    assert t.size == q, "t must have length q"
+    if t.size != q:
+        raise ValueError("t must have length q=%d, got %d" % (q, t.size))
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(2 * q - 1, field_dim(field), q))
     mean, err = _mc_phi(field, q, 2 * q - 1, nu_mat, t, samples, seed,
                         workers)

@@ -1,5 +1,10 @@
 """Seedable samplers for Haar unitaries and the matrix-ball measures.
 
+Both samplers draw a whole shard at once.  Haar draws orthonormalise
+the columns of Gaussian matrices by Gram-Schmidt with the batch axis
+last, so each step is one vector operation over the shard rather than
+one small factorisation per draw.
+
 Also home of the deterministic shard layout shared by every Monte-Carlo
 evaluator in the package: a fixed shard size, one random stream per
 (shard, role) pair, and reduction in shard order, so results are
@@ -128,49 +133,72 @@ def mc_run(shard_fn, samples, workers=1):
 
 
 def _haar_batch(field, q, n, gen):
-    """n Haar draws from U0(q, F), in the complex working form.
+    """n Haar draws from U0(q, F) in the complex working form: (n, e, e),
+    e = q, or 2q over H.
 
-    R and C use QR of a Gaussian matrix with the positive-diagonal
-    convention on the triangular factor; the real case then flips one
-    column where needed so det = +1.  The quaternion case runs a
-    Gram-Schmidt pass in the embedding that inserts each column's
-    symplectic partner, which keeps the quaternionic structure exact.
+    Each draw is the Gram-Schmidt orthonormalisation of the columns of a
+    Gaussian matrix, which is its QR factor Q with a positive diagonal
+    on R (Mezzadri 2007): real entries over R, complex ones of variance
+    1 over C, and over H the chi image of a quaternion Gaussian matrix.
+    The batch axis is kept last, so every step is a contiguous length-n
+    vector operation rather than one small LAPACK call per draw.  Columns
+    are orthonormalised left to right, each projected twice against the
+    ones before it ("twice is enough" for orthogonality to rounding).
+    Over H each column 2j is followed by its symplectic partner, which
+    keeps the quaternionic structure exact.  Over R the last column is
+    flipped where det = -1, so the draw lies in SO(q).
     """
+    z = gen.standard_normal((n, q, q, field_dim(field))).T  # (d, col, row, n)
+    step = 2 if field == "h" else 1
+    e = step * q
+    cols = np.empty((q, e, n), dtype=float if field == "r" else complex)
     if field == "r":
-        z = gen.standard_normal((n, q, q))
-        u, r = np.linalg.qr(z)
-        d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        d[d == 0] = 1.0
-        u = u * d[:, None, :]
-        u[np.linalg.det(u) < 0, :, -1] *= -1.0
-        return u
-    if field == "c":
-        z = gen.standard_normal((n, q, q, 2))
-        z = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        u, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-        mod = np.abs(d)
-        mod[mod == 0] = 1.0
-        return u * (d / mod)[:, None, :]
-    g = _chi(gen.standard_normal((n, q, q, 4)))
-    u = np.empty_like(g)
-    for j in range(q):
-        v = g[:, :, 2 * j].copy()
-        done = u[:, :, : 2 * j]
-        for _ in range(2):
-            coef = np.einsum("nkm,nk->nm", np.conj(done), v)
-            v -= np.einsum("nkm,nm->nk", done, coef)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        u[:, :, 2 * j] = v
-        u[:, 0::2, 2 * j + 1] = -np.conj(v[:, 1::2])
-        u[:, 1::2, 2 * j + 1] = np.conj(v[:, 0::2])
-    return u
+        cols[...] = z[0]
+    elif field == "c":
+        cols[...] = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    else:
+        cols[:, 0::2] = z[0] + 1j * z[1]
+        cols[:, 1::2] = 1j * z[3] - z[2]
+    u = np.empty((e, e, n), dtype=cols.dtype)  # u[j] is column j
+    for j, v in zip(range(0, e, step), cols):
+        for _ in range(2 if j else 0):
+            coef = np.einsum("kin,in->kn", u[:j], v.conj()).conj()
+            v -= np.einsum("kin,kn->in", u[:j], coef)
+        v /= np.linalg.norm(v, axis=0)
+        u[j] = v
+        if field == "h":
+            u[j + 1, 0::2] = -v[1::2].conj()
+            u[j + 1, 1::2] = v[0::2].conj()
+    if field == "r":
+        u[-1] *= _det_sign(u)
+    return np.ascontiguousarray(u.T)
+
+
+def _det_sign(a):
+    """Sign of det for orthogonal matrices a (q, q, n), batch axis last.
+
+    Givens rotations, which have det 1, turn rows 0 .. q-2 into e_0 ..
+    e_(q-2); what is left of the last row is then +-e_(q-1), whose sign
+    is the determinant.  Every rotation is a length-n vector operation.
+    """
+    a = a.copy()
+    for k in range(len(a) - 1):
+        for r in range(k + 1, len(a)):
+            h = np.hypot(a[k, k], a[r, k])
+            c, s = a[k, k] / h, a[r, k] / h
+            top = a[k, k:].copy()
+            a[k, k:] *= c
+            a[k, k:] += s * a[r, k:]
+            a[r, k:] *= c
+            a[r, k:] -= s * top
+    return np.sign(a[-1, -1])
 
 
 def haar_unitary(field, q, rng):
     """One Haar draw from SO(q), U(q), or Sp(q) depending on the field."""
     field = normalize_field(field)
-    assert q >= 1
+    if q < 1:
+        raise ValueError("q must be at least 1, got %d" % q)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     u = _haar_batch(field, q, 1, gen)[0]
     return _chi_inv(u) if field == "h" else u
@@ -253,18 +281,17 @@ def p_map(factors, field, allow_boundary=False):
     field = normalize_field(field)
     q = len(factors)
     rows = []
+    shape = (q, 4) if field == "h" else (q,)
     for j, y in enumerate(factors):
+        y = np.asarray(y, complex if field == "c" else float)
+        if y.shape != shape:
+            raise ValueError("ball factor %d has shape %s, expected %s"
+                             % (j + 1, y.shape, shape))
         if field == "h":
-            y = np.asarray(y, float)
-            assert y.shape == (q, 4), "quaternion factors have shape (q, 4)"
             comp = y[None]
         elif field == "c":
-            y = np.asarray(y, complex)
-            assert y.shape == (q,)
             comp = np.stack([y.real, y.imag], axis=-1)[None]
         else:
-            y = np.asarray(y, float)
-            assert y.shape == (q,)
             comp = y[None, :, None]
         s = float(np.sum(comp**2))
         limit = 1.0 + 1e-12 if (allow_boundary and j == q - 1) else 1.0
@@ -310,7 +337,8 @@ def sample_mp_degenerate(field, q, rng):
 
 def kappa(p, d, q):
     """Total mass of the unnormalized ball density, in closed Gamma form."""
-    assert d in (1, 2, 4)
+    if d not in (1, 2, 4):
+        raise ValueError("d must be 1, 2 or 4, got %r" % (d,))
     if not p > 2 * q - 1:
         raise ValueError("kappa needs p > 2q - 1 so every Gamma argument is positive")
     out = 0.5 * d * q * q * np.log(np.pi)

@@ -137,6 +137,13 @@ def orbit(spec, rho):
     return [np.array(p) for p in sorted(pts)]
 
 
+def check_vertex_rank(spec):
+    """Raise ValueError unless polytope_vertices_K enumerates at this rank."""
+    if spec.rank > 6:
+        raise ValueError("rank must be at most 6 for vertex enumeration, "
+                         "got %d" % spec.rank)
+
+
 def polytope_vertices_K(poly, tol=1e-9):
     """Vertices of K, by solving all rank-sized systems of active walls.
 
@@ -147,10 +154,8 @@ def polytope_vertices_K(poly, tol=1e-9):
     vertices (0 and rho among them whenever rho is interior).
     """
     spec, rho = poly.spec, poly.rho
+    check_vertex_rank(spec)
     q = spec.rank
-    if q > 6:
-        raise ValueError("rank must be at most 6 for vertex enumeration, "
-                         "got %d" % q)
     n = spec.dim
     rows, rhs = [], []
     for r in range(n - 1):

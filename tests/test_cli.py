@@ -229,14 +229,42 @@ class TestExitCodes:
          "--resolution must be a positive finite number, got 0.0"),
         ("eps0 --family a --rank 2 --rho-samples 0 --resolution -1",
          "--resolution must be a positive finite number, got -1.0"),
+        # --q 0 divided by zero while chunking lambda; --q -1 reached
+        # numpy's reshape as a domain error.
+        ("eval-bc --q 0 --p 3 --lambda 1 --t 1", "--q must be at least 1"),
+        ("rate-p --q 0 --lambda 1 --t-grid 1 --p-list 5,9",
+         "--q must be at least 1"),
+        ("rate-p --q -1 --lambda 1 --t-grid 1 --p-list 5,9",
+         "--q must be at least 1"),
+        # An OverflowError traceback from round(inf) in the pole test.
+        ("c-function --q 2 --p inf --lambda 3,1",
+         "--p must be finite, not inf"),
+        # An OverflowError traceback from Generator.uniform.
+        ("boundedness --q 1 --p inf --n-lambda 1 --n-t 1",
+         "--p must be finite, not inf"),
+        ("weyl-scan --family b --rank 2 --eps nan --rho 2,1",
+         "--eps must be finite, not nan"),
     ], ids=["seed", "p-list", "lambda-length", "n-list", "moment-n",
             "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
-            "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg"])
+            "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg",
+            "q-0", "q-0-rate-p", "q-neg", "p-inf", "p-inf-boundedness",
+            "eps-nan"])
     def test_input_error_under_optimize(self, argv, message):
         """Bad arguments are config errors naming them, also under -O."""
         proc = run_process(argv.split(), optimize=True)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "config error: %s\n" % message
+
+    def test_vertex_rank_checked_before_sampling(self, capsys, monkeypatch):
+        """A rank too large to enumerate never builds its 2^rank pinches
+        (rank 18 took seconds and 155 MB before the config error)."""
+        def never(*args):
+            raise AssertionError("rho samples built for rank 18")
+
+        monkeypatch.setattr(cli.weyl, "_unit_rho_samples", never)
+        code, out = run(["weyl-scan", "--family", "b", "--rank", "18",
+                         "--eps", "1"], capsys)
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("value", ["-1", "seven"])
     def test_seed_env_config_error(self, value, capsys, monkeypatch):
@@ -320,6 +348,17 @@ class TestJackTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert rows[0]["coefficient"] == "1"
+
+    def test_tiny_alpha(self, capsys):
+        """alpha^2 and the hook product both underflow at alpha = 1e-300,
+        which divided zero by zero; the C values still sum to 2^2."""
+        code, out = run(["jack-table", "--weight", "2", "--rank", "2",
+                         "--alpha", "1e-300"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        at_ones = {row["partition"]: float(row["c_at_ones"]) for row in rows}
+        np.testing.assert_allclose(sum(at_ones.values()), 4.0, rtol=1e-15)
+        assert at_ones["1+1"] == pytest.approx(2e-300, rel=1e-15)
 
     def test_size_guard(self, capsys):
         code, _ = run(["jack-table", "--weight", "31", "--rank", "2"],

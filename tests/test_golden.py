@@ -23,7 +23,7 @@ EVAL = {
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
          ' "stderr": 0.006129713121001285,'
-         ' "value_im": -0.02422477276449804,'
+         ' "value_im": -0.024224772764498036,'
          ' "value_re": 0.6811437340183788}\n'),
     ),
     "eval-bc-c2": (
@@ -33,8 +33,8 @@ EVAL = {
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
          ' "stderr": 0.0071973473023627926,'
-         ' "value_im": -0.0049715491519480215,'
-         ' "value_re": 0.353087505230213}\n'),
+         ' "value_im": -0.004971549151948011,'
+         ' "value_re": 0.3530875052302129}\n'),
     ),
     "eval-bc-h2": (
         ("eval-bc --field h --q 2 --p 5 --lambda 1+0.5i,0.5,2,-1i "
@@ -86,9 +86,9 @@ EVAL = {
         ('{"command": "eval-bc-degenerate", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "q": 2, "t": [0.7, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 3,'
-         ' "stderr": 0.005561978273194761,'
-         ' "value_im": -0.002761281442748239,'
-         ' "value_re": 0.6395280629164518}\n'),
+         ' "stderr": 0.00556197827319476,'
+         ' "value_im": -0.0027612814427482174,'
+         ' "value_re": 0.6395280629164516}\n'),
     ),
     "eval-a-csv": (
         ("eval-a --field h --q 2 --lambda 1,0.5 --t 0.6,0.1,0,0 "
@@ -118,13 +118,13 @@ EVAL = {
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
          ' "stderr": 0.001928691437619558,'
-         ' "value_im": -0.00328956552589345,'
+         ' "value_im": -0.003289565525893449,'
          ' "value_re": 0.9620770060279534}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [1.2, 0.1]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
          ' "stderr": 0.002670717535371986,'
-         ' "value_im": -0.004715657945152721,'
+         ' "value_im": -0.00471565794515272,'
          ' "value_re": 0.9259174474515943}\n'),
     ),
     "eval-ho-poly": (
@@ -144,7 +144,7 @@ SUMMARY = {
          "0.5,0.2,1,0.4 --p-list 5,9,17 --samples 16384 --seed 7"),
         ('{"normalized_max": 0.10064907202679707, "pass": true,'
          ' "scale": 1.5, "slope": -1.0807832338705343,'
-         ' "slope_halfwidth": 0.04705049375220227,'
+         ' "slope_halfwidth": 0.04705049375220116,'
          ' "unbounded_regime": false}\n'),
     ),
     "rate-p-readme": (
@@ -166,7 +166,7 @@ SUMMARY = {
         ("boundedness --field r --q 2 --p 4 --n-lambda 4 --n-t 3 "
          "--samples 16384 --seed 9"),
         ('{"all_bounded": true, "all_positive": true,'
-         ' "out_of_hull_max": 12.728396006056595, "pass": true}\n'),
+         ' "out_of_hull_max": 12.728396006056597, "pass": true}\n'),
     ),
     "moment-decay": (
         ("moment-decay --field c --q 2 --n 1 --p-list 9,17,33 "
@@ -201,7 +201,7 @@ STDOUT = {
         ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
          'eval-bessel-series,h,2,9.0,"1+0.5i,0.5+0i","0.59999999999999998,'
          '0.20000000000000001",0.99722191033761565-0.0027699654474797651i,'
-         "5.5671169728498297e-21,6,0,False\n"), "",
+         "5.5671169728498289e-21,6,0,False\n"), "",
     ),
     "c-function": (
         "c-function --field c --q 2 --p 5 --lambda 2.5+1i,1-0.5i,3,1", 0,
@@ -285,7 +285,7 @@ FILES = {
          "--seed 11 --format csv"),
         {"": ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
               'eval-bc,r,2,5.0,"1+1i,0.5+0i","0.90000000000000002,'
-              '0.29999999999999999",0.68347332465344302-0.066363593760988451i,'
+              '0.29999999999999999",0.68347332465344313-0.066363593760988493i,'
               "0.019524524827129009,4000,11,True\n")},
     ),
     "eps0": (

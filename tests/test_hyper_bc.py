@@ -79,6 +79,15 @@ class TestCFunction:
         got = hyper_bc.c_function(lam, k, 2)
         assert got == 0.0 + 0.0j
 
+    def test_input_validation(self):
+        """ValueErrors, not asserts, so they hold under python -O too."""
+        k = hyper_bc.multiplicity_bc(5.0, 1, 2)
+        with pytest.raises(ValueError, match="lam must have length q=2"):
+            hyper_bc.c_function(np.array([1.0 + 0j]), k, 2)
+        with pytest.raises(ValueError, match="multiplicity must be finite"):
+            hyper_bc.c_function(np.array([3.0, 1.0]),
+                                hyper_bc.multiplicity_bc(np.inf, 1, 2), 2)
+
 
 class TestQuadrature:
     """Rank-one evaluation by Gauss-Jacobi quadrature."""
@@ -216,6 +225,11 @@ class TestDegenerate:
             "c", 2, np.array([1.0 + 0j, 0.5 + 0j]), np.zeros(2),
             samples=64, seed=0)
         assert est.value == 1.0 + 0.0j and est.stderr == 0.0
+
+    def test_t_length_checked(self):
+        with pytest.raises(ValueError, match="t must have length q=2"):
+            hyper_bc.eval_phi_bc_degenerate(
+                "r", 2, np.array([1.0 + 0j, 0.5 + 0j]), np.array([0.5]))
 
 
 class TestHoPolynomial:

@@ -9,8 +9,77 @@ from hypergeo import algebra, sampling
 from oracles import kappa_rejection
 
 
+def _haar_qr(field, q, n, gen):
+    """LAPACK QR with a positive diagonal on R: the Haar construction the
+    batch Gram-Schmidt kernel replaced, kept as its reference."""
+    if field == "r":
+        z = gen.standard_normal((n, q, q))
+        u, r = np.linalg.qr(z)
+        d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        d[d == 0] = 1.0
+        u = u * d[:, None, :]
+        u[np.linalg.det(u) < 0, :, -1] *= -1.0
+        return u
+    if field == "c":
+        z = gen.standard_normal((n, q, q, 2))
+        z = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        u, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        mod = np.abs(d)
+        mod[mod == 0] = 1.0
+        return u * (d / mod)[:, None, :]
+    g = algebra._chi(gen.standard_normal((n, q, q, 4)))
+    u = np.empty_like(g)
+    for j in range(q):
+        v = g[:, :, 2 * j].copy()
+        done = u[:, :, : 2 * j]
+        for _ in range(2):
+            coef = np.einsum("nkm,nk->nm", np.conj(done), v)
+            v -= np.einsum("nkm,nm->nk", done, coef)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        u[:, :, 2 * j] = v
+        u[:, 0::2, 2 * j + 1] = -np.conj(v[:, 1::2])
+        u[:, 1::2, 2 * j + 1] = np.conj(v[:, 0::2])
+    return u
+
+
 class TestHaar:
     """Haar-distributed unitaries over the three fields."""
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matches_qr_reference(self, field, q):
+        """The same Gaussian variates give the same matrices as QR."""
+        got = sampling._haar_batch(field, q, 2000, np.random.default_rng(12))
+        want = _haar_qr(field, q, 2000, np.random.default_rng(12))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+    def test_real_draws_have_det_one(self, q):
+        u = sampling._haar_batch("r", q, 2000, np.random.default_rng(13))
+        np.testing.assert_allclose(np.linalg.det(u), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_quaternion_partner_columns(self, q):
+        """Column 2j + 1 is the symplectic partner of column 2j, exactly."""
+        u = sampling._haar_batch("h", q, 500, np.random.default_rng(14))
+        np.testing.assert_array_equal(u[:, 0::2, 1::2],
+                                      -np.conj(u[:, 1::2, 0::2]))
+        np.testing.assert_array_equal(u[:, 1::2, 1::2],
+                                      np.conj(u[:, 0::2, 0::2]))
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_first_draw_independent_of_batch_size(self, field):
+        for q in (1, 2, 3, 4):
+            one = sampling._haar_batch(field, q, 1, np.random.default_rng(7))
+            full = sampling._haar_batch(field, q, sampling.SHARD_SIZE,
+                                        np.random.default_rng(7))
+            np.testing.assert_allclose(one[0], full[0], rtol=0, atol=1e-15)
+
+    def test_rank_validated(self):
+        with pytest.raises(ValueError, match="q must be at least 1"):
+            sampling.haar_unitary("r", 0, np.random.default_rng(0))
 
     def test_unitarity(self):
         gen = np.random.default_rng(0)
@@ -100,6 +169,12 @@ class TestBallSampler:
         np.testing.assert_allclose(
             w, sampling._p_map_batch(rows)[0], atol=1e-12)
 
+    def test_p_map_factor_shapes_validated(self):
+        for field, factor in (("r", np.zeros(3)), ("c", np.zeros((2, 1))),
+                              ("h", np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="ball factor 1 has shape"):
+                sampling.p_map([factor, factor], field)
+
     def test_p_map_rejects_large_factor(self):
         with pytest.raises(ValueError):
             sampling.p_map([np.array([0.3, 0.1]), np.array([1.0, 0.2])], "r")
@@ -125,6 +200,10 @@ class TestKappa:
         for p, d, q in ((5.0, 1, 2), (6.0, 2, 2), (7.0, 4, 1)):
             mean, err = kappa_rejection(p, d, q, 120000, seed=11)
             assert abs(sampling.kappa(p, d, q) - mean) < 4.0 * err
+
+    def test_field_dimension_validated(self):
+        with pytest.raises(ValueError, match="d must be 1, 2 or 4"):
+            sampling.kappa(5.0, 3, 1)
 
     def test_needs_integrable_density(self):
         with pytest.raises(ValueError):
