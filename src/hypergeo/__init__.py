@@ -6,9 +6,9 @@ from .bessel import bessel_index, bessel_phi_tilde, bessel_series, jack_C
 from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
 from .hyper_bc import (McEstimate, PoleError, c_function, eval_phi_bc,
-                       eval_phi_bc_degenerate, eval_phi_bc_quadrature_q1,
-                       eval_ho_polynomial, multiplicity_bc, rho_bc, rho_k)
-from .sampling import haar_unitary, kappa, sample_mp, sample_mp_degenerate
+                       eval_phi_bc_quadrature_q1, eval_ho_polynomial,
+                       multiplicity_bc, rho_bc, rho_k)
+from .sampling import haar_unitary, kappa, sample_mp
 from .spherical_a import eval_psi, rho_a
 from .weyl import (OrbitPolytope, RootSystemSpec, chamber_project,
                    eps0_estimate, hull_membership, lemma44_check, orbit,
@@ -22,9 +22,9 @@ __all__ = [
     "boundedness_sweep", "contraction_experiment",
     "moment_decay_experiment", "rate_p_experiment",
     "McEstimate", "PoleError", "c_function", "eval_phi_bc",
-    "eval_phi_bc_degenerate", "eval_phi_bc_quadrature_q1",
-    "eval_ho_polynomial", "multiplicity_bc", "rho_bc", "rho_k",
-    "haar_unitary", "kappa", "sample_mp", "sample_mp_degenerate",
+    "eval_phi_bc_quadrature_q1", "eval_ho_polynomial", "multiplicity_bc",
+    "rho_bc", "rho_k",
+    "haar_unitary", "kappa", "sample_mp",
     "eval_psi", "rho_a",
     "OrbitPolytope", "RootSystemSpec", "chamber_project", "eps0_estimate",
     "hull_membership", "lemma44_check", "orbit", "polytope_contains",

@@ -73,27 +73,27 @@ def complex_embed(a, field="h"):
 
     Writes a = a1 + j a2 with complex blocks a1, a2 and returns
     [[a1, a2], [-conj(a2), conj(a1)]].  The map is an algebra
-    homomorphism and sends adjoints to adjoints.
+    homomorphism and sends adjoints to adjoints.  It is _chi with rows
+    and columns reordered even indices first, then odd.
     """
     if normalize_field(field) != "h":
         raise ValueError("complex_embed is defined for quaternion matrices only")
     a = np.asarray(a, float)
     if a.ndim < 3 or a.shape[-1] != 4:
         raise ValueError("quaternion matrices have shape (..., m, n, 4)")
-    a1 = a[..., 0] + 1j * a[..., 1]
-    a2 = a[..., 2] + 1j * a[..., 3]
-    top = np.concatenate([a1, a2], axis=-1)
-    bot = np.concatenate([-np.conj(a2), np.conj(a1)], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+    c = _chi(a)
+    c = np.concatenate([c[..., 0::2, :], c[..., 1::2, :]], axis=-2)
+    return np.concatenate([c[..., 0::2], c[..., 1::2]], axis=-1)
 
 
 def _chi(a):
     """Interleaved complex embedding: entry (i, j) becomes a 2 x 2 block.
 
-    Same homomorphism as complex_embed up to a fixed permutation of rows
-    and columns.  The interleaved layout makes leading r x r quaternion
-    blocks correspond to leading 2r x 2r complex blocks, so a single
-    Cholesky factorization yields every principal minor.
+    The package's one quaternion embedding; complex_embed permutes its
+    rows and columns into block layout.  The interleaved layout makes
+    leading r x r quaternion blocks correspond to leading 2r x 2r complex
+    blocks, so a single Cholesky factorization yields every principal
+    minor.
     """
     a = np.asarray(a, float)
     m, n = a.shape[-3], a.shape[-2]
@@ -258,7 +258,8 @@ def build_g(t, u, w, field, variant="g"):
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
     t = np.asarray(t, float)
-    assert t.ndim == 1, "t must be a vector"
+    if t.ndim != 1:
+        raise ValueError("t must be a vector, got shape %s" % (t.shape,))
     s1 = np.asarray(singular_values(w, field))[..., 0]
     if np.any(s1 >= 1.0):
         raise ValueError("w must have largest singular value < 1")

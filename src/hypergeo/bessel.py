@@ -45,7 +45,9 @@ def bessel_index(field, p):
 
 def partitions_of_weight(k, q):
     """Partitions of k into at most q parts, in descending lex order."""
-    assert k >= 0 and q >= 1
+    if k < 0 or q < 1:
+        raise ValueError("partitions need k >= 0 and q >= 1, got k=%d, q=%d"
+                         % (k, q))
 
     def rec(rem, cap, slots):
         if rem == 0:
@@ -80,8 +82,12 @@ def _dominates(lam, mu):
 
 
 def _lb_eigenvalue(lam, alpha, n):
-    return 0.5 * alpha * sum(x * (x - 1) for x in lam) \
+    value = 0.5 * alpha * sum(x * (x - 1) for x in lam) \
         + sum((n - i) * x for i, x in enumerate(lam, 1))
+    if value == math.inf:
+        raise OverflowError("alpha=%r overflows the eigenvalue of %s"
+                            % (alpha, lam))
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +129,8 @@ def _c_scale(lam, alpha):
 
     c'_lam has one hook factor per cell and lam has |lam| cells, so each
     factor takes one alpha: alpha^|lam| and c'_lam underflow together
-    for a tiny alpha, but their ratio does not.
+    for a tiny alpha, but their ratio does not.  A hook factor beyond
+    float range raises OverflowError.
     """
     conj = _conjugate(lam)
     scale = float(math.factorial(sum(lam)))
@@ -131,7 +138,11 @@ def _c_scale(lam, alpha):
         for j in range(1, part + 1):
             arm = part - j
             leg = conj[j - 1] - i
-            scale *= alpha / (alpha * (arm + 1) + leg)
+            hook = alpha * (arm + 1) + leg
+            if hook == math.inf:
+                raise OverflowError("alpha=%r overflows a hook factor of %s"
+                                    % (alpha, lam))
+            scale *= alpha / hook
     return scale
 
 
@@ -149,7 +160,9 @@ def jack_C(m, alpha, xi):
     m = tuple(int(x) for x in m)
     xi = np.asarray(xi)
     q = xi.shape[0]
-    assert len(m) <= q, "partition has more parts than variables"
+    if len(m) > q:
+        raise ValueError("partition %s has more parts than the %d variables"
+                         % (m, q))
     if not m:
         return 1.0
     coeffs = _jack_tables(sum(m), float(alpha), q)[m]

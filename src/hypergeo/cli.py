@@ -8,8 +8,9 @@ significant digits, JSON keys are sorted, and nothing timestamps.
 Exit codes: 0 success, 2 configuration problems (including a count
 such as --q, --samples or --n-t below 1, a --p or --eps that is not
 finite, or a --rho, --rank, --resolution or --alpha that weyl-scan, eps0
-or jack-table rejects), 3 domain errors (a named precondition failed or
-an estimate is not finite), 4 a declared acceptance predicate failed.
+or jack-table rejects), 3 domain errors (a named precondition failed,
+an input overflows, or an estimate is not finite), 4 a declared
+acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -32,8 +33,8 @@ from .bessel import (_c_scale, _jack_tables, bessel_phi_tilde, jack_C,
                      partitions_of_weight)
 from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
-from .hyper_bc import (c_function, eval_phi_bc, eval_phi_bc_degenerate,
-                       eval_ho_polynomial, multiplicity_bc)
+from .hyper_bc import (c_function, eval_phi_bc, eval_ho_polynomial,
+                       multiplicity_bc)
 from .spherical_a import eval_psi
 
 
@@ -172,15 +173,25 @@ def _series(res):
     return res.value, res.tail_bound, res.truncation_degree, res.converged
 
 
+def _c_value(a, field, lam):
+    """c_function at one lambda row; an overflow is a domain error."""
+    try:
+        return c_function(lam, multiplicity_bc(a.p, field_dim(field), a.q),
+                          a.q)
+    except OverflowError:
+        raise ValueError("the c-function's Gamma product overflows at "
+                         "--lambda %s and --p %s" % (a.lam, a.p))
+
+
 # Each evaluator maps (args, field, lambda row, t row, seed) to the
 # record's (value, stderr, samples, pass).
 _EVALUATORS = {
     "eval-bc": lambda a, field, lam, t, seed: _mc(eval_phi_bc(
         field, a.p, lam, t, samples=a.samples, seed=seed,
         workers=a.workers)),
-    "eval-bc-degenerate": lambda a, field, lam, t, seed: _mc(
-        eval_phi_bc_degenerate(field, a.q, lam, t, samples=a.samples,
-                               seed=seed, workers=a.workers)),
+    "eval-bc-degenerate": lambda a, field, lam, t, seed: _mc(eval_phi_bc(
+        field, 2 * a.q - 1, lam, t, samples=a.samples, seed=seed,
+        workers=a.workers)),
     "eval-a": lambda a, field, lam, t, seed: _mc(eval_psi(
         field, lam, t, samples=a.samples, seed=seed, workers=a.workers)),
     "eval-bessel-series": lambda a, field, lam, t, seed: _series(
@@ -192,9 +203,8 @@ _EVALUATORS = {
     "eval-ho-poly": lambda a, field, lam, t, seed: _mc(eval_ho_polynomial(
         field, a.p, lam, t, samples=a.samples, seed=seed,
         workers=a.workers)),
-    "c-function": lambda a, field, lam, t, seed: (c_function(
-        lam, multiplicity_bc(a.p, field_dim(field), a.q), a.q), 0.0, 0,
-        True),
+    "c-function": lambda a, field, lam, t, seed: (_c_value(a, field, lam),
+                                                  0.0, 0, True),
 }
 
 _RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
@@ -421,16 +431,20 @@ def _cmd_jack_table(args):
                            % alpha)
     ones = np.ones(args.rank)
     rows = []
-    for lam in partitions_of_weight(args.weight, args.rank):
-        scale = _c_scale(lam, alpha) if lam else 1.0
-        at_ones = jack_C(lam, alpha, ones)
-        table = _jack_tables(args.weight, alpha, args.rank)[lam] if lam \
-            else {(): 1.0}
-        for mu in sorted(table, reverse=True):
-            rows.append(["+".join(str(x) for x in lam),
-                         "+".join(str(x) for x in mu),
-                         _fmt(scale * table[mu]), _fmt(alpha),
-                         _fmt(at_ones)])
+    try:
+        for lam in partitions_of_weight(args.weight, args.rank):
+            scale = _c_scale(lam, alpha) if lam else 1.0
+            at_ones = jack_C(lam, alpha, ones)
+            table = _jack_tables(args.weight, alpha, args.rank)[lam] if lam \
+                else {(): 1.0}
+            for mu in sorted(table, reverse=True):
+                rows.append(["+".join(str(x) for x in lam),
+                             "+".join(str(x) for x in mu),
+                             _fmt(scale * table[mu]), _fmt(alpha),
+                             _fmt(at_ones)])
+    except OverflowError:
+        raise ValueError("--alpha %r overflows the Jack coefficients of "
+                         "weight %d" % (alpha, args.weight))
     _write(args.output, _csv_text(["partition", "monomial", "coefficient",
                                    "alpha", "c_at_ones"], rows))
     return 0
@@ -547,7 +561,7 @@ def main(argv=None):
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print("domain error: %s" % (exc,), file=sys.stderr)
         return 3
 

@@ -15,10 +15,8 @@ from scipy.special import betaln
 from . import sampling, weyl
 from .algebra import field_dim, normalize_field
 from .bessel import bessel_phi_tilde
-from .hyper_bc import (_phi_columns, eval_phi_bc_quadrature_q1, rho_bc,
-                       rho_shift)
+from .hyper_bc import _mc_pairs, eval_phi_bc_quadrature_q1, rho_bc, rho_shift
 from .sampling import kappa
-from .spherical_a import _psi_columns
 
 
 @dataclass(frozen=True)
@@ -44,25 +42,6 @@ class BoundednessReport:
     all_positive: bool
     out_of_hull_max: float
     out_of_hull_exceeds: bool
-
-
-def _mc_pairs(field, q, p, pairs, samples, seed, workers, psi=False):
-    """Integrand means for many (t, exponent) pairs on common draws.
-
-    pairs is a sequence of (t vector, nu matrix of shape (q, m)); every
-    shard draws once and evaluates each pair on those draws: the phi
-    integrand on (u, w), or with psi the cosh^2 integrand on u alone.
-    Returns mc_run's flat means, standard errors and per-shard sums.
-    """
-
-    def shard_fn(shard, count):
-        u, w = sampling.draw_shard(field, q, p, seed, shard, count,
-                                   ball=not psi, unitary=psi or q > 1)
-        return sampling.shard_moments(
-            _psi_columns(field, t, nu, u) if psi
-            else _phi_columns(field, t, nu, u, w) for t, nu in pairs)
-
-    return sampling.mc_run(shard_fn, samples, workers=workers)
 
 
 def _increasing(values, name):
@@ -181,7 +160,7 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         else:
             psi_mean, psi_err, psi_parts = _mc_pairs(
                 field, q, None, [(t, nu) for t in t_grid], samples, seed,
-                workers, psi=True)
+                workers)
         phi_parts, diffs, errors, stderrs = [], [], [], []
         for p in p_list:
             mean, err, parts = _mc_pairs(

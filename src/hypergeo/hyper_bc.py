@@ -1,10 +1,12 @@
 """Evaluators for the matrix-cone hypergeometric functions phi_lambda^p.
 
 phi is the mean of a power function of g_t(u, w) over a Haar unitary u
-and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  The
+and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  One
+path serves every p >= 2q - 1: only the law of w changes, to the
+boundary law at p = 2q - 1.  `_mc_pairs` is the one shard function for
+the phi integrand and for the psi integrand of `spherical_a`.  The
 module also provides the half-sum vectors, the normalized c-function,
-the deterministic rank-one quadrature, the boundary evaluator at
-p = 2q - 1, and the polynomial special values.
+the deterministic rank-one quadrature, and the polynomial special values.
 """
 
 from dataclasses import dataclass
@@ -107,7 +109,8 @@ def c_function(lam, k, q):
 
     At lam = rho_k(k) the two products cancel factor by factor, so the
     value is exactly 1.  A numerator pole raises PoleError carrying the
-    offending root; a denominator pole is a legitimate zero.
+    offending root; a denominator pole is a legitimate zero.  A Gamma
+    product out of float range raises OverflowError.
     """
     if not np.all(np.isfinite(k)):
         raise ValueError("multiplicity must be finite, got %s" % (k,))
@@ -123,10 +126,16 @@ def c_function(lam, k, q):
         if _nonpositive_integer(den):
             return 0.0 + 0.0j
     total = 0.0 + 0.0j
-    for (num, den, _), (rnum, rden, _) in zip(facs, ref):
-        total += loggamma(num) - loggamma(den)
-        total -= loggamma(rnum) - loggamma(rden)
-    return complex(np.exp(total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (num, den, _), (rnum, rden, _) in zip(facs, ref):
+            total += loggamma(num) - loggamma(den)
+            total -= loggamma(rnum) - loggamma(rden)
+        value = complex(np.exp(total))
+    if not np.isfinite(value):
+        raise OverflowError("the c-function's Gamma product is out of float "
+                            "range at lam=%s, k=%s"
+                            % (np.asarray(lam).tolist(), k))
+    return value
 
 
 def _check_chamber(t):
@@ -146,7 +155,7 @@ def _nu_matrix(lam, q, rho):
 
 
 def _phi_columns(field, t, nu_mat, u, w, variant="g"):
-    """Integrand values on one shard's draws, one column per exponent.
+    """phi integrand values on one shard's draws, one column per exponent.
 
     At t = 0 the integrand is identically 1.
     """
@@ -157,24 +166,48 @@ def _phi_columns(field, t, nu_mat, u, w, variant="g"):
                                     nu_mat)
 
 
-def _mc_phi(field, q, p, nu_mat, t, samples, seed, workers, variant="g"):
-    """Mean and standard error of the power-function integrand.
+def _psi_columns(field, t, nu_mat, u):
+    """psi integrand values on one shard's Haar draws, one column per
+    exponent: the power function of u* cosh^2(t) u.
 
-    At t = 0 the integrand is identically 1, so the exact constant is
-    returned without consuming any random stream.  The Haar draw is
-    skipped at q = 1, where minors are conjugation invariant.
+    At t = 0 the integrand is identically 1.
     """
-    m = nu_mat.shape[1]
     if np.all(t == 0.0):
-        return np.ones(m, dtype=complex), np.zeros(m)
+        return np.ones((u.shape[0], nu_mat.shape[1]), complex)
+    tt = np.repeat(t, 2) if field == "h" else t
+    m = (algebra._ct(u) * np.cosh(tt) ** 2) @ u
+    m = 0.5 * (m + algebra._ct(m))
+    return algebra._power_from_logs(algebra._log_minors_embedded(m, field),
+                                    nu_mat)
+
+
+def _mc_pairs(field, q, p, pairs, samples, seed, workers, variant="g"):
+    """Integrand means for many (t, exponent) pairs on common draws.
+
+    pairs is a sequence of (t vector, nu matrix of shape (q, m)); every
+    shard draws once and evaluates each pair on those draws: the phi
+    integrand on (u, w) of parameter p, or, when p is None, the psi
+    integrand on u alone.  The Haar draw is skipped for phi at q = 1,
+    where minors are conjugation invariant.  Returns mc_run's flat means,
+    standard errors and per-shard sums.  When every t is 0 the integrand
+    is identically 1, and the exact constant is returned without
+    consuming any random stream.
+    """
+    if all(np.all(t == 0.0) for t, _ in pairs):
+        m = sum(nu.shape[1] for _, nu in pairs)
+        parts = [np.full(m, n, complex) for n in sampling.shard_plan(samples)]
+        return np.ones(m, complex), np.zeros(m), parts
 
     def shard(i, n):
-        u, w = sampling.draw_shard(field, q, p, seed, i, n, unitary=q > 1)
+        u, w = sampling.draw_shard(field, q, p, seed, i, n,
+                                   ball=p is not None,
+                                   unitary=p is None or q > 1)
         return sampling.shard_moments(
-            [_phi_columns(field, t, nu_mat, u, w, variant)])
+            _psi_columns(field, t, nu, u) if p is None
+            else _phi_columns(field, t, nu, u, w, variant)
+            for t, nu in pairs)
 
-    mean, err, _ = sampling.mc_run(shard, samples, workers=workers)
-    return mean, err
+    return sampling.mc_run(shard, samples, workers=workers)
 
 
 def _shape_estimate(mean, err, batch, samples, seed):
@@ -184,35 +217,27 @@ def _shape_estimate(mean, err, batch, samples, seed):
 
 
 def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1):
-    """Monte-Carlo value of phi_lam^p(t) for p > 2q - 1.
+    """Monte-Carlo value of phi_lam^p(t) for p >= 2q - 1.
 
-    lam is a length-q complex vector in the plain spectral convention,
-    or a batch of shape (..., q); the whole batch shares every random
-    draw, which is what makes common-random-number comparisons work.
+    w follows the matrix-ball law for p > 2q - 1 and, at p = 2q - 1, the
+    boundary law whose last factor sits on the unit sphere; the formula
+    is the same, so `eval-bc --p 2q-1` prints what `eval-bc-degenerate`
+    does.  lam is a length-q complex vector in the plain spectral
+    convention, or a batch of shape (..., q); the whole batch shares
+    every random draw, which is what makes common-random-number
+    comparisons work.
     """
     field = normalize_field(field)
     t = np.asarray(t, float).reshape(-1)
     q = t.size
     _check_chamber(t)
-    if not p > 2 * q - 1:
-        raise ValueError("eval_phi_bc needs p > 2q - 1")
+    if not p >= 2 * q - 1:
+        raise ValueError("eval_phi_bc needs p >= 2q - 1")
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(p, field_dim(field), q))
-    mean, err = _mc_phi(field, q, p, nu_mat, t, samples, seed, workers,
-                        variant)
-    return _shape_estimate(mean, err, batch, samples, seed)
-
-
-def eval_phi_bc_degenerate(field, q, lam, t, samples=100000, seed=0, workers=1):
-    """Monte-Carlo value of phi_lam at the boundary parameter p = 2q - 1."""
-    field = normalize_field(field)
-    t = np.asarray(t, float).reshape(-1)
-    if t.size != q:
-        raise ValueError("t must have length q=%d, got %d" % (q, t.size))
-    nu_mat, batch = _nu_matrix(lam, q, rho_bc(2 * q - 1, field_dim(field), q))
-    mean, err = _mc_phi(field, q, 2 * q - 1, nu_mat, t, samples, seed,
-                        workers)
+    mean, err, _ = _mc_pairs(field, q, p, [(t, nu_mat)], samples, seed,
+                             workers, variant)
     return _shape_estimate(mean, err, batch, samples, seed)
 
 
@@ -263,6 +288,7 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     k = multiplicity_bc(p, d, q)
     norm = c_function(mu + rho_k(k, q), k, q)
     nu_mat = 0.5 * mu.astype(complex).reshape(q, 1)
-    mean, err = _mc_phi(field, q, p, nu_mat, t, samples, seed, workers)
+    mean, err, _ = _mc_pairs(field, q, p, [(t, nu_mat)], samples, seed,
+                             workers)
     return McEstimate(complex(mean[0]) / norm, float(err[0]) / abs(norm),
                       samples, seed)

@@ -275,8 +275,9 @@ def p_map(factors, field, allow_boundary=False):
 
     Row j is y_j (I - y_{j-1}* y_{j-1})^(1/2) ... (I - y_1* y_1)^(1/2).
     Factors must have norm < 1; with allow_boundary the last one may sit
-    on the unit sphere, as in the degenerate sampler.  The result has
-    largest singular value below 1 (equal to 1 in the boundary case).
+    on the unit sphere, as in the boundary law p = 2q - 1 of sample_mp.
+    The result has largest singular value below 1 (equal to 1 in the
+    boundary case).
     """
     field = normalize_field(field)
     q = len(factors)
@@ -306,32 +307,19 @@ def _mp_batch(field, q, p, n, gen):
     return _p_map_batch(_ball_rows(field, q, p, n, gen))
 
 
-def _mp_degenerate_batch(field, q, n, gen):
-    return _mp_batch(field, q, 2 * q - 1, n, gen)
-
-
 def sample_mp(field, q, p, rng):
-    """One draw from the matrix-ball measure with parameter p > 2q - 1."""
-    field = normalize_field(field)
-    if not p > 2 * q - 1:
-        raise ValueError(
-            "sample_mp needs p > 2q - 1; use sample_mp_degenerate at the boundary"
-        )
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    w = _mp_batch(field, q, p, 1, gen)[0]
-    return _chi_inv(w) if field == "h" else w
+    """One draw from the matrix-ball law of parameter p >= 2q - 1.
 
-
-def sample_mp_degenerate(field, q, rng):
-    """One draw from the boundary measure at p = 2q - 1.
-
-    The first q - 1 factors follow the radial Beta laws with exponents
-    d(q-j)/2 - 1 and the last factor is uniform on the unit sphere, so
-    the resulting ball matrix satisfies det(I - w* w) = 0 identically.
+    For p > 2q - 1 this is the ball measure m_p.  At the boundary
+    p = 2q - 1 the first q - 1 factors follow the radial Beta laws with
+    exponents d(q-j)/2 - 1 and the last factor is uniform on the unit
+    sphere, so the ball matrix satisfies det(I - w* w) = 0 identically.
     """
     field = normalize_field(field)
+    if not p >= 2 * q - 1:
+        raise ValueError("sample_mp needs p >= 2q - 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    w = _mp_degenerate_batch(field, q, 1, gen)[0]
+    w = _mp_batch(field, q, p, 1, gen)[0]
     return _chi_inv(w) if field == "h" else w
 
 

@@ -251,6 +251,11 @@ class TestBuildG:
             algebra.build_g(np.array([0.5]), np.eye(1), np.zeros((1, 1)),
                             "r", "h-tilde")
 
+    def test_t_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="t must be a vector"):
+            algebra.build_g(np.array([[0.5]]), np.eye(1), np.zeros((1, 1)),
+                            "r")
+
 
 class TestSingularValues:
     def test_quaternion_pairing(self):

@@ -1,5 +1,9 @@
 """Tests for Jack polynomials and the Bessel function of matrix argument."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,8 +65,31 @@ class TestJack:
         assert bessel.jack_C((), 1.0, np.array([2.0, 3.0])) == 1.0
 
     def test_too_long_partition_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             bessel.jack_C((1, 1, 1), 1.0, np.array([1.0, 2.0]))
+
+    def test_input_checks_survive_optimize(self):
+        """Under python -O an assert is gone: a too-long partition raised
+        KeyError and a negative weight or zero rank gave no partitions."""
+        script = "\n".join([
+            "import numpy as np",
+            "from hypergeo import bessel",
+            "for call in (lambda: bessel.partitions_of_weight(-1, 2),",
+            "             lambda: bessel.partitions_of_weight(2, 0),",
+            "             lambda: bessel.jack_C((1, 1, 1), 1.0,",
+            "                                   np.array([1.0, 2.0]))):",
+            "    try:",
+            "        print(call())",
+            "    except Exception as exc:",
+            "        print(type(exc).__name__)",
+        ])
+        src = os.path.dirname(os.path.dirname(bessel.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.stdout.split() == ["ValueError"] * 3, proc.stderr
 
 
 class TestPochhammer:

@@ -162,7 +162,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_domain_error_small_p(self, capsys):
-        code, _ = run(["eval-bc", "--q", "2", "--p", "3", "--lambda",
+        code, _ = run(["eval-bc", "--q", "2", "--p", "2.5", "--lambda",
                        "1,0.5", "--t", "0.5,0.2"], capsys)
         assert code == 3
 
@@ -170,6 +170,15 @@ class TestExitCodes:
         code, _ = run(["eval-bc", "--q", "2", "--p", "5", "--lambda",
                        "1,0.5", "--t", "0.2,0.5"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("t", ["0.2,0.7", "0.7,-0.2"])
+    def test_domain_error_chamber_on_boundary(self, t, capsys):
+        """eval-bc-degenerate checks the chamber as eval-bc does; it used
+        to print a passing record for both of these t."""
+        code, out = run(["eval-bc-degenerate", "--field", "r", "--q", "2",
+                         "--lambda", "1,0.5", "--t", t, "--samples", "2000",
+                         "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
 
     def test_domain_error_pole(self, capsys):
         code, _ = run(["c-function", "--q", "2", "--p", "5",
@@ -289,7 +298,24 @@ class TestExitCodes:
         ("rate-p --q 1 --lambda 2 --t-grid 0 --p-list 10,20",
          "summary field slope is -inf because an error is 0: a log-log "
          "fit needs every error positive"),
-    ], ids=["overflow", "overflow-workers-2", "slope"])
+        # A RuntimeWarning, then "Out of range float values are not JSON
+        # compliant".
+        ("c-function --q 2 --p 5 --lambda 1e308,1",
+         "the c-function's Gamma product overflows at --lambda 1e308,1 "
+         "and --p 5.0"),
+        # "cannot write the non-finite value nan"; at weight 2 the table
+        # was written, with every C value of (2) a wrong 0.
+        ("jack-table --weight 6 --rank 3 --alpha 1.7e308",
+         "--alpha 1.7e+308 overflows the Jack coefficients of weight 6"),
+        ("jack-table --weight 2 --rank 2 --alpha 1.7e308",
+         "--alpha 1.7e+308 overflows the Jack coefficients of weight 2"),
+        # The normalizing c-function of a huge --p: the same warning and
+        # JSON error as c-function above.
+        ("eval-ho-poly --q 1 --p 1e307 --mu 2 --t 0.5 --samples 100",
+         "the c-function's Gamma product is out of float range at "
+         "lam=[5e+306], k=(5e+306, 0.0, 0.5)"),
+    ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
+            "jack-alpha", "jack-alpha-weight-2", "ho-poly-p"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

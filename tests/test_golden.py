@@ -10,6 +10,7 @@ subcommand is frozen too, help strings aside.
 """
 
 import argparse
+import json
 
 import pytest
 
@@ -382,6 +383,18 @@ def test_eval_output_frozen(name, capsys):
     code, out = _run(argv, capsys)
     assert code == 0
     assert out == want
+
+
+def test_boundary_eval_bc_matches_degenerate(capsys):
+    """eval-bc at p = 2q - 1 runs the boundary law of eval-bc-degenerate
+    and prints the same value and stderr bytes as its pinned record."""
+    want = json.loads(EVAL["eval-bc-degenerate"][1])
+    code, out = _run("eval-bc --field c --q 2 --p 3 --lambda 1,0.5 --t "
+                     "0.7,0.2 --samples 20000 --seed 3", capsys)
+    assert code == 0
+    got = json.loads(out)
+    for key in ("value_re", "value_im", "stderr"):
+        assert repr(got[key]) == repr(want[key])
 
 
 @pytest.mark.parametrize("name", list(SUMMARY))

@@ -187,7 +187,7 @@ class TestMonteCarloPhi:
 
     def test_p_range_enforced(self):
         with pytest.raises(ValueError):
-            hyper_bc.eval_phi_bc("r", 3.0, np.array([1.0 + 0j, 0.5 + 0j]),
+            hyper_bc.eval_phi_bc("r", 2.5, np.array([1.0 + 0j, 0.5 + 0j]),
                                  np.array([0.5, 0.1]))
 
     def test_variant_g_tilde_also_converges(self):
@@ -200,12 +200,12 @@ class TestMonteCarloPhi:
 
 
 class TestDegenerate:
-    """The boundary evaluator at p = 2q - 1."""
+    """eval_phi_bc at the boundary parameter p = 2q - 1."""
 
     def test_rank_one_is_cosine(self):
         """At q = 1, d = 1 the sphere is two points and phi = cos(lam t)."""
         lam, t = 1.7, 0.9
-        est = hyper_bc.eval_phi_bc_degenerate(
+        est = hyper_bc.eval_phi_bc(
             "r", 1, np.array([lam + 0j]), np.array([t]),
             samples=200000, seed=6)
         assert abs(est.value - np.cos(lam * t)) < 4.0 * est.stderr
@@ -214,22 +214,23 @@ class TestDegenerate:
         """phi_p approaches the boundary value as p drops to 2q - 1."""
         lam = np.array([1.0 + 0j, 0.5 + 0j])
         t = np.array([0.6, 0.2])
-        boundary = hyper_bc.eval_phi_bc_degenerate("r", 2, lam, t,
-                                                   samples=300000, seed=7)
+        boundary = hyper_bc.eval_phi_bc("r", 3, lam, t,
+                                        samples=300000, seed=7)
         near = hyper_bc.eval_phi_bc("r", 3.05, lam, t,
                                     samples=300000, seed=7)
         assert abs(boundary.value - near.value) < 0.02
 
     def test_zero_t_exact(self):
-        est = hyper_bc.eval_phi_bc_degenerate(
-            "c", 2, np.array([1.0 + 0j, 0.5 + 0j]), np.zeros(2),
+        est = hyper_bc.eval_phi_bc(
+            "c", 3, np.array([1.0 + 0j, 0.5 + 0j]), np.zeros(2),
             samples=64, seed=0)
         assert est.value == 1.0 + 0.0j and est.stderr == 0.0
 
     def test_t_length_checked(self):
-        with pytest.raises(ValueError, match="t must have length q=2"):
-            hyper_bc.eval_phi_bc_degenerate(
-                "r", 2, np.array([1.0 + 0j, 0.5 + 0j]), np.array([0.5]))
+        """q is the length of t, so a shorter t no longer matches lam."""
+        with pytest.raises(ValueError, match="lam must have length q"):
+            hyper_bc.eval_phi_bc(
+                "r", 3, np.array([1.0 + 0j, 0.5 + 0j]), np.array([0.5]))
 
 
 class TestHoPolynomial:

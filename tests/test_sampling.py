@@ -147,7 +147,7 @@ class TestBallSampler:
     def test_degenerate_sits_on_boundary(self):
         gen = np.random.default_rng(5)
         for field, q in (("r", 2), ("c", 2), ("h", 2)):
-            w = sampling._mp_degenerate_batch(field, q, 100, gen)
+            w = sampling._mp_batch(field, q, 2 * q - 1, 100, gen)
             s1 = np.linalg.svd(w, compute_uv=False)[:, 0]
             np.testing.assert_allclose(s1, 1.0, atol=1e-8)
 
@@ -159,7 +159,7 @@ class TestBallSampler:
 
     def test_p_range_enforced(self):
         with pytest.raises(ValueError):
-            sampling.sample_mp("r", 2, 3.0, np.random.default_rng(0))
+            sampling.sample_mp("r", 2, 2.5, np.random.default_rng(0))
 
     def test_p_map_matches_batch(self):
         gen = np.random.default_rng(7)

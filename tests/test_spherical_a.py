@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypergeo import sampling, spherical_a
+from hypergeo import hyper_bc, sampling, spherical_a
 
 
 class TestRhoA:
@@ -62,7 +62,7 @@ class TestMonteCarloPsi:
         t = np.array([0.9])
         exact = np.cosh(0.9) ** 1.5j
         u, _ = sampling.draw_shard("c", 1, None, 3, 0, 4096, ball=False)
-        vals = spherical_a._psi_columns("c", t, 0.5j * lam.reshape(1, 1), u)
+        vals = hyper_bc._psi_columns("c", t, 0.5j * lam.reshape(1, 1), u)
         np.testing.assert_allclose(vals.mean(), exact, atol=1e-12)
 
     def test_worker_invariance(self):
