@@ -268,7 +268,8 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
         tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
 
     def shard(i, n):
-        u, w = sampling.draw_shard(field, q, p, seed, i, n)
+        w = sampling.draw_ball(field, q, p, seed, i, n)
+        u = sampling.draw_haar(field, q, seed, i, n)
         tr = np.einsum("nij,nji->n", w * tt, u * ll)
         phase = tr.real if field != "h" else 0.5 * tr.real
         return sampling.shard_moments([np.exp(-1j * phase)[:, None]])

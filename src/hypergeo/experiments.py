@@ -1,10 +1,12 @@
 """Quantitative sweeps behind the limit theorems.
 
-Each experiment reuses one set of random draws across its whole
-parameter grid (common random numbers): every shard draws its unitary
-and ball samples once and evaluates the integrand for all grid points
-on them, so the reported errors are paired and rerunning with the same
-seed reproduces every number bit for bit.
+Each Monte-Carlo experiment is one mc_run over its whole parameter grid
+(common random numbers): every shard draws its Haar unitary once, and
+one ball sample per law, and evaluates every grid point on those draws,
+so the reported errors are paired and rerunning with the same seed
+reproduces every number bit for bit.  The jackknife band of a fitted
+rate reads the run's per-shard sums and recomputes the experiment's own
+errors with one shard left out at a time.
 """
 
 from dataclasses import dataclass
@@ -61,28 +63,20 @@ def _fit_slope(params, errors):
                             np.log(errors), 1)[0])
 
 
-def _jackknife_slope_halfwidth(params, phi_parts, samples, psi_parts=None,
-                               psi_exact=None):
+def _jackknife_slope_halfwidth(params, parts, samples, errors):
     """Two-sigma jackknife band for the fitted slope, over sample shards.
 
-    phi_parts[k][i] is the shard-i value-sum array for grid point k;
-    the reference is either paired per-shard psi sums or an exact
-    value vector.
+    parts[i] is shard i's flat value-sum array, as mc_run returns it,
+    and errors(means) maps flat means to one error per parameter.
     """
     sizes = sampling.shard_plan(samples)
     m = len(sizes)
     if m < 2:
         return 0.0
-    phi_tot = [sum(parts) for parts in phi_parts]
-    psi_tot = sum(psi_parts) if psi_parts is not None else None
+    tot = sum(parts)
     slopes = []
     for i in range(m):
-        n = samples - sizes[i]
-        psi = psi_exact if psi_parts is None \
-            else (psi_tot - psi_parts[i]) / n
-        errs = [np.max(np.abs((tot - parts[i]) / n - psi))
-                for tot, parts in zip(phi_tot, phi_parts)]
-        s = _fit_slope(params, errs)
+        s = _fit_slope(params, errors((tot - parts[i]) / (samples - sizes[i])))
         if np.isfinite(s):
             slopes.append(s)
     if len(slopes) < 2:
@@ -138,8 +132,9 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         * (np.exp(_envelope(lam.imag, t)) if unbounded else 1.0)
         for t in t_grid])
 
+    # psi_lam(t) = cosh(t)^(i lam) exactly at q = 1.
+    psi = np.array([np.cosh(t[0]) ** (1j * lam[0]) for t in t_grid])
     if q == 1 and d == 1:
-        psi = np.array([np.cosh(t[0]) ** (1j * lam[0]) for t in t_grid])
         diffs = np.array([
             [abs(eval_phi_bc_quadrature_q1(
                 p, rho_shift(lam, rho_bc(p, d, 1))[0], t[0]) - psi[i])
@@ -150,35 +145,25 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         halfwidth = 0.0
     else:
         # The shifted exponent (i(lam - i rho(p)) - rho(p)) / 2 = i lam / 2
-        # carries no p dependence, so one nu column serves every p.
+        # carries no p dependence, so one nu column serves psi and every p.
         nu = (0.5j * lam).reshape(q, 1)
-        if q == 1:
-            psi_mean = np.array([np.cosh(t[0]) ** (1j * lam[0])
-                                 for t in t_grid])
-            psi_err = np.zeros(len(t_grid))
-            psi_parts = psi_exact = None
-        else:
-            psi_mean, psi_err, psi_parts = _mc_pairs(
-                field, q, None, [(t, nu) for t in t_grid], samples, seed,
-                workers)
-        phi_parts, diffs, errors, stderrs = [], [], [], []
-        for p in p_list:
-            mean, err, parts = _mc_pairs(
-                field, q, p, [(t, nu) for t in t_grid], samples, seed,
-                workers)
-            phi_parts.append(parts)
-            diff = np.abs(mean - psi_mean)
-            diffs.append(diff)
-            k = int(np.argmax(diff))
-            errors.append(float(diff[k]))
-            stderrs.append(float(np.hypot(err[k], psi_err[k])))
-        diffs = np.array(diffs)
-        if q == 1:
-            halfwidth = _jackknife_slope_halfwidth(
-                p_list, phi_parts, samples, psi_exact=psi_mean)
-        else:
-            halfwidth = _jackknife_slope_halfwidth(
-                p_list, phi_parts, samples, psi_parts=psi_parts)
+        laws = ([] if q == 1 else [None]) + p_list
+        mean, err, parts = _mc_pairs(
+            field, q, [(p, t, nu) for p in laws for t in t_grid], samples,
+            seed, workers)
+        err = err.reshape(len(laws), -1)
+        psi_err = np.zeros(len(t_grid)) if q == 1 else err[0]
+
+        def diffs_of(means):
+            means = means.reshape(len(laws), -1)
+            return np.abs(means[-len(p_list):] - (psi if q == 1 else means[0]))
+
+        diffs = diffs_of(mean)
+        errors = [float(e) for e in diffs.max(axis=1)]
+        stderrs = [float(np.hypot(e[k], psi_err[k]))
+                   for e, k in zip(err[-len(p_list):], diffs.argmax(axis=1))]
+        halfwidth = _jackknife_slope_halfwidth(
+            p_list, parts, samples, lambda means: diffs_of(means).max(axis=1))
 
     mask = scales > 0.0
     normalized = [float(np.max(np.sqrt(p) * diffs[i][mask] / scales[mask]))
@@ -214,15 +199,12 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
         stderrs = [0.0] * len(n_list)
         halfwidth = 0.0
     else:
-        pairs = [(t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
-        mean, err, parts = _mc_pairs(field, q, p, pairs, samples, seed,
-                                     workers)
+        pairs = [(p, t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
+        mean, err, parts = _mc_pairs(field, q, pairs, samples, seed, workers)
         errors = np.abs(mean - ref)
         stderrs = [float(e) for e in err]
-        phi_parts = [[part[k:k + 1] for part in parts]
-                     for k in range(len(n_list))]
         halfwidth = _jackknife_slope_halfwidth(
-            n_list, phi_parts, samples, psi_exact=np.array([ref]))
+            n_list, parts, samples, lambda means: np.abs(means - ref))
     norm1 = float(np.sum(np.abs(lam)))
     normalized = tuple(float(n * e / norm1) if norm1 > 0 else 0.0
                        for n, e in zip(n_list, errors))
@@ -265,7 +247,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     nu_mat = np.array([0.5 * (1j * lam - rho) for lam in lams]).T
     base = np.arange(q, 0, -1) / q
     t_grid = [s * base for s in np.linspace(0.0, 3.0, n_t)]
-    mean, err, _ = _mc_pairs(field, q, p, [(t, nu_mat) for t in t_grid],
+    mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat) for t in t_grid],
                              samples, seed, workers)
     mean = mean.reshape(n_t, len(lams))
     err = err.reshape(n_t, len(lams))
@@ -321,25 +303,21 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     if not min(p_list) - shift > 2 * q - 1:
         raise ValueError("p too small for the importance shift")
 
-    values, stderrs, parts_all = [], [], []
-    for p in p_list:
-        pp = p - shift
+    shifted = [p - shift for p in p_list]
 
-        def shard_fn(shard, count, pp=pp):
-            _, w = sampling.draw_shard(field, q, pp, seed, shard, count,
-                                       unitary=False)
-            s1 = np.linalg.svd(w, compute_uv=False)[:, :1]
-            return sampling.shard_moments([s1 ** (2 * n)])
+    def shard_fn(shard, count):
+        return sampling.shard_moments(
+            np.linalg.svd(sampling.draw_ball(field, q, pp, seed, shard, count),
+                          compute_uv=False)[:, :1] ** (2 * n)
+            for pp in shifted)
 
-        mean, err, parts = sampling.mc_run(shard_fn, samples,
-                                           workers=workers)
-        ratio = kappa(pp, d, q) / kappa(p, d, q)
-        values.append(float(ratio * mean[0]))
-        stderrs.append(float(ratio * err[0]))
-        parts_all.append([ratio * part for part in parts])
-
+    mean, err, parts = sampling.mc_run(shard_fn, samples, workers=workers)
+    ratio = np.array([kappa(pp, d, q) / kappa(p, d, q)
+                      for pp, p in zip(shifted, p_list)])
+    values = [float(v) for v in ratio * mean]
+    stderrs = [float(e) for e in ratio * err]
     halfwidth = _jackknife_slope_halfwidth(
-        p_list, parts_all, samples, psi_exact=np.zeros(1))
+        p_list, [ratio * part for part in parts], samples, np.abs)
     normalized = tuple(float(v * p ** n) for v, p in zip(values, p_list))
     return RateReport(tuple(p_list), tuple(values), tuple(stderrs),
                       _fit_slope(p_list, values), halfwidth,

@@ -9,6 +9,7 @@ module also provides the half-sum vectors, the normalized c-function,
 the deterministic rank-one quadrature, and the polynomial special values.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,13 @@ def _c_factors(lam, k, q):
 
     Factors whose multiplicity vanishes are omitted entirely, which
     implements the convention that their Gamma ratios collapse to 1.
+    lam = None stands for rho_k(k, q); the argument of its root
+    2e_i - 2e_j is then k3 (j - i), formed directly, since the difference
+    of two large rho entries can round to 0 and fake a pole.
     """
     k1, k2, k3 = (float(x) for x in k)
-    lam = np.asarray(lam, complex).reshape(-1)
+    at_rho = lam is None
+    lam = np.asarray(rho_k(k, q) if at_rho else lam, complex).reshape(-1)
     if lam.size != q:
         raise ValueError("lam must have length q=%d, got %d" % (q, lam.size))
     out = []
@@ -88,7 +93,7 @@ def _c_factors(lam, k, q):
         if k3 != 0.0:
             for j in range(i + 1, q):
                 lj = lam[j]
-                half = 0.5 * (li - lj)
+                half = complex(k3 * (j - i)) if at_rho else 0.5 * (li - lj)
                 out.append((half, half + k3, "2e_%d-2e_%d" % (i + 1, j + 1)))
                 half = 0.5 * (li + lj)
                 out.append((half, half + k3, "2e_%d+2e_%d" % (i + 1, j + 1)))
@@ -115,7 +120,7 @@ def c_function(lam, k, q):
     if not np.all(np.isfinite(k)):
         raise ValueError("multiplicity must be finite, got %s" % (k,))
     facs = _c_factors(lam, k, q)
-    ref = _c_factors(rho_k(k, q), k, q)
+    ref = _c_factors(None, k, q)
     for num, _den, root in facs:
         if _nonpositive_integer(num):
             raise PoleError(root, num)
@@ -181,31 +186,41 @@ def _psi_columns(field, t, nu_mat, u):
                                     nu_mat)
 
 
-def _mc_pairs(field, q, p, pairs, samples, seed, workers, variant="g"):
-    """Integrand means for many (t, exponent) pairs on common draws.
+def _mc_pairs(field, q, pairs, samples, seed, workers, variant="g"):
+    """Integrand means for many (p, t, exponent) triples on common draws.
 
-    pairs is a sequence of (t vector, nu matrix of shape (q, m)); every
-    shard draws once and evaluates each pair on those draws: the phi
-    integrand on (u, w) of parameter p, or, when p is None, the psi
-    integrand on u alone.  The Haar draw is skipped for phi at q = 1,
-    where minors are conjugation invariant.  Returns mc_run's flat means,
-    standard errors and per-shard sums.  When every t is 0 the integrand
-    is identically 1, and the exact constant is returned without
-    consuming any random stream.
+    pairs is a sequence of (p, t vector, nu matrix of shape (q, m)).  For
+    p = None the triple is the psi integrand on a Haar draw u alone;
+    otherwise it is the phi integrand on (u, w), w of ball parameter p.
+    Every shard draws w once per run of triples with equal p, and u once,
+    when first needed: by psi, or by phi at q > 1 (at q = 1 the phi
+    minors are conjugation invariant); after a phi run's w, so the ball
+    draw's temporaries are freed before u is held.  Each block of values
+    is reduced before the next is computed.  Returns mc_run's flat means,
+    standard errors and per-shard sums, in the order of pairs, each entry
+    equal bit for bit to the one a call with that triple alone gives.
+    When every t is 0 the integrand is identically 1, and the
+    exact constant is returned without consuming any random stream.
     """
-    if all(np.all(t == 0.0) for t, _ in pairs):
-        m = sum(nu.shape[1] for _, nu in pairs)
+    if all(np.all(t == 0.0) for _, t, _ in pairs):
+        m = sum(nu.shape[1] for _, _, nu in pairs)
         parts = [np.full(m, n, complex) for n in sampling.shard_plan(samples)]
         return np.ones(m, complex), np.zeros(m), parts
 
+    def blocks(i, n):
+        u = None
+        for p, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
+            w = None if p is None else sampling.draw_ball(field, q, p, seed,
+                                                          i, n)
+            if u is None and (p is None or q > 1):
+                u = sampling.draw_haar(field, q, seed, i, n)
+            for _, t, nu in run:
+                yield (_psi_columns(field, t, nu, u) if p is None else
+                       _phi_columns(field, t, nu, u if q > 1 else None, w,
+                                    variant))
+
     def shard(i, n):
-        u, w = sampling.draw_shard(field, q, p, seed, i, n,
-                                   ball=p is not None,
-                                   unitary=p is None or q > 1)
-        return sampling.shard_moments(
-            _psi_columns(field, t, nu, u) if p is None
-            else _phi_columns(field, t, nu, u, w, variant)
-            for t, nu in pairs)
+        return sampling.shard_moments(blocks(i, n))
 
     return sampling.mc_run(shard, samples, workers=workers)
 
@@ -236,7 +251,7 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(p, field_dim(field), q))
-    mean, err, _ = _mc_pairs(field, q, p, [(t, nu_mat)], samples, seed,
+    mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
                              workers, variant)
     return _shape_estimate(mean, err, batch, samples, seed)
 
@@ -278,6 +293,7 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     d = field_dim(field)
     t = np.asarray(t, float).reshape(-1)
     q = t.size
+    _check_chamber(t)
     mu = np.asarray(mu)
     if mu.shape != (q,) or np.any(mu != np.floor(mu)) or np.any(mu % 2 != 0) \
             or np.any(np.diff(mu) > 0) or np.any(mu < 0):
@@ -288,7 +304,7 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     k = multiplicity_bc(p, d, q)
     norm = c_function(mu + rho_k(k, q), k, q)
     nu_mat = 0.5 * mu.astype(complex).reshape(q, 1)
-    mean, err, _ = _mc_pairs(field, q, p, [(t, nu_mat)], samples, seed,
+    mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
                              workers)
     return McEstimate(complex(mean[0]) / norm, float(err[0]) / abs(norm),
                       samples, seed)

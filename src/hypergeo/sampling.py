@@ -61,21 +61,22 @@ def shard_plan(samples):
     return sizes
 
 
-def draw_shard(field, q, p, seed, shard, count, ball=True, unitary=True):
-    """(u, w) for one shard: embedded Haar and ball draws, None if not asked.
+def draw_haar(field, q, seed, shard, count):
+    """Embedded Haar draws (count, e, e) for one shard, from its unitary
+    stream."""
+    gen = shard_stream(seed, shard, ROLE_UNITARY).generator()
+    return _haar_batch(field, q, count, gen)
+
+
+def draw_ball(field, q, p, seed, shard, count):
+    """Embedded ball draws (count, e, e) for one shard.
 
     w follows the ball law of parameter p, or the boundary law when
-    p = 2q - 1; each role reads its own stream, so evaluators that
-    share a role see the same draws.
+    p = 2q - 1.  The shard's ball stream is opened afresh on every call,
+    so each p sees the same variates whatever else the shard draws.
     """
-    u = w = None
-    if ball:
-        gen = shard_stream(seed, shard, ROLE_BALL).generator()
-        w = _mp_batch(field, q, p, count, gen)
-    if unitary:
-        gen = shard_stream(seed, shard, ROLE_UNITARY).generator()
-        u = _haar_batch(field, q, count, gen)
-    return u, w
+    gen = shard_stream(seed, shard, ROLE_BALL).generator()
+    return _mp_batch(field, q, p, count, gen)
 
 
 def shard_moments(blocks):

@@ -30,6 +30,6 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     if q == 1:  # rho is 0, so cosh(t)^(2 nu) = cosh(t)^(i lam)
         val = np.cosh(t[0]) ** (2.0 * nu_mat[0])
         return _shape_estimate(val, np.zeros(val.size), batch, 0, seed)
-    mean, err, _ = _mc_pairs(field, q, None, [(t, nu_mat)], samples, seed,
+    mean, err, _ = _mc_pairs(field, q, [(None, t, nu_mat)], samples, seed,
                              workers)
     return _shape_estimate(mean, err, batch, samples, seed)

@@ -167,9 +167,16 @@ class TestExitCodes:
         assert code == 3
 
     def test_domain_error_chamber(self, capsys):
-        code, _ = run(["eval-bc", "--q", "2", "--p", "5", "--lambda",
-                       "1,0.5", "--t", "0.2,0.5"], capsys)
-        assert code == 3
+        """eval-ho-poly checks the chamber as eval-bc does; it used to
+        print a passing record for the last two of these."""
+        for argv in (["eval-bc", "--q", "2", "--p", "5", "--lambda", "1,0.5",
+                      "--t", "0.2,0.5"],
+                     ["eval-ho-poly", "--q", "2", "--p", "5", "--mu", "4,2",
+                      "--t", "0.5,-0.2", "--samples", "2000"],
+                     ["eval-ho-poly", "--q", "2", "--p", "5", "--mu", "4,2",
+                      "--t", "0.2,0.5", "--samples", "2000"]):
+            code, _ = run(argv, capsys)
+            assert code == 3
 
     @pytest.mark.parametrize("t", ["0.2,0.7", "0.7,-0.2"])
     def test_domain_error_chamber_on_boundary(self, t, capsys):
@@ -314,8 +321,17 @@ class TestExitCodes:
         ("eval-ho-poly --q 1 --p 1e307 --mu 2 --t 0.5 --samples 100",
          "the c-function's Gamma product is out of float range at "
          "lam=[5e+306], k=(5e+306, 0.0, 0.5)"),
+        # rho_1 - rho_2 of two floats near 5e16 rounded to 0, a phantom
+        # pole at root 2e_1-2e_2.
+        ("c-function --q 2 --p 1e17 --lambda 2,1",
+         "the c-function's Gamma product overflows at --lambda 2,1 and "
+         "--p 1e+17"),
+        ("c-function --q 2 --p 1e18 --lambda 2,1",
+         "the c-function's Gamma product overflows at --lambda 2,1 and "
+         "--p 1e+18"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
-            "jack-alpha", "jack-alpha-weight-2", "ho-poly-p"])
+            "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
+            "c-function-p-1e17", "c-function-p-1e18"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

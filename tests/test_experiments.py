@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hypergeo import experiments as ex
-from hypergeo.sampling import shard_plan
+from hypergeo import experiments as ex, sampling
+from hypergeo.sampling import SHARD_SIZE, shard_plan
 
 
 class TestRateQuadrature:
@@ -72,6 +72,42 @@ class TestRateMonteCarlo:
         rep = ex.rate_p_experiment("c", 1, np.array([1.5 + 0j]), t_grid,
                                    [4, 8, 16], samples=30000, seed=2)
         assert rep.slope <= -0.45 + rep.slope_halfwidth
+
+
+class TestOneRunPerExperiment:
+    """Each sweep is one mc_run on draws shared across its grid."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"mc_run": 0, "streams": []}
+        mc_run, shard_stream = sampling.mc_run, sampling.shard_stream
+
+        def counting_mc_run(*args, **kwargs):
+            counts["mc_run"] += 1
+            return mc_run(*args, **kwargs)
+
+        def counting_shard_stream(seed, shard, role):
+            counts["streams"].append((seed, shard, role))
+            return shard_stream(seed, shard, role)
+
+        monkeypatch.setattr(sampling, "mc_run", counting_mc_run)
+        monkeypatch.setattr(sampling, "shard_stream", counting_shard_stream)
+        return counts
+
+    def test_rate_p_draws_haar_once_per_shard(self, counts):
+        ex.rate_p_experiment("r", 2, np.array([1.0 + 0j, 0.5 + 0j]),
+                             np.array([[0.8, 0.3], [0.4, 0.1]]), [5, 9, 17],
+                             samples=SHARD_SIZE + 500, seed=3)
+        unitary = [key for key in counts["streams"]
+                   if key[2] == sampling.ROLE_UNITARY]
+        assert counts["mc_run"] == 1
+        assert sorted(unitary) == [(3, 0, sampling.ROLE_UNITARY),
+                                   (3, 1, sampling.ROLE_UNITARY)]
+
+    def test_moment_decay_is_one_run(self, counts):
+        ex.moment_decay_experiment("r", 1, 1, [9, 17, 33], samples=2000,
+                                   seed=1)
+        assert counts["mc_run"] == 1
 
 
 class TestContraction:
@@ -156,18 +192,15 @@ class TestSlopeFit:
         np.testing.assert_allclose(ex._fit_slope(params, errors), -1.5)
 
     def test_jackknife_zero_for_single_shard(self):
-        parts = [[np.array([1.0 + 0j])], [np.array([0.5 + 0j])]]
-        got = ex._jackknife_slope_halfwidth([2, 4], parts, 100,
-                                            psi_exact=np.zeros(1))
+        parts = [np.array([1.0 + 0j, 0.5 + 0j])]
+        got = ex._jackknife_slope_halfwidth([2, 4], parts, 100, np.abs)
         assert got == 0.0
 
     def test_jackknife_positive_with_shards(self):
         gen = np.random.default_rng(6)
         samples = 3 * shard_plan(24000)[0]
-        parts = []
-        for scale in (1.0, 0.5):
-            parts.append([np.array([scale * 8000 * (1 + 0.01 * gen.standard_normal()) + 0j])
-                          for _ in range(3)])
-        got = ex._jackknife_slope_halfwidth([2, 4], parts, samples,
-                                            psi_exact=np.zeros(1))
+        sums = np.array([[scale * 8000 * (1 + 0.01 * gen.standard_normal())
+                          + 0j for _ in range(3)] for scale in (1.0, 0.5)])
+        got = ex._jackknife_slope_halfwidth([2, 4], list(sums.T), samples,
+                                            np.abs)
         assert got > 0.0

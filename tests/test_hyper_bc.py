@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypergeo import hyper_bc
+from hypergeo import hyper_bc, sampling
 from oracles import c_function_gamma, jacobi_2f1, jacobi_poly_normalized
 
 # frozen from the 50-digit Gamma oracle (see c_function_gamma)
@@ -177,6 +177,24 @@ class TestMonteCarloPhi:
         b = hyper_bc.eval_phi_bc("c", 5.0, lam, t, samples=30000, seed=4,
                                  workers=3)
         assert a.value == b.value and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_laws_match_one_law_runs(self, workers):
+        """psi and two ball laws in one run give what three runs give."""
+        t = np.array([0.7, 0.2])
+        nu = np.array([[0.5j, 0.3 - 0.2j], [0.25j, -0.1j]])
+        laws = [None, 5.0, 9.0]
+        samples = 2 * sampling.SHARD_SIZE + 300
+        mean, err, parts = hyper_bc._mc_pairs(
+            "r", 2, [(p, t, nu) for p in laws], samples, 8, workers)
+        for k, p in enumerate(laws):
+            one = hyper_bc._mc_pairs("r", 2, [(p, t, nu)], samples, 8,
+                                     workers)
+            cols = slice(2 * k, 2 * k + 2)
+            assert np.array_equal(mean[cols], one[0])
+            assert np.array_equal(err[cols], one[1])
+            assert all(np.array_equal(a[cols], b)
+                       for a, b in zip(parts, one[2], strict=True))
 
     def test_chamber_enforced(self):
         lam = np.array([1.0 + 0j, 0.5 + 0j])

@@ -61,7 +61,7 @@ class TestMonteCarloPsi:
         lam = np.array([1.5 + 0j])
         t = np.array([0.9])
         exact = np.cosh(0.9) ** 1.5j
-        u, _ = sampling.draw_shard("c", 1, None, 3, 0, 4096, ball=False)
+        u = sampling.draw_haar("c", 1, 3, 0, 4096)
         vals = hyper_bc._psi_columns("c", t, 0.5j * lam.reshape(1, 1), u)
         np.testing.assert_allclose(vals.mean(), exact, atol=1e-12)
 
