@@ -38,18 +38,6 @@ def field_dim(field):
     return FIELD_DIMS[normalize_field(field)]
 
 
-def identity(q, field):
-    """The q x q identity matrix in the storage format of the field."""
-    field = normalize_field(field)
-    if field == "r":
-        return np.eye(q)
-    if field == "c":
-        return np.eye(q, dtype=complex)
-    out = np.zeros((q, q, 4))
-    out[..., 0] = np.eye(q)
-    return out
-
-
 def _ct(m):
     """Conjugate transpose of a complex (or real) matrix stack."""
     return np.conj(np.swapaxes(m, -2, -1))

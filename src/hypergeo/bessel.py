@@ -4,7 +4,8 @@ The series is indexed by partitions and built from Jack polynomials in
 the C normalization, which is the one satisfying the binomial identity
 sum_{|m|=k} C_m(x) = (x_1 + ... + x_q)^k.  Coefficient tables come from
 the eigenvalue recurrence of the Laplace-Beltrami operator in the
-monomial basis and are cached per (weight, alpha, rank).
+monomial basis and are cached per (weight, alpha, rank).  Integral mode
+averages a phase column with `hyper_bc._mc_pairs`, on phi's draws.
 """
 
 import itertools
@@ -14,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import sampling
 from .algebra import field_dim, normalize_field
-from .hyper_bc import McEstimate
+from .hyper_bc import McEstimate, _mc_pairs
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,9 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     Terms are summed shell by shell in the partition weight; summation
     stops once three consecutive shells fall below rel_tol relative to
     the running total.  The tail bound extrapolates the last shell
-    geometrically from the observed shell ratios.
+    geometrically from the observed shell ratios.  A shell out of float
+    range raises OverflowError, and an argument out of it makes the first
+    shell so; numpy's warnings are off inside.
     """
     xi = np.atleast_1d(np.asarray(xi))
     eta = np.atleast_1d(np.asarray(eta))
@@ -198,33 +200,49 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     quiet = 0
     degree = max_degree
     converged = False
-    for k in range(1, max_degree + 1):
-        s = 0.0
-        for m in partitions_of_weight(k, q):
-            poch = gen_pochhammer(idx.mu, m, idx.alpha)
-            if poch == 0:
-                raise ValueError(
-                    "Pochhammer symbol (mu)_m vanishes at m=%s" % (m,))
-            s = s + (-1.0) ** k * jack_C(m, idx.alpha, xi) \
-                * jack_C(m, idx.alpha, eta) \
-                / (poch * math.factorial(k) * jack_C(m, idx.alpha, ones))
-        total = total + s
-        shells.append(s)
-        if abs(s) < rel_tol * max(1.0, abs(total)):
-            quiet += 1
-            if quiet == 3:
-                degree = k
-                converged = True
-                break
-        else:
-            quiet = 0
-    ratios = [abs(shells[j]) / abs(shells[j - 1])
-              for j in range(max(1, len(shells) - 3), len(shells))
-              if abs(shells[j - 1]) > 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_degree + 1):
+            s = 0.0
+            for m in partitions_of_weight(k, q):
+                poch = gen_pochhammer(idx.mu, m, idx.alpha)
+                if poch == 0:
+                    raise ValueError(
+                        "Pochhammer symbol (mu)_m vanishes at m=%s" % (m,))
+                s = s + (-1.0) ** k * jack_C(m, idx.alpha, xi) \
+                    * jack_C(m, idx.alpha, eta) \
+                    / (poch * math.factorial(k) * jack_C(m, idx.alpha, ones))
+            total = total + s
+            if not np.isfinite(total):
+                raise OverflowError("the Bessel series overflows at shell %d"
+                                    % k)
+            shells.append(s)
+            if abs(s) < rel_tol * max(1.0, abs(total)):
+                quiet += 1
+                if quiet == 3:
+                    degree = k
+                    converged = True
+                    break
+            else:
+                quiet = 0
+        ratios = [abs(shells[j]) / abs(shells[j - 1])
+                  for j in range(max(1, len(shells) - 3), len(shells))
+                  if abs(shells[j - 1]) > 0]
     rho = min(max(ratios), 0.99) if ratios else 0.0
     last = abs(shells[-1])
     tail = last * rho / (1.0 - rho)
     return SeriesResult(total, degree, tail, converged)
+
+
+def _phase_columns(field, t, lam, haar, w):
+    """exp(-i Re tr(w diag(t) u diag(lam))) on one shard, as one column.
+
+    Over H the 2q x 2q working form doubles the real trace."""
+    tt, ll = t, lam
+    if field == "h":
+        tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
+    tr = np.einsum("nij,nji->n", w * tt, haar() * ll)
+    phase = tr.real if field != "h" else 0.5 * tr.real
+    return np.exp(-1j * phase)[:, None]
 
 
 def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
@@ -246,8 +264,9 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
             raise ValueError("lam must have length q")
         if np.all(lam.imag == 0.0):
             lam = lam.real
-        idx = bessel_index(field, p)
-        return bessel_series(idx, 0.5 * lam ** 2, 0.5 * t ** 2,
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi, eta = 0.5 * lam ** 2, 0.5 * t ** 2
+        return bessel_series(bessel_index(field, p), xi, eta,
                              max_degree=max_degree, rel_tol=rel_tol)
     if mode != "integral":
         raise ValueError("mode must be 'series' or 'integral'")
@@ -263,16 +282,6 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
         raise ValueError("integral mode needs p >= 2q - 1")
     if np.all(t == 0.0) or np.all(lam == 0.0):
         return McEstimate(1.0 + 0.0j, 0.0, samples, seed)
-    tt, ll = t, lam
-    if field == "h":
-        tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
-
-    def shard(i, n):
-        w = sampling.draw_ball(field, q, p, seed, i, n)
-        u = sampling.draw_haar(field, q, seed, i, n)
-        tr = np.einsum("nij,nji->n", w * tt, u * ll)
-        phase = tr.real if field != "h" else 0.5 * tr.real
-        return sampling.shard_moments([np.exp(-1j * phase)[:, None]])
-
-    mean, err, _ = sampling.mc_run(shard, samples, workers=workers)
+    mean, err, _ = _mc_pairs(field, q, [(p, t, lam)], samples, seed, workers,
+                             _phase_columns)
     return McEstimate(complex(mean[0]), float(err[0]), samples, seed)

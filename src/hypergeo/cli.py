@@ -6,11 +6,12 @@ Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
 Exit codes: 0 success, 2 configuration problems (including a count
-such as --q, --samples or --n-t below 1, a --p or --eps that is not
-finite, or a --rho, --rank, --resolution or --alpha that weyl-scan, eps0
-or jack-table rejects), 3 domain errors (a named precondition failed,
-an input overflows, or an estimate is not finite), 4 a declared
-acceptance predicate failed.
+such as --q, --samples, --n-t or --max-degree below 1, a --p, --eps or
+--rel-tol or an entry of --lambda, --t, --t-grid, --p-list or --rho that
+is not finite, or a --rho, --rank, --resolution or --alpha that
+weyl-scan, eps0 or jack-table rejects), 3 domain errors (a named
+precondition failed, an input overflows, or an estimate is not
+finite), 4 a declared acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -67,30 +68,28 @@ def _fmt_complex(z):
     return "%.17g%+.17gi" % (z.real, z.imag)
 
 
-def _parse_complex(s):
-    try:
-        return complex(str(s).strip().replace("i", "j"))
-    except ValueError:
-        raise _ConfigError("cannot parse complex number %r" % (s,))
+def _complex(text):
+    """A complex number written a+bi."""
+    return complex(text.strip().replace("i", "j"))
 
 
-def _parse_reals(s):
-    """A comma list of reals, or a start:stop:count grid."""
+def _parse_list(s, flag, entry=float):
+    """The finite entries of flag, a comma list; reals may also be given
+    as a start:stop:count grid.  A NaN entry would pass every range
+    check, since it compares false."""
     s = str(s).strip()
     try:
-        if ":" in s:
+        if entry is float and ":" in s:
             start, stop, count = s.split(":")
-            return np.linspace(float(start), float(stop), int(count))
-        return np.array([float(x) for x in s.split(",")])
+            values = np.linspace(float(start), float(stop), int(count))
+        else:
+            values = np.array([entry(x) for x in s.split(",")])
     except (ValueError, TypeError):
-        raise _ConfigError("cannot parse value list %r" % (s,))
-
-
-def _parse_ints(s, label):
-    try:
-        return [int(x) for x in str(s).split(",")]
-    except ValueError:
-        raise _ConfigError("cannot parse %s %r" % (label, s))
+        raise _ConfigError("cannot parse %s %r" % (flag, s))
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise _ConfigError("%s must be finite, not %r" % (flag, bad[0].item()))
+    return values
 
 
 def _chunk(values, q, label):
@@ -100,11 +99,6 @@ def _chunk(values, q, label):
             "%s has %d entries, not a multiple of q=%d"
             % (label, values.size, q))
     return values.reshape(-1, q)
-
-
-def _parse_complex_list(s, q, label):
-    vals = [_parse_complex(x) for x in str(s).split(",")]
-    return _chunk(np.array(vals), q, label)
 
 
 def _field_of(args):
@@ -169,10 +163,6 @@ def _mc(est):
     return est.value, est.stderr, est.samples, True
 
 
-def _series(res):
-    return res.value, res.tail_bound, res.truncation_degree, res.converged
-
-
 def _c_value(a, field, lam):
     """c_function at one lambda row; an overflow is a domain error."""
     try:
@@ -181,6 +171,18 @@ def _c_value(a, field, lam):
     except OverflowError:
         raise ValueError("the c-function's Gamma product overflows at "
                          "--lambda %s and --p %s" % (a.lam, a.p))
+
+
+def _series(a, field, lam, t):
+    """The Bessel series record at one (lambda, t) pair; an overflow is a
+    domain error."""
+    try:
+        res = bessel_phi_tilde(field, a.p, lam, t, mode="series",
+                               max_degree=a.max_degree, rel_tol=a.rel_tol)
+    except OverflowError:
+        raise ValueError("the Bessel series overflows at --lambda %s and "
+                         "--t %s" % (a.lam, a.t))
+    return res.value, res.tail_bound, res.truncation_degree, res.converged
 
 
 # Each evaluator maps (args, field, lambda row, t row, seed) to the
@@ -195,8 +197,7 @@ _EVALUATORS = {
     "eval-a": lambda a, field, lam, t, seed: _mc(eval_psi(
         field, lam, t, samples=a.samples, seed=seed, workers=a.workers)),
     "eval-bessel-series": lambda a, field, lam, t, seed: _series(
-        bessel_phi_tilde(field, a.p, lam, t, mode="series",
-                         max_degree=a.max_degree, rel_tol=a.rel_tol)),
+        a, field, lam, t),
     "eval-bessel-integral": lambda a, field, lam, t, seed: _mc(
         bessel_phi_tilde(field, a.p, lam, t, mode="integral",
                          samples=a.samples, seed=seed, workers=a.workers)),
@@ -217,10 +218,11 @@ def _cmd_eval(args):
     q = args.q
     seed = _seed_of(args)
     if hasattr(args, "mu"):
-        lam_rows = [_vector(_parse_ints(args.mu, "mu"), q, "mu")]
+        lam_rows = [_vector(_parse_list(args.mu, "--mu", int), q, "mu")]
     else:
-        lam_rows = _parse_complex_list(args.lam, q, "lambda")
-    t_rows = _chunk(_parse_reals(args.t), q, "t") if hasattr(args, "t") \
+        lam_rows = _chunk(_parse_list(args.lam, "--lambda", _complex), q,
+                          "lambda")
+    t_rows = _chunk(_parse_list(args.t, "--t"), q, "t") if hasattr(args, "t") \
         else [None]
     evaluate = _EVALUATORS[args.command]
     records = []
@@ -309,10 +311,10 @@ def _emit_rate(args, cols, report, checks):
 def _cmd_rate_p(args):
     field = _field_of(args)
     seed = _seed_of(args)
-    lam = _parse_complex_list(args.lam, args.q, "lambda")[0]
-    t_grid = _chunk(_parse_reals(args.t_grid), args.q, "t-grid")
-    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
-                         "--p-list")
+    lam = _vector(_parse_list(args.lam, "--lambda", _complex), args.q,
+                  "lambda")
+    t_grid = _chunk(_parse_list(args.t_grid, "--t-grid"), args.q, "t-grid")
+    p_list = _increasing(_parse_list(args.p_list, "--p-list"), "--p-list")
     report = rate_p_experiment(field, args.q, lam, t_grid, p_list,
                                samples=args.samples, seed=seed,
                                workers=args.workers)
@@ -325,9 +327,10 @@ def _cmd_rate_p(args):
 def _cmd_contraction(args):
     field = _field_of(args)
     seed = _seed_of(args)
-    lam = _vector(_parse_reals(args.lam), args.q, "lambda")
-    t = _vector(_parse_reals(args.t), args.q, "t")
-    n_list = _increasing(_parse_ints(args.n_list, "--n-list"), "--n-list")
+    lam = _vector(_parse_list(args.lam, "--lambda"), args.q, "lambda")
+    t = _vector(_parse_list(args.t, "--t"), args.q, "t")
+    n_list = _increasing(_parse_list(args.n_list, "--n-list", int),
+                         "--n-list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,
                                     workers=args.workers)
@@ -340,8 +343,7 @@ def _cmd_contraction(args):
 def _cmd_moment_decay(args):
     field = _field_of(args)
     seed = _seed_of(args)
-    p_list = _increasing([float(x) for x in _parse_reals(args.p_list)],
-                         "--p-list")
+    p_list = _increasing(_parse_list(args.p_list, "--p-list"), "--p-list")
     report = moment_decay_experiment(field, args.q, args.n, p_list,
                                      samples=args.samples, seed=seed,
                                      workers=args.workers)
@@ -383,7 +385,7 @@ def _cmd_weyl_scan(args):
         spec = weyl.RootSystemSpec(args.family, args.rank)
         weyl.check_vertex_rank(spec)  # before 2^rank wall pinches are built
         if args.rho is not None:
-            rhos = [np.asarray(_parse_reals(args.rho), float)]
+            rhos = [_parse_list(args.rho, "--rho")]
         else:
             gen = np.random.default_rng(408122)
             rhos = weyl._unit_rho_samples(spec, args.rho_samples, gen)
@@ -470,8 +472,8 @@ _FLAGS = {
     "--output": dict(default=None,
                      help="file path, stdout when omitted; an experiment's "
                           "JSON summary goes to <path>.summary.json"),
-    "--max-degree": dict(type=int, default=30),
-    "--rel-tol": dict(type=float, default=1e-12),
+    "--max-degree": dict(type=int, default=30, metavar="COUNT"),
+    "--rel-tol": dict(type=float, default=1e-12, metavar="REAL"),
     "--t-grid": dict(required=True),
     "--p-list": dict(required=True),
     "--n-list": dict(required=True),

@@ -1,12 +1,12 @@
 """Quantitative sweeps behind the limit theorems.
 
-Each Monte-Carlo experiment is one mc_run over its whole parameter grid
-(common random numbers): every shard draws its Haar unitary once, and
-one ball sample per law, and evaluates every grid point on those draws,
-so the reported errors are paired and rerunning with the same seed
-reproduces every number bit for bit.  The jackknife band of a fitted
-rate reads the run's per-shard sums and recomputes the experiment's own
-errors with one shard left out at a time.
+Each Monte-Carlo experiment is one `_mc_pairs` call over its whole grid
+(common random numbers): every shard draws its Haar unitary at most
+once, and one ball sample per law, and evaluates every grid point on
+those draws, so the reported errors are paired and rerunning with the
+same seed reproduces every number bit for bit.  The jackknife band of a
+fitted rate reads the run's per-shard sums and recomputes the
+experiment's own errors with one shard left out at a time.
 """
 
 from dataclasses import dataclass
@@ -175,7 +175,7 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
 
 
 def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
-                           seed=0, workers=1, max_degree=30):
+                           seed=0, workers=1):
     """Decay of |phi_{n lam - i rho}(t/n) - phi-tilde_lam(t)| in n."""
     field = normalize_field(field)
     d = field_dim(field)
@@ -188,8 +188,7 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
-    ref = bessel_phi_tilde(field, p, lam, t, mode="series",
-                           max_degree=max_degree).value
+    ref = bessel_phi_tilde(field, p, lam, t, mode="series").value
     if q == 1 and d == 1:
         phis = np.array([
             eval_phi_bc_quadrature_q1(
@@ -282,6 +281,11 @@ def moment_decay_rate_q1(p, n):
                         - betaln(0.5, 0.5 * (p - 1.0))))
 
 
+def _top_moment(field, t, power, haar, w):
+    """sigma_1(w)^power on one shard's ball draws, as one column."""
+    return np.linalg.svd(w, compute_uv=False)[:, :1] ** power
+
+
 def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
                             seed=0, workers=1):
     """Decay of R(p), the 2n-th top-singular-value moment ratio.
@@ -304,14 +308,9 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
         raise ValueError("p too small for the importance shift")
 
     shifted = [p - shift for p in p_list]
-
-    def shard_fn(shard, count):
-        return sampling.shard_moments(
-            np.linalg.svd(sampling.draw_ball(field, q, pp, seed, shard, count),
-                          compute_uv=False)[:, :1] ** (2 * n)
-            for pp in shifted)
-
-    mean, err, parts = sampling.mc_run(shard_fn, samples, workers=workers)
+    mean, err, parts = _mc_pairs(field, q, [(pp, None, 2 * n)
+                                            for pp in shifted],
+                                 samples, seed, workers, _top_moment)
     ratio = np.array([kappa(pp, d, q) / kappa(p, d, q)
                       for pp, p in zip(shifted, p_list)])
     values = [float(v) for v in ratio * mean]

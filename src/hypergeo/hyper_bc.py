@@ -3,12 +3,14 @@
 phi is the mean of a power function of g_t(u, w) over a Haar unitary u
 and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  One
 path serves every p >= 2q - 1: only the law of w changes, to the
-boundary law at p = 2q - 1.  `_mc_pairs` is the one shard function for
-the phi integrand and for the psi integrand of `spherical_a`.  The
-module also provides the half-sum vectors, the normalized c-function,
-the deterministic rank-one quadrature, and the polynomial special values.
+boundary law at p = 2q - 1.  `_mc_pairs` alone draws and reduces for
+every Monte-Carlo estimate; psi, the Bessel phase and the moment decay
+supply integrand columns to it as phi does.  The module also provides
+the half-sum vectors, the normalized c-function, the deterministic
+rank-one quadrature, and the polynomial special values.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -159,24 +161,27 @@ def _nu_matrix(lam, q, rho):
     return nu.reshape(-1, q).T, lam.shape[:-1]
 
 
-def _phi_columns(field, t, nu_mat, u, w, variant="g"):
+def _phi_columns(field, t, nu_mat, haar, w, variant="g"):
     """phi integrand values on one shard's draws, one column per exponent.
 
-    At t = 0 the integrand is identically 1.
+    At t = 0 the integrand is identically 1.  At q = 1 the minors are
+    conjugation invariant, and u is not drawn.
     """
     if np.all(t == 0.0):
         return np.ones((w.shape[0], nu_mat.shape[1]), complex)
-    g = algebra._build_g_embedded(t, u, w, field, variant)
+    g = algebra._build_g_embedded(t, haar() if t.size > 1 else None, w,
+                                  field, variant)
     return algebra._power_from_logs(algebra._log_minors_embedded(g, field),
                                     nu_mat)
 
 
-def _psi_columns(field, t, nu_mat, u):
+def _psi_columns(field, t, nu_mat, haar):
     """psi integrand values on one shard's Haar draws, one column per
     exponent: the power function of u* cosh^2(t) u.
 
     At t = 0 the integrand is identically 1.
     """
+    u = haar()
     if np.all(t == 0.0):
         return np.ones((u.shape[0], nu_mat.shape[1]), complex)
     tt = np.repeat(t, 2) if field == "h" else t
@@ -186,38 +191,26 @@ def _psi_columns(field, t, nu_mat, u):
                                     nu_mat)
 
 
-def _mc_pairs(field, q, pairs, samples, seed, workers, variant="g"):
-    """Integrand means for many (p, t, exponent) triples on common draws.
+def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
+    """Integrand means for many (p, t, parameter) triples on common draws.
 
-    pairs is a sequence of (p, t vector, nu matrix of shape (q, m)).  For
-    p = None the triple is the psi integrand on a Haar draw u alone;
-    otherwise it is the phi integrand on (u, w), w of ball parameter p.
-    Every shard draws w once per run of triples with equal p, and u once,
-    when first needed: by psi, or by phi at q > 1 (at q = 1 the phi
-    minors are conjugation invariant); after a phi run's w, so the ball
-    draw's temporaries are freed before u is held.  Each block of values
-    is reduced before the next is computed.  Returns mc_run's flat means,
-    standard errors and per-shard sums, in the order of pairs, each entry
-    equal bit for bit to the one a call with that triple alone gives.
-    When every t is 0 the integrand is identically 1, and the
-    exact constant is returned without consuming any random stream.
+    A triple with p = None is the psi integrand; any other runs
+    columns(field, t, parameter, haar, w) on a ball draw w of parameter
+    p, once per run of equal p.  haar() draws the shard's Haar unitary
+    on its first call, after that run's w.  Each block of values is
+    reduced before the next is computed.  Returns mc_run's flat means,
+    standard errors and per-shard sums, in the order of pairs, each equal
+    bit for bit to what a call with that triple alone gives.
     """
-    if all(np.all(t == 0.0) for _, t, _ in pairs):
-        m = sum(nu.shape[1] for _, _, nu in pairs)
-        parts = [np.full(m, n, complex) for n in sampling.shard_plan(samples)]
-        return np.ones(m, complex), np.zeros(m), parts
-
     def blocks(i, n):
-        u = None
+        haar = functools.cache(
+            lambda: sampling.draw_haar(field, q, seed, i, n))
         for p, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
             w = None if p is None else sampling.draw_ball(field, q, p, seed,
                                                           i, n)
-            if u is None and (p is None or q > 1):
-                u = sampling.draw_haar(field, q, seed, i, n)
-            for _, t, nu in run:
-                yield (_psi_columns(field, t, nu, u) if p is None else
-                       _phi_columns(field, t, nu, u if q > 1 else None, w,
-                                    variant))
+            for _, t, param in run:
+                yield (_psi_columns(field, t, param, haar) if p is None else
+                       columns(field, t, param, haar, w))
 
     def shard(i, n):
         return sampling.shard_moments(blocks(i, n))
@@ -252,7 +245,8 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1
         raise ValueError("variant must be 'g' or 'g-tilde'")
     nu_mat, batch = _nu_matrix(lam, q, rho_bc(p, field_dim(field), q))
     mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
-                             workers, variant)
+                             workers, functools.partial(_phi_columns,
+                                                        variant=variant))
     return _shape_estimate(mean, err, batch, samples, seed)
 
 

@@ -5,11 +5,12 @@ the columns of Gaussian matrices by Gram-Schmidt with the batch axis
 last, so each step is one vector operation over the shard rather than
 one small factorisation per draw.
 
-Also home of the deterministic shard layout shared by every Monte-Carlo
-evaluator in the package: a fixed shard size, one random stream per
+Also home of the deterministic shard layout behind every Monte-Carlo
+estimate in the package: a fixed shard size, one random stream per
 (shard, role) pair, and reduction in shard order, so results are
 byte-identical for any worker count and common random numbers work
-across evaluators that share a role.
+across evaluators that share a role.  `draw_haar`, `draw_ball` and
+`mc_run` have one caller, `hyper_bc._mc_pairs`.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -200,8 +201,7 @@ def haar_unitary(field, q, rng):
     field = normalize_field(field)
     if q < 1:
         raise ValueError("q must be at least 1, got %d" % q)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u = _haar_batch(field, q, 1, gen)[0]
+    u = _haar_batch(field, q, 1, rng)[0]
     return _chi_inv(u) if field == "h" else u
 
 
@@ -319,8 +319,7 @@ def sample_mp(field, q, p, rng):
     field = normalize_field(field)
     if not p >= 2 * q - 1:
         raise ValueError("sample_mp needs p >= 2q - 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    w = _mp_batch(field, q, p, 1, gen)[0]
+    w = _mp_batch(field, q, p, 1, rng)[0]
     return _chi_inv(w) if field == "h" else w
 
 

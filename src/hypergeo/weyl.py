@@ -7,8 +7,7 @@ hull inside the closed positive chamber; its vertices come from solving
 all rank-sized subsets of the bounding hyperplanes.
 
 Family "b" acts on R^q by signed permutations; family "a" acts on
-R^(q+1) by permutations, with the effective flag marking data lowered
-to the sum-zero subspace.
+R^(q+1) by permutations, on data lowered to the sum-zero subspace.
 
 Invalid arguments raise ValueError with a message that starts with the
 argument's name, so the command line can name the flag it came from.
@@ -19,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TOL = 1e-9  # rounding slack of every membership test
+
 
 @dataclass(frozen=True)
 class RootSystemSpec:
-    """Family ("a" or "b"), rank, and, for family a, effectiveness."""
+    """Family ("a" or "b") and rank."""
 
     family: str
     rank: int
-    effective: bool = True
 
     def __post_init__(self):
         fam = str(self.family).strip().lower()
@@ -53,14 +53,13 @@ class OrbitPolytope:
         rho = np.asarray(self.rho, float)
         object.__setattr__(self, "rho", rho)
         _check_vector("rho", rho, self.spec.dim)
-        if not np.all(np.diff(rho) <= 1e-9):
+        if not np.all(np.diff(rho) <= TOL):
             raise ValueError("rho must be weakly decreasing, got %s"
                              % ",".join("%g" % x for x in rho))
-        if self.spec.family == "b" and not rho[-1] >= -1e-9:
+        if self.spec.family == "b" and not rho[-1] >= -TOL:
             raise ValueError("rho must be nonnegative for family b")
-        if (self.spec.family == "a" and self.spec.effective
-                and not abs(rho.sum()) <= 1e-9):
-            raise ValueError("rho must sum to zero for effective family a")
+        if self.spec.family == "a" and not abs(rho.sum()) <= TOL:
+            raise ValueError("rho must sum to zero for family a")
 
 
 def _check_vector(name, x, n):
@@ -94,13 +93,13 @@ def chamber_project(spec, x):
     return proj, (tuple(int(i) for i in perm), tuple(signs[perm]))
 
 
-def _in_chamber(spec, x, tol=1e-9):
-    if np.any(np.diff(x) > tol):
+def _in_chamber(spec, x):
+    if np.any(np.diff(x) > TOL):
         return False
-    return spec.family == "a" or x[-1] >= -tol
+    return spec.family == "a" or x[-1] >= -TOL
 
 
-def hull_membership(poly, x, tol=1e-9):
+def hull_membership(poly, x):
     """Whether x lies in co(W.rho), via the dual-cone inequalities.
 
     After projecting x to the chamber, membership is equivalent to all
@@ -110,14 +109,14 @@ def hull_membership(poly, x, tol=1e-9):
     proj, _ = chamber_project(poly.spec, np.asarray(x, float))
     cums = np.cumsum(poly.rho - proj)
     if poly.spec.family == "b":
-        return bool(np.all(cums >= -tol))
-    return bool(np.all(cums[:-1] >= -tol) and abs(cums[-1]) <= tol)
+        return bool(np.all(cums >= -TOL))
+    return bool(np.all(cums[:-1] >= -TOL) and abs(cums[-1]) <= TOL)
 
 
-def polytope_contains(poly, y, tol=1e-9):
+def polytope_contains(poly, y):
     """Whether y lies in K = co(W.rho) intersected with the closed chamber."""
     y = np.asarray(y, float)
-    return _in_chamber(poly.spec, y, tol) and hull_membership(poly, y, tol)
+    return _in_chamber(poly.spec, y) and hull_membership(poly, y)
 
 
 def orbit(spec, rho):
@@ -144,7 +143,7 @@ def check_vertex_rank(spec):
                          "got %d" % spec.rank)
 
 
-def polytope_vertices_K(poly, tol=1e-9):
+def polytope_vertices_K(poly):
     """Vertices of K, by solving all rank-sized systems of active walls.
 
     The candidate walls are the chamber walls and the shifted walls
@@ -186,7 +185,7 @@ def polytope_vertices_K(poly, tol=1e-9):
             continue
         if not np.all(np.abs(a @ v - b) <= 1e-8 * max(1.0, abs(target[-1]))):
             continue
-        if not polytope_contains(poly, v, tol):
+        if not polytope_contains(poly, v):
             continue
         key = tuple(np.round(v, 9) + 0.0)
         if key not in seen:
@@ -195,20 +194,20 @@ def polytope_vertices_K(poly, tol=1e-9):
     return out
 
 
-def prop65_check(poly, epsilon, y, tol=1e-9):
+def prop65_check(poly, epsilon, y):
     """Whether the stretched point (1+eps)y - eps rho stays in the hull.
 
     y must belong to K; by convexity it is enough to verify this on the
     vertices of K, which is what the scans and eps0_estimate do.
     """
     y = np.asarray(y, float)
-    if not polytope_contains(poly, y, tol):
+    if not polytope_contains(poly, y):
         raise ValueError("y must lie in K, the chamber part of co(W.rho)")
     z = (1.0 + epsilon) * y - epsilon * poly.rho
-    return hull_membership(poly, z, tol)
+    return hull_membership(poly, z)
 
 
-def lemma44_check(poly, epsilon, y, tol=1e-9):
+def lemma44_check(poly, epsilon, y):
     """Whether (1+eps)y + eps rho stays in the hull.
 
     y must lie in co(W.rho) with -y in the closed chamber.  For family
@@ -216,18 +215,18 @@ def lemma44_check(poly, epsilon, y, tol=1e-9):
     prop65_check at -y; family a is tested directly.
     """
     y = np.asarray(y, float)
-    if not (_in_chamber(poly.spec, -y, tol) and hull_membership(poly, y, tol)):
+    if not (_in_chamber(poly.spec, -y) and hull_membership(poly, y)):
         raise ValueError(
             "y must lie in co(W.rho) with -y in the closed chamber")
     if poly.spec.family == "b":
-        return prop65_check(poly, epsilon, -y, tol)
+        return prop65_check(poly, epsilon, -y)
     z = (1.0 + epsilon) * y + epsilon * poly.rho
-    return hull_membership(poly, z, tol)
+    return hull_membership(poly, z)
 
 
-def product_membership(poly1, poly2, a1, a2, tol=1e-9):
+def product_membership(poly1, poly2, a1, a2):
     """Hull membership in a product of two orbit polytopes, factorwise."""
-    return hull_membership(poly1, a1, tol) and hull_membership(poly2, a2, tol)
+    return hull_membership(poly1, a1) and hull_membership(poly2, a2)
 
 
 def _unit_rho_samples(spec, count, gen):

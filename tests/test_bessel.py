@@ -151,6 +151,18 @@ class TestSeries:
             bessel.bessel_series(idx, np.array([0.5, 0.2]),
                                  np.array([0.4, 0.1]), max_degree=6)
 
+    @pytest.mark.parametrize("xi,eta", [
+        ([np.inf, 0.125], [0.245, 0.02]),
+        ([0.5, 0.125], [np.inf, 0.02]),
+        ([5e199], [0.245]),
+    ], ids=["xi", "eta", "shell"])
+    def test_out_of_range_is_overflow_error(self, xi, eta):
+        """An argument or a shell beyond float range is a named
+        OverflowError, not a RuntimeWarning and a non-finite value."""
+        idx = bessel.bessel_index("r", 5.0)
+        with pytest.raises(OverflowError):
+            bessel.bessel_series(idx, np.array(xi), np.array(eta))
+
     def test_shape_mismatch_raises(self):
         idx = bessel.bessel_index("r", 5.0)
         with pytest.raises(ValueError):
@@ -175,6 +187,23 @@ class TestPhiTilde:
         mc = bessel.bessel_phi_tilde("r", 3.0, lam, t, mode="integral",
                                      samples=200000, seed=3)
         assert abs(srs.value - mc.value) < 4.0 * mc.stderr
+
+    def test_series_equals_integral_quaternion(self):
+        """The H phase halves the real trace of the 2q x 2q working
+        form; the full trace would put the integral near 0.941."""
+        lam = np.array([1.0, 0.5])
+        t = np.array([0.9, 0.4])
+        srs = bessel.bessel_phi_tilde("h", 5.0, lam, t, mode="series")
+        mc = bessel.bessel_phi_tilde("h", 5.0, lam, t, mode="integral",
+                                     samples=40000, seed=3)
+        assert abs(srs.value - mc.value) < 4.0 * mc.stderr
+
+    def test_series_overflow_is_overflow_error(self):
+        """lam^2 / 2 beyond float range raises OverflowError before any
+        shell is summed."""
+        with pytest.raises(OverflowError):
+            bessel.bessel_phi_tilde("r", 5.0, np.array([1e200, 0.5]),
+                                    np.array([0.7, 0.2]), mode="series")
 
     def test_below_boundary_rejected(self):
         with pytest.raises(ValueError):

@@ -271,6 +271,39 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "config error: %s\n" % message
 
+    @pytest.mark.parametrize("argv,message", [
+        # NaN passed every range check: a non-finite estimate, or a value
+        # the writer refused.
+        ("eval-bc --q 2 --p 5 --lambda 1,0.5 --t nan,0.2 --samples 2000",
+         "--t must be finite, not nan"),
+        ("eval-bc --q 2 --p 5 --lambda nan,0.5 --t 0.7,0.2 --samples 2000",
+         "--lambda must be finite, not (nan+0j)"),
+        ("rate-p --q 2 --lambda 1,0.5 --t-grid nan,0.2 --p-list 5,9 "
+         "--samples 2000", "--t-grid must be finite, not nan"),
+        ("contraction --q 2 --p 5 --lambda nan,0.5 --t 1,0.5 --n-list 2,4 "
+         "--samples 2000", "--lambda must be finite, not nan"),
+        ("moment-decay --q 1 --n 1 --p-list 9,inf --samples 2000",
+         "--p-list must be finite, not inf"),
+        # Only the first lambda row was used, with exit 0.
+        ("rate-p --q 2 --lambda 1,0.5,2,3 --t-grid 0.5,0.2 --p-list 5,9 "
+         "--samples 2000", "lambda has 4 entries, expected q=2"),
+        # "pass": true after 3 shells whatever the accuracy.
+        ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
+         "--rel-tol inf", "--rel-tol must be finite, not inf"),
+        # "samples": -1 in the record.
+        ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
+         "--max-degree -1", "--max-degree must be at least 1"),
+    ], ids=["t-nan", "lambda-nan", "t-grid-nan", "contraction-lambda-nan",
+            "p-list-inf", "rate-p-lambda-length", "rel-tol-inf",
+            "max-degree-neg"])
+    def test_input_list_config_error(self, argv, message, capsys):
+        """A bad entry of a list flag, or a bad series flag, is a config
+        error naming the flag."""
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "config error: %s\n" % message)
+
     def test_vertex_rank_checked_before_sampling(self, capsys, monkeypatch):
         """A rank too large to enumerate never builds its 2^rank pinches
         (rank 18 took seconds and 155 MB before the config error)."""
@@ -329,9 +362,20 @@ class TestExitCodes:
         ("c-function --q 2 --p 1e18 --lambda 2,1",
          "the c-function's Gamma product overflows at --lambda 2,1 and "
          "--p 1e+18"),
+        # RuntimeWarnings, then "Out of range float values are not JSON
+        # compliant": lambda^2 / 2 or t^2 / 2 overflowed.
+        ("eval-bessel-series --q 2 --p 5 --lambda 1e200,0.5 --t 0.7,0.2",
+         "the Bessel series overflows at --lambda 1e200,0.5 and --t "
+         "0.7,0.2"),
+        ("eval-bessel-series --q 2 --p 5 --lambda 1e200,0.5 --t 1e200,0.2",
+         "the Bessel series overflows at --lambda 1e200,0.5 and --t "
+         "1e200,0.2"),
+        ("eval-bessel-series --q 1 --p 5 --lambda 1e200 --t 0.7",
+         "the Bessel series overflows at --lambda 1e200 and --t 0.7"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
-            "c-function-p-1e17", "c-function-p-1e18"])
+            "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
+            "series-t", "series-rank-one"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

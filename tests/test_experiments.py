@@ -105,9 +105,11 @@ class TestOneRunPerExperiment:
                                    (3, 1, sampling.ROLE_UNITARY)]
 
     def test_moment_decay_is_one_run(self, counts):
-        ex.moment_decay_experiment("r", 1, 1, [9, 17, 33], samples=2000,
+        """The sigma_1 moment never asks for a Haar draw."""
+        ex.moment_decay_experiment("r", 2, 1, [9, 17, 33], samples=2000,
                                    seed=1)
         assert counts["mc_run"] == 1
+        assert all(key[2] == sampling.ROLE_BALL for key in counts["streams"])
 
 
 class TestContraction:

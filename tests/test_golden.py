@@ -128,6 +128,56 @@ EVAL = {
          ' "value_im": -0.00471565794515272,'
          ' "value_re": 0.9259174474515943}\n'),
     ),
+    # The H branch of the phase, one integral over the Haar draw alone.
+    "eval-bessel-integral-h2": (
+        ("eval-bessel-integral --field h --q 2 --p 5 --lambda 1,0.5 "
+         "--t 0.8,0.3 --samples 20000 --seed 5"),
+        ('{"command": "eval-bessel-integral", "inputs": {"field": "h",'
+         ' "lambda": "1+0i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8, 0.3]},'
+         ' "pass": true, "samples": 20000, "seed": 5,'
+         ' "stderr": 0.0010585752893526108,'
+         ' "value_im": -3.915722393995864e-05,'
+         ' "value_re": 0.9887306840602009}\n'),
+    ),
+    "eval-bessel-integral-c1": (
+        ("eval-bessel-integral --field c --q 1 --p 3 --lambda 1.5 "
+         "--t 0.8,0 --samples 20000 --seed 5"),
+        ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
+         ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.8]},'
+         ' "pass": true, "samples": 20000, "seed": 5,'
+         ' "stderr": 0.003296436215153033,'
+         ' "value_im": -0.006974534118137346,'
+         ' "value_re": 0.8846589859727793}\n'
+         '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
+         ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.0]},'
+         ' "pass": true, "samples": 20000, "seed": 5, "stderr": 0.0,'
+         ' "value_im": 0.0, "value_re": 1.0}\n'),
+    ),
+    # q = 1 draws no Haar unitary for phi; t = 0 rows are exact ones.
+    "eval-bc-c1": (
+        ("eval-bc --field c --q 1 --p 3 --lambda 2,1+1i --t 0.5,0 "
+         "--samples 20000 --seed 2"),
+        ('{"command": "eval-bc", "inputs": {"field": "c",'
+         ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.5]},'
+         ' "pass": true, "samples": 20000, "seed": 2,'
+         ' "stderr": 0.004538270146980976,'
+         ' "value_im": 1.545228917546906e-05,'
+         ' "value_re": 0.7667516157574774}\n'
+         '{"command": "eval-bc", "inputs": {"field": "c",'
+         ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.0]},'
+         ' "pass": true, "samples": 20000, "seed": 2, "stderr": 0.0,'
+         ' "value_im": 0.0, "value_re": 1.0}\n'
+         '{"command": "eval-bc", "inputs": {"field": "c",'
+         ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.5]},'
+         ' "pass": true, "samples": 20000, "seed": 2,'
+         ' "stderr": 0.0057505875862765635,'
+         ' "value_im": -0.03444956776729592,'
+         ' "value_re": 0.8330514470390498}\n'
+         '{"command": "eval-bc", "inputs": {"field": "c",'
+         ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.0]},'
+         ' "pass": true, "samples": 20000, "seed": 2, "stderr": 0.0,'
+         ' "value_im": 0.0, "value_re": 1.0}\n'),
+    ),
     "eval-ho-poly": (
         ("eval-ho-poly --field r --q 2 --p 5 --mu 4,2 --t 0.5,0.2 "
          "--samples 20000 --seed 6"),

@@ -295,6 +295,23 @@ class TestEstimateShape:
         assert est.seed == 9
         assert est.stderr >= 0.0
 
+    def test_lambda_batch_matches_single_calls(self):
+        """A (2, 2, q) batch of lam shares one set of draws: values and
+        stderrs keep the batch shape, and each entry is what a call with
+        that lam alone gives, up to the rounding of the batched product."""
+        lams = np.array([[[1.0, 0.5], [2.0, -1j]],
+                         [[0.5j, 0.2], [1.0 + 1j, 0.0]]])
+        t = np.array([0.8, 0.3])
+        est = hyper_bc.eval_phi_bc("c", 5.0, lams, t, samples=10000, seed=6)
+        assert est.value.shape == est.stderr.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            one = hyper_bc.eval_phi_bc("c", 5.0, lams[idx], t,
+                                       samples=10000, seed=6)
+            np.testing.assert_allclose(est.value[idx], one.value,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(est.stderr[idx], one.stderr,
+                                       rtol=1e-9)
+
     def test_lambda_length_checked(self):
         with pytest.raises(ValueError):
             hyper_bc.eval_phi_bc("r", 5.0, np.array([1.0 + 0j]),

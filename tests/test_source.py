@@ -5,8 +5,13 @@ import pathlib
 
 import hypergeo
 
+SRC = pathlib.Path(hypergeo.__file__).parent
+
 # The one assert that checks the code's own consistency, not its input.
 ALLOWED = {("algebra.py", "singular_values")}
+
+# The calls that draw or reduce for a Monte-Carlo estimate.
+SHARD_CALLS = ("draw_ball", "draw_haar", "mc_run")
 
 
 def _asserts(path):
@@ -25,8 +30,42 @@ def _asserts(path):
     return found
 
 
+def _shard_calls(path):
+    """(file name, top-level definition, callee) for every call of a
+    SHARD_CALLS name in one file."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if callee in SHARD_CALLS:
+                    found.append((path.name, owner, callee))
+    return found
+
+
 def test_no_asserts_guard_input():
     """Input checks raise, so they survive python -O."""
-    src = pathlib.Path(hypergeo.__file__).parent
-    found = [a for path in sorted(src.glob("*.py")) for a in _asserts(path)]
+    found = [a for path in sorted(SRC.glob("*.py")) for a in _asserts(path)]
     assert [a for a in found if a not in ALLOWED] == []
+
+
+def test_one_kernel_draws_and_reduces():
+    """hyper_bc._mc_pairs is the one caller of each drawing and reducing
+    function; evaluators and experiments supply integrand columns."""
+    found = sorted(c for path in sorted(SRC.glob("*.py"))
+                   for c in _shard_calls(path))
+    assert found == [("hyper_bc.py", "_mc_pairs", name)
+                     for name in SHARD_CALLS]
+
+
+def test_bessel_does_not_import_sampling():
+    tree = ast.parse((SRC / "bessel.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "sampling" not in imported | modules
