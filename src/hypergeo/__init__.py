@@ -7,9 +7,8 @@ from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
 from .hyper_bc import (McEstimate, PoleError, c_function, eval_phi_bc,
                        eval_phi_bc_quadrature_q1, eval_ho_polynomial,
-                       multiplicity_bc, rho_bc, rho_k)
+                       eval_psi, multiplicity_bc, rho_a, rho_bc, rho_k)
 from .sampling import haar_unitary, kappa, sample_mp
-from .spherical_a import eval_psi, rho_a
 from .weyl import (OrbitPolytope, RootSystemSpec, chamber_project,
                    eps0_estimate, hull_membership, lemma44_check, orbit,
                    polytope_contains, polytope_vertices_K, prop65_check)

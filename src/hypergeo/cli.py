@@ -10,8 +10,9 @@ such as --q, --samples, --n-t or --max-degree below 1, a --p, --eps or
 --rel-tol or an entry of --lambda, --t, --t-grid, --p-list or --rho that
 is not finite, or a --rho, --rank, --resolution or --alpha that
 weyl-scan, eps0 or jack-table rejects), 3 domain errors (a named
-precondition failed, an input overflows, or an estimate is not
-finite), 4 a declared acceptance predicate failed.
+precondition failed, an input overflows or leaves the c-function no 10
+correct digits, or an estimate is not finite), 4 a declared acceptance
+predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -35,8 +36,7 @@ from .bessel import (_c_scale, _jack_tables, bessel_phi_tilde, jack_C,
 from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
 from .hyper_bc import (c_function, eval_phi_bc, eval_ho_polynomial,
-                       multiplicity_bc)
-from .spherical_a import eval_psi
+                       eval_psi, multiplicity_bc)
 
 
 class _ConfigError(Exception):
@@ -69,8 +69,10 @@ def _fmt_complex(z):
 
 
 def _complex(text):
-    """A complex number written a+bi."""
-    return complex(text.strip().replace("i", "j"))
+    """A complex number written a+bi; only a trailing i is the imaginary
+    unit, so inf and 1+infi parse."""
+    text = text.strip()
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _parse_list(s, flag, entry=float):
@@ -163,25 +165,10 @@ def _mc(est):
     return est.value, est.stderr, est.samples, True
 
 
-def _c_value(a, field, lam):
-    """c_function at one lambda row; an overflow is a domain error."""
-    try:
-        return c_function(lam, multiplicity_bc(a.p, field_dim(field), a.q),
-                          a.q)
-    except OverflowError:
-        raise ValueError("the c-function's Gamma product overflows at "
-                         "--lambda %s and --p %s" % (a.lam, a.p))
-
-
 def _series(a, field, lam, t):
-    """The Bessel series record at one (lambda, t) pair; an overflow is a
-    domain error."""
-    try:
-        res = bessel_phi_tilde(field, a.p, lam, t, mode="series",
-                               max_degree=a.max_degree, rel_tol=a.rel_tol)
-    except OverflowError:
-        raise ValueError("the Bessel series overflows at --lambda %s and "
-                         "--t %s" % (a.lam, a.t))
+    """The Bessel series record at one (lambda, t) pair."""
+    res = bessel_phi_tilde(field, a.p, lam, t, mode="series",
+                           max_degree=a.max_degree, rel_tol=a.rel_tol)
     return res.value, res.tail_bound, res.truncation_degree, res.converged
 
 
@@ -204,9 +191,15 @@ _EVALUATORS = {
     "eval-ho-poly": lambda a, field, lam, t, seed: _mc(eval_ho_polynomial(
         field, a.p, lam, t, samples=a.samples, seed=seed,
         workers=a.workers)),
-    "c-function": lambda a, field, lam, t, seed: (_c_value(a, field, lam),
-                                                  0.0, 0, True),
+    "c-function": lambda a, field, lam, t, seed: (c_function(
+        lam, multiplicity_bc(a.p, field_dim(field), a.q), a.q), 0.0, 0, True),
 }
+
+# What overflows in an evaluator, with the flag its message names beside
+# --lambda; an OverflowError there is a domain error naming both flags.
+_OVERFLOWS = {"c-function": ("the c-function's Gamma product", "p"),
+              "eval-a": ("psi", "t"),
+              "eval-bessel-series": ("the Bessel series", "t")}
 
 _RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
                    "stderr", "samples", "seed", "pass"]
@@ -234,7 +227,15 @@ def _cmd_eval(args):
                 inputs["p"] = args.p
             if t is not None:
                 inputs["t"] = [float(x) for x in t]
-            value, stderr, samples, ok = evaluate(args, field, lam, t, seed)
+            try:
+                value, stderr, samples, ok = evaluate(args, field, lam, t,
+                                                      seed)
+            except OverflowError:
+                if args.command not in _OVERFLOWS:
+                    raise
+                what, flag = _OVERFLOWS[args.command]
+                raise ValueError("%s overflows at --lambda %s and --%s %s"
+                                 % (what, args.lam, flag, getattr(args, flag)))
             value = complex(value)
             records.append({"command": args.command, "inputs": inputs,
                             "value_re": value.real, "value_im": value.imag,

@@ -17,7 +17,8 @@ from scipy.special import betaln
 from . import sampling, weyl
 from .algebra import field_dim, normalize_field
 from .bessel import bessel_phi_tilde
-from .hyper_bc import _mc_pairs, eval_phi_bc_quadrature_q1, rho_bc, rho_shift
+from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_bc,
+                       rho_shift)
 from .sampling import kappa
 
 
@@ -132,8 +133,9 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         * (np.exp(_envelope(lam.imag, t)) if unbounded else 1.0)
         for t in t_grid])
 
-    # psi_lam(t) = cosh(t)^(i lam) exactly at q = 1.
-    psi = np.array([np.cosh(t[0]) ** (1j * lam[0]) for t in t_grid])
+    # psi is exact at q = 1; otherwise it shares the phi run's draws.
+    psi = (np.array([eval_psi(field, lam, t).value for t in t_grid])
+           if q == 1 else None)
     if q == 1 and d == 1:
         diffs = np.array([
             [abs(eval_phi_bc_quadrature_q1(
@@ -232,7 +234,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     rho = rho_bc(p, d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
                               np.sort(np.abs(rho))[::-1])
-    gen = sampling.shard_stream(seed, 0, sampling.ROLE_EXPERIMENT).generator()
+    gen = sampling.shard_stream(seed, 0, sampling.ROLE_EXPERIMENT)
     lams = []
     for j in range(n_lambda):
         while True:

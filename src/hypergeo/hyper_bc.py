@@ -1,13 +1,16 @@
-"""Evaluators for the matrix-cone hypergeometric functions phi_lambda^p.
+"""Evaluators for the matrix-cone hypergeometric functions phi_lambda^p
+and their type-A limit psi_lambda.
 
 phi is the mean of a power function of g_t(u, w) over a Haar unitary u
 and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  One
 path serves every p >= 2q - 1: only the law of w changes, to the
-boundary law at p = 2q - 1.  `_mc_pairs` alone draws and reduces for
-every Monte-Carlo estimate; psi, the Bessel phase and the moment decay
-supply integrand columns to it as phi does.  The module also provides
-the half-sum vectors, the normalized c-function, the deterministic
-rank-one quadrature, and the polynomial special values.
+boundary law at p = 2q - 1.  psi, the p -> infinity limit, averages the
+power function of u* cosh^2(t) u over u alone, on the same Haar draws,
+and is exact at q = 1.  `_mc_pairs` alone draws and reduces for every
+Monte-Carlo estimate; psi, the Bessel phase and the moment decay supply
+integrand columns to it as phi does.  The module also provides the
+half-sum vectors, the normalized c-function, the deterministic rank-one
+quadrature, and the polynomial special values.
 """
 
 import functools
@@ -117,7 +120,10 @@ def c_function(lam, k, q):
     At lam = rho_k(k) the two products cancel factor by factor, so the
     value is exactly 1.  A numerator pole raises PoleError carrying the
     offending root; a denominator pole is a legitimate zero.  A Gamma
-    product out of float range raises OverflowError.
+    product out of float range raises OverflowError, and one whose
+    log-Gamma terms are too large to leave 10 correct digits after they
+    cancel (|lam| or the multiplicities beyond about 2e4) raises
+    ValueError.
     """
     if not np.all(np.isfinite(k)):
         raise ValueError("multiplicity must be finite, got %s" % (k,))
@@ -133,15 +139,22 @@ def c_function(lam, k, q):
         if _nonpositive_integer(den):
             return 0.0 + 0.0j
     total = 0.0 + 0.0j
+    size = 0.0  # sum of |log Gamma|: eps * size bounds the rounding of total
     with np.errstate(over="ignore", invalid="ignore"):
         for (num, den, _), (rnum, rden, _) in zip(facs, ref):
-            total += loggamma(num) - loggamma(den)
-            total -= loggamma(rnum) - loggamma(rden)
+            a, b, c, d = loggamma([num, den, rnum, rden])
+            total += a - b
+            total -= c - d
+            size += abs(a) + abs(b) + abs(c) + abs(d)
         value = complex(np.exp(total))
     if not np.isfinite(value):
         raise OverflowError("the c-function's Gamma product is out of float "
                             "range at lam=%s, k=%s"
                             % (np.asarray(lam).tolist(), k))
+    if np.finfo(float).eps * size > 1e-10:
+        raise ValueError("the c-function's log-Gamma terms, of total size "
+                         "%.3g, cancel below 10 correct digits at lam=%s, "
+                         "k=%s" % (size, np.asarray(lam).tolist(), k))
     return value
 
 
@@ -189,6 +202,37 @@ def _psi_columns(field, t, nu_mat, haar):
     m = 0.5 * (m + algebra._ct(m))
     return algebra._power_from_logs(algebra._log_minors_embedded(m, field),
                                     nu_mat)
+
+
+def rho_a(d, q):
+    """Half-sum vector rho_i = d(q + 1 - 2i)/2 of the type-A family."""
+    i = np.arange(1, q + 1)
+    return 0.5 * d * (q + 1 - 2 * i)
+
+
+def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
+    """Monte-Carlo value of psi_lam(t); exact at q = 1.
+
+    lam is a length-q complex vector (or batch of shape (..., q)) in
+    the plain convention, so the power-function exponent is i lam / 2.
+    At q = 1, rho is 0 and psi_lam(t) = cosh(t)^(i lam); a value out of
+    float range there raises OverflowError.
+    """
+    field = normalize_field(field)
+    t = np.asarray(t, float).reshape(-1)
+    q = t.size
+    nu_mat, batch = _nu_matrix(lam, q, rho_a(field_dim(field), q))
+    if q == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = np.cosh(t[0]) ** (2.0 * nu_mat[0])
+        if not np.isfinite(val).all():
+            raise OverflowError("psi's rank-one value cosh(t)^(i lam) is out "
+                                "of float range at lam=%s, t=%s"
+                                % (np.asarray(lam).tolist(), t.tolist()))
+        return _shape_estimate(val, np.zeros(val.size), batch, 0, seed)
+    mean, err, _ = _mc_pairs(field, q, [(None, t, nu_mat)], samples, seed,
+                             workers)
+    return _shape_estimate(mean, err, batch, samples, seed)
 
 
 def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):

@@ -7,14 +7,14 @@ one small factorisation per draw.
 
 Also home of the deterministic shard layout behind every Monte-Carlo
 estimate in the package: a fixed shard size, one random stream per
-(shard, role) pair, and reduction in shard order, so results are
+(seed, shard, role), which `shard_stream` returns as a fresh numpy
+Generator, and reduction in shard order, so results are
 byte-identical for any worker count and common random numbers work
 across evaluators that share a role.  `draw_haar`, `draw_ball` and
 `mc_run` have one caller, `hyper_bc._mc_pairs`.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,31 +25,19 @@ SHARD_SIZE = 8192
 
 ROLE_UNITARY = 0
 ROLE_BALL = 1
-ROLE_AUX = 2
 ROLE_EXPERIMENT = 3
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Reproducible random stream named by (seed, stream_id)."""
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValueError("seed and stream id must be nonnegative, not "
-                             "(%d, %d)" % (self.seed, self.stream_id))
-
-    def generator(self):
-        """A fresh generator; identical inputs give identical draws."""
-        key = np.random.SeedSequence((int(self.seed), int(self.stream_id)))
-        return np.random.default_rng(key)
-
-
 def shard_stream(seed, shard, role):
-    """The stream used by one role (unitary, ball, aux) on one shard."""
-    return RngStream(seed, 4 * shard + role)
+    """A fresh generator for one role (unitary, ball, experiment) on one
+    shard, keyed by (seed, 4 shard + role); identical inputs give
+    identical draws."""
+    stream_id = 4 * shard + role
+    if seed < 0 or stream_id < 0:
+        raise ValueError("seed and stream id must be nonnegative, not "
+                         "(%d, %d)" % (seed, stream_id))
+    return np.random.default_rng(
+        np.random.SeedSequence((int(seed), int(stream_id))))
 
 
 def shard_plan(samples):
@@ -65,8 +53,8 @@ def shard_plan(samples):
 def draw_haar(field, q, seed, shard, count):
     """Embedded Haar draws (count, e, e) for one shard, from its unitary
     stream."""
-    gen = shard_stream(seed, shard, ROLE_UNITARY).generator()
-    return _haar_batch(field, q, count, gen)
+    return _haar_batch(field, q, count,
+                       shard_stream(seed, shard, ROLE_UNITARY))
 
 
 def draw_ball(field, q, p, seed, shard, count):
@@ -76,8 +64,7 @@ def draw_ball(field, q, p, seed, shard, count):
     p = 2q - 1.  The shard's ball stream is opened afresh on every call,
     so each p sees the same variates whatever else the shard draws.
     """
-    gen = shard_stream(seed, shard, ROLE_BALL).generator()
-    return _mp_batch(field, q, p, count, gen)
+    return _mp_batch(field, q, p, count, shard_stream(seed, shard, ROLE_BALL))
 
 
 def shard_moments(blocks):

@@ -9,8 +9,7 @@ the jackknife band computed by the experiment itself.
 
 import numpy as np
 
-from hypergeo import algebra, bessel, experiments, hyper_bc, sampling, \
-    spherical_a, weyl
+from hypergeo import algebra, bessel, experiments, hyper_bc, sampling, weyl
 from oracles import bessel_0f1, hull_contains_lp, jacobi_2f1, kappa_rejection
 
 
@@ -32,7 +31,7 @@ def test_01_normalization_at_zero():
         est = hyper_bc.eval_phi_bc(field, p, lam, t0, samples=2000, seed=i)
         if not (est.value == 1.0 and est.stderr == 0.0):
             failures.append(("phi", field, q, p, est.value, est.stderr))
-        psi = spherical_a.eval_psi(field, lam, t0, samples=2000, seed=i)
+        psi = hyper_bc.eval_psi(field, lam, t0, samples=2000, seed=i)
         if not (abs(psi.value - 1.0) <= 1e-12 and psi.stderr == 0.0):
             failures.append(("psi", field, q, psi.value, psi.stderr))
         bt = bessel.bessel_phi_tilde(field, p, lam.real, t0, mode="integral",

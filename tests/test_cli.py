@@ -293,9 +293,14 @@ class TestExitCodes:
         # "samples": -1 in the record.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
          "--max-degree -1", "--max-degree must be at least 1"),
+        # Every i was read as j: "cannot parse --lambda 'inf'".
+        ("eval-bc --q 1 --p 3 --lambda inf --t 0.5",
+         "--lambda must be finite, not (inf+0j)"),
+        ("eval-bc --q 1 --p 3 --lambda 1+infi --t 0.5",
+         "--lambda must be finite, not (1+infj)"),
     ], ids=["t-nan", "lambda-nan", "t-grid-nan", "contraction-lambda-nan",
             "p-list-inf", "rate-p-lambda-length", "rel-tol-inf",
-            "max-degree-neg"])
+            "max-degree-neg", "lambda-inf", "lambda-inf-imaginary"])
     def test_input_list_config_error(self, argv, message, capsys):
         """A bad entry of a list flag, or a bad series flag, is a config
         error naming the flag."""
@@ -372,10 +377,30 @@ class TestExitCodes:
          "1e200,0.2"),
         ("eval-bessel-series --q 1 --p 5 --lambda 1e200 --t 0.7",
          "the Bessel series overflows at --lambda 1e200 and --t 0.7"),
+        # RuntimeWarnings, then "Out of range float values are not JSON
+        # compliant": cosh(t)^(i lam) overflowed.
+        ("eval-a --q 1 --lambda 1 --t 800",
+         "psi overflows at --lambda 1 and --t 800"),
+        ("eval-a --q 1 --lambda 1e308 --t 5",
+         "psi overflows at --lambda 1e308 and --t 5"),
+        ("eval-a --q 1 --lambda 1-1000i --t 3",
+         "psi overflows at --lambda 1-1000i and --t 3"),
+        # The exact value is 1/lambda.  log Gamma(lambda) - log Gamma(
+        # lambda + 1) cancelled: 1e12 printed 9.982e-13, and 1e300 printed
+        # 1.0, each with "pass": true.
+        ("c-function --q 1 --p 3 --lambda 1e12",
+         "the c-function's log-Gamma terms, of total size 5.33e+13, cancel "
+         "below 10 correct digits at lam=[(1000000000000+0j)], "
+         "k=(1.0, 0.0, 0.5)"),
+        ("c-function --q 1 --p 3 --lambda 1e300",
+         "the c-function's log-Gamma terms, of total size 1.38e+303, cancel "
+         "below 10 correct digits at lam=[(1e+300+0j)], k=(1.0, 0.0, 0.5)"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
-            "series-t", "series-rank-one"])
+            "series-t", "series-rank-one", "psi-t", "psi-lambda",
+            "psi-lambda-imaginary", "c-function-cancel-1e12",
+            "c-function-cancel-1e300"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

@@ -232,7 +232,7 @@ class TestShardEngine:
     def test_negative_seed_rejected(self):
         for seed, stream_id in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
-                sampling.RngStream(seed, stream_id)
+                sampling.shard_stream(seed, 0, stream_id)
 
     def test_shard_moments_bits(self):
         gen = np.random.default_rng(8)
@@ -266,16 +266,31 @@ class TestShardEngine:
     def test_streams_differ_by_role(self):
         a = sampling.shard_stream(0, 0, sampling.ROLE_UNITARY)
         b = sampling.shard_stream(0, 0, sampling.ROLE_BALL)
-        assert a.generator().random() != b.generator().random()
+        assert a.random() != b.random()
 
     def test_streams_reproducible(self):
-        a = sampling.shard_stream(9, 3, 1).generator().random(4)
-        b = sampling.shard_stream(9, 3, 1).generator().random(4)
+        a = sampling.shard_stream(9, 3, 1).random(4)
+        b = sampling.shard_stream(9, 3, 1).random(4)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,shard,role,first", [
+        (0, 0, 0, [0.6369616873214543, 0.2697867137638703,
+                   0.04097352393619469, 0.016527635528529094]),
+        (9, 3, 1, [0.16109635636534192, 0.7271449845449846,
+                   0.737220214590417, 0.7529392075599967]),
+        (5, 2, 3, [0.44194661717283856, 0.3211256350053837,
+                   0.8798894570541248, 0.7024156594988835]),
+    ])
+    def test_stream_variates_pinned(self, seed, shard, role, first):
+        """The stream of (seed, shard, role) is keyed by
+        SeedSequence((seed, 4 shard + role)); its first variates are
+        frozen, so every draw of every estimate is."""
+        np.testing.assert_array_equal(
+            sampling.shard_stream(seed, shard, role).random(4), first)
 
     def test_worker_count_is_invisible(self):
         def shard_fn(shard, count):
-            gen = sampling.shard_stream(0, shard, sampling.ROLE_AUX).generator()
+            gen = sampling.shard_stream(0, shard, 2)
             return sampling.shard_moments([gen.random((count, 1))])
 
         one = sampling.mc_run(shard_fn, 50000, workers=1)
@@ -286,7 +301,7 @@ class TestShardEngine:
 
     def test_keep_parts_sums_to_totals(self):
         def shard_fn(shard, count):
-            gen = sampling.shard_stream(1, shard, 2).generator()
+            gen = sampling.shard_stream(1, shard, 2)
             return sampling.shard_moments([gen.random((count, 1))])
 
         mean, _, parts = sampling.mc_run(shard_fn, 30000)
