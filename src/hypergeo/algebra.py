@@ -224,8 +224,14 @@ def _build_g_embedded(t, u, w, field, variant):
     A = diag(cosh t) + diag(sinh t) w; returns u* (A* A) u for variant
     "g" and u* (A A*) u for "g-tilde".  u may be None when conjugation
     is irrelevant (rank one, where minors are conjugation invariant).
+    w = None is the p -> infinity law w = 0: A = diag(cosh t) commutes
+    with A*, so both variants give psi's argument u* cosh^2(t) u, made
+    exactly Hermitian for the Cholesky step.
     """
     tt = np.repeat(t, 2) if field == "h" else t
+    if w is None:
+        m = (_ct(u) * np.cosh(tt) ** 2) @ u
+        return 0.5 * (m + _ct(m))
     a = np.sinh(tt)[:, None] * w
     idx = np.arange(tt.size)
     a[..., idx, idx] += np.cosh(tt)

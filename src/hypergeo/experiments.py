@@ -190,7 +190,12 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
-    ref = bessel_phi_tilde(field, p, lam, t, mode="series").value
+    series = bessel_phi_tilde(field, p, lam, t, mode="series")
+    if not series.converged:
+        raise ValueError("the series reference phi-tilde did not converge "
+                         "at lam=%s, t=%s: tail bound %.3g"
+                         % (lam.tolist(), t.tolist(), series.tail_bound))
+    ref = series.value
     if q == 1 and d == 1:
         phis = np.array([
             eval_phi_bc_quadrature_q1(

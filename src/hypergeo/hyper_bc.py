@@ -4,12 +4,13 @@ and their type-A limit psi_lambda.
 phi is the mean of a power function of g_t(u, w) over a Haar unitary u
 and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  One
 path serves every p >= 2q - 1: only the law of w changes, to the
-boundary law at p = 2q - 1.  psi, the p -> infinity limit, averages the
-power function of u* cosh^2(t) u over u alone, on the same Haar draws,
-and is exact at q = 1.  `_mc_pairs` alone draws and reduces for every
-Monte-Carlo estimate; psi, the Bessel phase and the moment decay supply
-integrand columns to it as phi does.  The module also provides the
-half-sum vectors, the normalized c-function, the deterministic rank-one
+boundary law at p = 2q - 1.  psi, the p -> infinity limit, is phi's
+integrand on the law w = 0, where g_t(u, 0) = u* cosh^2(t) u; it
+averages over u alone, on the same Haar draws, and is exact at q = 1.
+`_mc_pairs` alone draws and reduces for every Monte-Carlo estimate;
+phi and psi share one column function, and the Bessel phase and the
+moment decay supply their own.  The module also provides the half-sum
+vectors, the normalized c-function, the deterministic rank-one
 quadrature, and the polynomial special values.
 """
 
@@ -177,30 +178,16 @@ def _nu_matrix(lam, q, rho):
 def _phi_columns(field, t, nu_mat, haar, w, variant="g"):
     """phi integrand values on one shard's draws, one column per exponent.
 
-    At t = 0 the integrand is identically 1.  At q = 1 the minors are
-    conjugation invariant, and u is not drawn.
+    w = None is the p -> infinity law w = 0, on which the integrand is
+    psi's.  At t = 0 the integrand is identically 1.  At q = 1 the minors
+    are conjugation invariant, and u is drawn only when w is None.
     """
     if np.all(t == 0.0):
-        return np.ones((w.shape[0], nu_mat.shape[1]), complex)
-    g = algebra._build_g_embedded(t, haar() if t.size > 1 else None, w,
-                                  field, variant)
+        rows = (haar() if w is None else w).shape[0]
+        return np.ones((rows, nu_mat.shape[1]), complex)
+    u = haar() if t.size > 1 or w is None else None
+    g = algebra._build_g_embedded(t, u, w, field, variant)
     return algebra._power_from_logs(algebra._log_minors_embedded(g, field),
-                                    nu_mat)
-
-
-def _psi_columns(field, t, nu_mat, haar):
-    """psi integrand values on one shard's Haar draws, one column per
-    exponent: the power function of u* cosh^2(t) u.
-
-    At t = 0 the integrand is identically 1.
-    """
-    u = haar()
-    if np.all(t == 0.0):
-        return np.ones((u.shape[0], nu_mat.shape[1]), complex)
-    tt = np.repeat(t, 2) if field == "h" else t
-    m = (algebra._ct(u) * np.cosh(tt) ** 2) @ u
-    m = 0.5 * (m + algebra._ct(m))
-    return algebra._power_from_logs(algebra._log_minors_embedded(m, field),
                                     nu_mat)
 
 
@@ -238,13 +225,14 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
 def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
     """Integrand means for many (p, t, parameter) triples on common draws.
 
-    A triple with p = None is the psi integrand; any other runs
-    columns(field, t, parameter, haar, w) on a ball draw w of parameter
-    p, once per run of equal p.  haar() draws the shard's Haar unitary
-    on its first call, after that run's w.  Each block of values is
-    reduced before the next is computed.  Returns mc_run's flat means,
-    standard errors and per-shard sums, in the order of pairs, each equal
-    bit for bit to what a call with that triple alone gives.
+    Every triple runs columns(field, t, parameter, haar, w) on a ball
+    draw w of parameter p, made once per run of equal p; p = None draws
+    no ball and passes w = None, the p -> infinity law w = 0.  haar()
+    draws the shard's Haar unitary on its first call, after that run's
+    w.  Each block of values is reduced before the next is computed.
+    Returns mc_run's flat means, standard errors and per-shard sums, in
+    the order of pairs, each equal bit for bit to what a call with that
+    triple alone gives.
     """
     def blocks(i, n):
         haar = functools.cache(
@@ -253,8 +241,7 @@ def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
             w = None if p is None else sampling.draw_ball(field, q, p, seed,
                                                           i, n)
             for _, t, param in run:
-                yield (_psi_columns(field, t, param, haar) if p is None else
-                       columns(field, t, param, haar, w))
+                yield columns(field, t, param, haar, w)
 
     def shard(i, n):
         return sampling.shard_moments(blocks(i, n))

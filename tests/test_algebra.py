@@ -156,6 +156,15 @@ class TestPowerFunction:
         with pytest.raises(ValueError):
             algebra.power_function(x, "r", np.array([1.0, 0.5]))
 
+    def test_cone_exit_tolerance(self):
+        """A squared Cholesky pivot below 1e-13 counts as leaving the
+        cone, though the factorization itself succeeds."""
+        lam = np.array([1.0, 0.5])
+        with pytest.raises(ValueError, match="pivot below tolerance"):
+            algebra.power_function(np.diag([1.0, 1e-14]), "r", lam)
+        got = algebra.power_function(np.diag([1.0, 1e-12]), "r", lam)
+        np.testing.assert_allclose(got, 1e-6, rtol=1e-12)
+
     def test_batched_input(self):
         gen = np.random.default_rng(15)
         m = gen.standard_normal((5, 2, 2))

@@ -395,12 +395,16 @@ class TestExitCodes:
         ("c-function --q 1 --p 3 --lambda 1e300",
          "the c-function's log-Gamma terms, of total size 1.38e+303, cancel "
          "below 10 correct digits at lam=[(1e+300+0j)], k=(1.0, 0.0, 0.5)"),
+        # Printed errors of 9.3e94 against the truncated series, exit 4.
+        ("contraction --q 1 --p 5 --lambda 1 --t 1e3 --n-list 2,4",
+         "the series reference phi-tilde did not converge at lam=[1.0], "
+         "t=[1000.0]: tail bound 9.29e+96"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
             "series-t", "series-rank-one", "psi-t", "psi-lambda",
             "psi-lambda-imaginary", "c-function-cancel-1e12",
-            "c-function-cancel-1e300"])
+            "c-function-cancel-1e300", "contraction-series"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

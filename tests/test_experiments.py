@@ -133,6 +133,18 @@ class TestContraction:
             ex.contraction_experiment("r", 2, 2.0, np.array([1.0, 0.5]),
                                       np.array([0.5, 0.2]), [2, 4])
 
+    @pytest.mark.parametrize("q, lam, t, tail", [
+        (1, [1.0], [1e3], r"9\.29e\+96"),
+        (2, [1.0, 0.5], [30.0, 20.0], r"4\.22e\+08"),
+    ], ids=["q1", "q2"])
+    def test_non_converged_reference_rejected(self, q, lam, t, tail):
+        """Errors against a truncated series that did not converge mean
+        nothing, so the sweep names the reference and its tail bound."""
+        with pytest.raises(ValueError, match=r"series reference phi-tilde "
+                           r"did not converge .*: tail bound " + tail):
+            ex.contraction_experiment("r", q, 5.0, np.array(lam),
+                                      np.array(t), [2, 4], samples=64)
+
 
 class TestBoundedness:
     def test_flags_and_rows(self):

@@ -100,6 +100,61 @@ EVAL = {
          "0.0010418230081731094,20000,4,True\n"
          'eval-a,h,2,,"1+0i,0.5+0i","0,0",1+0i,0,20000,4,True\n'),
     ),
+    "eval-a-r3": (
+        ("eval-a --field r --q 3 --lambda 1,0.5,-0.5,2+1i,1,0.5i --t "
+         "0.9,0.5,0.2,1.3e-7,1e-7,0.4e-7 --samples 20000 --seed 6"),
+        ('{"command": "eval-a", "inputs": {"field": "r",'
+         ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [0.9, 0.5,'
+         ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
+         ' "stderr": 0.0013861510951121644,'
+         ' "value_im": 0.16232785891917412,'
+         ' "value_re": 0.9677003353420444}\n'
+         '{"command": "eval-a", "inputs": {"field": "r",'
+         ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [1.3e-07,'
+         ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
+         ' "seed": 6, "stderr": 0.0,'
+         ' "value_im": 4.680883458618701e-15, "value_re": 1.0}\n'
+         '{"command": "eval-a", "inputs": {"field": "r",'
+         ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [0.9, 0.5,'
+         ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
+         ' "stderr": 0.0014037725423946279,'
+         ' "value_im": 0.3612618794082643,'
+         ' "value_re": 0.672049105813176}\n'
+         '{"command": "eval-a", "inputs": {"field": "r",'
+         ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [1.3e-07,'
+         ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
+         ' "seed": 6, "stderr": 0.0,'
+         ' "value_im": 1.4042644824740898e-14,'
+         ' "value_re": 0.9999999999999931}\n'),
+    ),
+    "eval-a-c2-w2": (
+        ("eval-a --field c --q 2 --lambda 1+0.5i,0.5,-1,2i --t "
+         "0.8,0.3,2e-7,1e-7 --samples 20000 --seed 7 --workers 2"),
+        ('{"command": "eval-a", "inputs": {"field": "c",'
+         ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [0.8, 0.3]},'
+         ' "pass": true, "samples": 20000, "seed": 7,'
+         ' "stderr": 0.0011783515536191655,'
+         ' "value_im": 0.2251924564174851,'
+         ' "value_re": 0.8807846411577479}\n'
+         '{"command": "eval-a", "inputs": {"field": "c",'
+         ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [2e-07, 1e-07]},'
+         ' "pass": true, "samples": 20000, "seed": 7,'
+         ' "stderr": 7.450580596923828e-11,'
+         ' "value_im": 1.8589441097560396e-14,'
+         ' "value_re": 0.9999999999999937}\n'
+         '{"command": "eval-a", "inputs": {"field": "c",'
+         ' "lambda": "-1+0i,0+2i", "q": 2, "t": [0.8, 0.3]},'
+         ' "pass": true, "samples": 20000, "seed": 7,'
+         ' "stderr": 0.00035853968973192105,'
+         ' "value_im": -0.1265021750506731,'
+         ' "value_re": 0.7021668129562589}\n'
+         '{"command": "eval-a", "inputs": {"field": "c",'
+         ' "lambda": "-1+0i,0+2i", "q": 2, "t": [2e-07, 1e-07]},'
+         ' "pass": true, "samples": 20000, "seed": 7,'
+         ' "stderr": 1.0536712127723508e-10,'
+         ' "value_im": -1.2419620887271383e-14,'
+         ' "value_re": 0.9999999999999751}\n'),
+    ),
     # The phase reducer moved onto the shared np.abs reducer, which
     # changed the last digits of these two stderr values.
     "eval-bessel-integral": (

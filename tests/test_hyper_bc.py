@@ -178,17 +178,19 @@ class TestMonteCarloPhi:
                                  workers=3)
         assert a.value == b.value and a.stderr == b.stderr
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mixed_laws_match_one_law_runs(self, workers):
+    @pytest.mark.parametrize("field, workers", [
+        ("r", 1), ("r", 2), ("c", 1), ("c", 2), ("h", 1), ("h", 2),
+    ], ids=["1", "2", "c-1", "c-2", "h-1", "h-2"])
+    def test_mixed_laws_match_one_law_runs(self, field, workers):
         """psi and two ball laws in one run give what three runs give."""
         t = np.array([0.7, 0.2])
         nu = np.array([[0.5j, 0.3 - 0.2j], [0.25j, -0.1j]])
         laws = [None, 5.0, 9.0]
         samples = 2 * sampling.SHARD_SIZE + 300
         mean, err, parts = hyper_bc._mc_pairs(
-            "r", 2, [(p, t, nu) for p in laws], samples, 8, workers)
+            field, 2, [(p, t, nu) for p in laws], samples, 8, workers)
         for k, p in enumerate(laws):
-            one = hyper_bc._mc_pairs("r", 2, [(p, t, nu)], samples, 8,
+            one = hyper_bc._mc_pairs(field, 2, [(p, t, nu)], samples, 8,
                                      workers)
             cols = slice(2 * k, 2 * k + 2)
             assert np.array_equal(mean[cols], one[0])

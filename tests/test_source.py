@@ -61,6 +61,19 @@ def test_one_kernel_draws_and_reduces():
                      for name in SHARD_CALLS]
 
 
+def test_mc_pairs_runs_only_its_columns_parameter():
+    """_mc_pairs names no integrand of its own outside its parameter
+    default: every triple runs the column function it was given."""
+    tree = ast.parse((SRC / "hyper_bc.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_mc_pairs")
+    named = [getattr(node, "id", None) or getattr(node, "attr", None)
+             for stmt in func.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    assert [n for n in named if n.endswith("_columns")] == []
+
+
 def test_bessel_does_not_import_sampling():
     tree = ast.parse((SRC / "bessel.py").read_text())
     imported = {alias.name for node in ast.walk(tree)

@@ -62,8 +62,8 @@ class TestMonteCarloPsi:
         t = np.array([0.9])
         exact = np.cosh(0.9) ** 1.5j
         u = sampling.draw_haar("c", 1, 3, 0, 4096)
-        vals = hyper_bc._psi_columns("c", t, 0.5j * lam.reshape(1, 1),
-                                    lambda: u)
+        vals = hyper_bc._phi_columns("c", t, 0.5j * lam.reshape(1, 1),
+                                     lambda: u, None)
         np.testing.assert_allclose(vals.mean(), exact, atol=1e-12)
 
     def test_worker_invariance(self):
