@@ -7,6 +7,16 @@ Conventions used throughout the package:
   axis holds the components of each entry in (1, i, j, k) order;
 - quaternion computations route through a complex embedding, under which
   a q x q quaternion matrix becomes a 2q x 2q complex matrix.
+
+The shard kernels `_build_g_embedded` and `_log_minors_embedded` take
+(n, e, e) stacks and work batch-last: `_batch_last` views a stack as
+(e, e, n), whose entry (i, j) is one length-n vector, contiguous for the
+samplers' draws, and every step is a loop of vector multiply-adds over
+such entries (`_dot`), with no per-matrix BLAS or LAPACK call.  Over H
+they work the even rows of the chi embedding only: chi maps the
+quaternion entry (a1, a2) to the block [[a1, a2], [-conj(a2), conj(a1)]],
+so each odd row is a conj/negate shuffle of the even row above it
+(`_odd_rows`), and the LDL* pivots come in equal pairs.
 """
 
 import numpy as np
@@ -80,7 +90,7 @@ def _chi(a):
     The package's one quaternion embedding; complex_embed permutes its
     rows and columns into block layout.  The interleaved layout makes
     leading r x r quaternion blocks correspond to leading 2r x 2r complex
-    blocks, so a single Cholesky factorization yields every principal
+    blocks, so a single LDL* factorization yields every principal
     minor.
     """
     a = np.asarray(a, float)
@@ -139,25 +149,70 @@ def principal_minor(x, field, r):
     return det_dieudonne(x[..., :r, :r], field)
 
 
+def _batch_last(x):
+    """(..., a, b) stack -> (a, b, ...) view: entry (i, j) is a vector
+    over the batch."""
+    return np.moveaxis(x, (-2, -1), (0, 1))
+
+
+def _batch_first(x):
+    """Inverse of _batch_last."""
+    return np.moveaxis(x, (0, 1), (-2, -1))
+
+
+def _dot(x, y):
+    """sum_k x[k] y[k] over the first axes, as in-order multiply-adds of
+    batch-last slabs, so the bits do not depend on the memory layout."""
+    total = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        total += a * b
+    return total
+
+
+def _odd_rows(x):
+    """Fill the odd rows of a chi-structured batch-last matrix (e, E, ...)
+    from its even rows: chi sends the quaternion entry (a1, a2) to the
+    block [[a1, a2], [-conj(a2), conj(a1)]]."""
+    x[1::2, 0::2] = -np.conj(x[0::2, 1::2])
+    x[1::2, 1::2] = np.conj(x[0::2, 0::2])
+
+
 def _log_minors_embedded(m, field):
     """Logs of the principal minors of a cone point given in embedded form.
 
-    Cholesky pivots encode the minors: the r-th minor is the product of
-    the first r squared pivots (first 2r over H, where the Dieudonne
-    square root cancels the doubling).  A pivot whose square falls below
-    1e-13 means the input left the cone.
+    LDL* pivots encode the minors: the r-th minor is the product of the
+    first r pivots.  Elimination runs batch-last on the lower triangle,
+    one length-n vector per entry.  Over H the pivots come in equal pairs
+    and the Dieudonne minor takes one of each pair, so only the even rows
+    are worked: each 2 x 2 pivot block is a real multiple of the identity,
+    and the odd-row entries a step reads are chi shuffles of even ones.
+    A pivot below 1e-13 (the square of a Cholesky diagonal entry) means
+    the input left the cone; a NaN pivot passes on as a NaN log.
     """
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive definite")
-    piv = np.diagonal(low, axis1=-2, axis2=-1).real
-    if np.any(piv * piv < 1e-13):
-        raise ValueError("matrix is not positive definite: pivot below tolerance")
-    cum = np.cumsum(np.log(piv), axis=-1)
-    if field == "h":
-        return cum[..., 1::2]
-    return 2.0 * cum
+    step = 2 if field == "h" else 1
+    a = _batch_last(m)[::step].copy()  # row r is row step * r of m
+    e = a.shape[1]
+    total, logs = 0.0, []
+    for r in range(len(a)):
+        k = step * r
+        piv = a[r, k].real.copy()
+        if np.any(piv < 1e-13):
+            raise ValueError("matrix is not positive definite: pivot below "
+                             "tolerance")
+        total = total + np.log(piv)
+        logs.append(total)
+        # col[c, j] is the conjugate of entry (k + step + j, k + c) of the
+        # Schur complement.
+        col = np.empty((step, e - k - step) + a.shape[2:], a.dtype)
+        col[:, ::step] = np.conj(np.swapaxes(a[r + 1:, k:k + step], 0, 1))
+        if step == 2:
+            col[0, 1::2] = -a[r + 1:, k + 1]
+            col[1, 1::2] = a[r + 1:, k]
+        for r2 in range(r + 1, len(a)):
+            i = step * r2
+            low = a[r2, k:k + step] / piv
+            a[r2, k + step:i + 1] -= _dot(low, col[:, :i + 1 - k - step])
+    return np.stack(logs, axis=-1)
 
 
 def _log_minors(x, field):
@@ -175,6 +230,9 @@ def power_function(x, field, lam):
     minors keeps large exponents from overflowing intermediate products.
     """
     field = normalize_field(field)
+    x = np.asarray(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x has a non-finite entry")
     lam = np.asarray(lam, complex)
     logs = _log_minors(x, field)
     if lam.shape != logs.shape[-1:]:
@@ -222,23 +280,60 @@ def _build_g_embedded(t, u, w, field, variant):
     """The integrand argument in embedded form, without the ball check.
 
     A = diag(cosh t) + diag(sinh t) w; returns u* (A* A) u for variant
-    "g" and u* (A A*) u for "g-tilde".  u may be None when conjugation
-    is irrelevant (rank one, where minors are conjugation invariant).
-    w = None is the p -> infinity law w = 0: A = diag(cosh t) commutes
-    with A*, so both variants give psi's argument u* cosh^2(t) u, made
-    exactly Hermitian for the Cholesky step.
+    "g" and u* (A A*) u for "g-tilde", both as C* C with C = A u or A* u.
+    u may be None when conjugation is irrelevant (rank one, where minors
+    are conjugation invariant).  w = None is the p -> infinity law w = 0:
+    A = diag(cosh t) commutes with A*, so both variants give psi's
+    argument u* cosh^2(t) u.
+
+    C is formed by slab updates on batch-last memory, over H on its even
+    rows, whose chi shuffles give the odd ones.  Only what
+    _log_minors_embedded reads of C* C is formed: its lower triangle, over
+    H on the even rows; the rest stays zero, and build_g fills it in.
+    The diagonal is made real, so the triangle is that of an exactly
+    Hermitian matrix.  Takes and returns (..., e, e) stacks, in the shard
+    as views of batch-last memory.
     """
-    tt = np.repeat(t, 2) if field == "h" else t
-    if w is None:
-        m = (_ct(u) * np.cosh(tt) ** 2) @ u
-        return 0.5 * (m + _ct(m))
-    a = np.sinh(tt)[:, None] * w
-    idx = np.arange(tt.size)
-    a[..., idx, idx] += np.cosh(tt)
-    aa = _ct(a) @ a if variant == "g" else a @ _ct(a)
-    if u is None:
-        return aa
-    return _ct(u) @ aa @ u
+    step = 2 if field == "h" else 1
+    tt = np.repeat(t, step)
+    ch, sh = np.cosh(tt), np.sinh(tt)
+    ub = None if u is None else _batch_last(u)
+    wb = None if w is None else _batch_last(w)
+    given = [x for x in (ub, wb) if x is not None]
+    c = np.empty(np.broadcast_shapes(*(x.shape for x in given)),
+                 np.result_type(*given))
+    m = np.empty_like(c[0])  # row k of A (variant "g") or of A*
+    for k in range(0, tt.size, step):
+        if wb is None:
+            np.multiply(ch[k], ub[k], out=c[k])
+            continue
+        if variant == "g":
+            np.multiply(sh[k], wb[k], out=m)
+        else:
+            for i, x in enumerate(sh):
+                m[i] = x * np.conj(wb[i, k])
+        m[k] += ch[k]
+        c[k] = m if ub is None else _dot(m, ub)
+    if step == 2:
+        _odd_rows(c)
+    g = np.zeros_like(c)
+    for i in range(0, tt.size, step):
+        g[i, :i + 1] = _dot(np.conj(c[:, i]), c[:, :i + 1])
+        g[i, i] = g[i, i].real  # a fused complex product leaves an imag ulp
+    return _batch_first(g)
+
+
+def _check_matrix(name, x, q, field):
+    """x as a float or complex array of shape (..., q, q), or (..., q, q, 4)
+    over H, with finite entries; a ValueError names the argument."""
+    x = np.asarray(x)
+    shape = (q, q, 4) if field == "h" else (q, q)
+    if x.shape[x.ndim - len(shape):] != shape:
+        raise ValueError("%s has shape %s, expected (..., %s)"
+                         % (name, x.shape, ", ".join(map(str, shape))))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("%s has a non-finite entry" % name)
+    return x
 
 
 def build_g(t, u, w, field, variant="g"):
@@ -246,7 +341,8 @@ def build_g(t, u, w, field, variant="g"):
 
     With A = diag(cosh t) + diag(sinh t) w, returns u* (A* A) u for
     variant "g" and u* (A A*) u for variant "g-tilde".  Both lie in the
-    cone of positive definite matrices whenever sigma_1(w) < 1.
+    cone of positive definite matrices whenever sigma_1(w) < 1.  u and w
+    have shape (..., q, q), or (..., q, q, 4) over H, with q = len(t).
     """
     field = normalize_field(field)
     if variant not in ("g", "g-tilde"):
@@ -254,11 +350,18 @@ def build_g(t, u, w, field, variant="g"):
     t = np.asarray(t, float)
     if t.ndim != 1:
         raise ValueError("t must be a vector, got shape %s" % (t.shape,))
+    u = _check_matrix("u", u, t.size, field)
+    w = _check_matrix("w", w, t.size, field)
     s1 = np.asarray(singular_values(w, field))[..., 0]
     if np.any(s1 >= 1.0):
         raise ValueError("w must have largest singular value < 1")
-    g = _build_g_embedded(t, _embed(u, field), _embed(w, field), field, variant)
-    g = 0.5 * (g + _ct(g))
+    g = _batch_last(_build_g_embedded(t, _embed(u, field), _embed(w, field),
+                                      field, variant))
+    if field == "h":
+        _odd_rows(g)
+    for i in range(len(g) - 1):
+        g[i, i + 1:] = np.conj(g[i + 1:, i])
+    g = _batch_first(g)
     if field == "h":
         return _chi_inv(g)
     if field == "r":

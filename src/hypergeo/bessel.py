@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import field_dim, normalize_field
+from .algebra import _batch_last, field_dim, normalize_field
 from .hyper_bc import McEstimate, _mc_pairs
 
 
@@ -236,11 +236,13 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
 def _phase_columns(field, t, lam, haar, w):
     """exp(-i Re tr(w diag(t) u diag(lam))) on one shard, as one column.
 
-    Over H the 2q x 2q working form doubles the real trace."""
+    The draws are read as the batch-last memory the samplers write.  Over
+    H the 2q x 2q working form doubles the real trace."""
     tt, ll = t, lam
     if field == "h":
         tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
-    tr = np.einsum("nij,nji->n", w * tt, haar() * ll)
+    w, u = _batch_last(w), _batch_last(haar())
+    tr = np.einsum("ijn,jin->n", w * tt[:, None], u * ll[:, None])
     phase = tr.real if field != "h" else 0.5 * tr.real
     return np.exp(-1j * phase)[:, None]
 

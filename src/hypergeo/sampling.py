@@ -1,9 +1,19 @@
 """Seedable samplers for Haar unitaries and the matrix-ball measures.
 
-Both samplers draw a whole shard at once.  Haar draws orthonormalise
-the columns of Gaussian matrices by Gram-Schmidt with the batch axis
-last, so each step is one vector operation over the shard rather than
-one small factorisation per draw.
+Both samplers draw a whole shard at once, with the batch axis last in
+memory, so each step is one vector operation over the shard rather than
+one small factorisation per draw.  Haar draws orthonormalise the columns
+of Gaussian matrices by Gram-Schmidt.  Ball draws build their row
+factors and assemble them with `_p_map_batch`.
+
+Memory layout: `_haar_batch`, `_ball_rows` (through `_row_embed`) and
+`_p_map_batch` own the shard's draws, and write them batch-last, entry
+(i, j) of every draw one contiguous length-n vector.  They hand them on
+as (n, e, e) views, or (n, e, E) row factors, of that memory, which
+`algebra._build_g_embedded` and `bessel._phase_columns` read batch-last
+again without a copy.  Over H (e = 2q) the matrices are chi images of
+quaternion ones: only the even rows are worked, and each odd row is the
+conj/negate shuffle of the even row above it (`algebra._odd_rows`).
 
 Also home of the deterministic shard layout behind every Monte-Carlo
 estimate in the package: a fixed shard size, one random stream per
@@ -19,7 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import gammaln
 
-from .algebra import _chi, _chi_inv, field_dim, normalize_field
+from .algebra import (_batch_first, _batch_last, _chi_inv, _dot, _odd_rows,
+                      field_dim, normalize_field)
 
 SHARD_SIZE = 8192
 
@@ -68,34 +79,41 @@ def draw_ball(field, q, p, seed, shard, count):
 
 
 def shard_moments(blocks):
-    """Sums of values and of squared moduli over (count, m) value blocks.
+    """Sums of values and centred sums of squared moduli over (count, m)
+    value blocks.
 
-    Blocks are reduced one at a time, and each is dropped before the
-    next is asked for, so a generator of blocks never holds more than one
-    in memory; the sums of all blocks are joined.
+    Each block is reduced in centred form: its sums are taken, its column
+    means subtracted in place, and then |v - mean|^2 summed, which does
+    not cancel the way the raw second moment does when the values barely
+    vary.  Blocks are reduced one at a time and each is dropped (and
+    overwritten first) before the next is asked for, so a generator of
+    blocks never holds more than one in memory; the sums of all blocks
+    are joined.
     """
-    sums, sqs = [], []
+    sums, m2s = [], []
     for vals in blocks:
         sums.append(vals.sum(axis=0))
+        vals -= sums[-1] / len(vals)
         sq = np.abs(vals)
         del vals
         np.square(sq, out=sq)
-        sqs.append(sq.sum(axis=0))
+        m2s.append(sq.sum(axis=0))
         del sq
-    return np.concatenate(sums), np.concatenate(sqs)
+    return np.concatenate(sums), np.concatenate(m2s)
 
 
 def mc_run(shard_fn, samples, workers=1):
     """Mean, standard error and per-shard value sums of a sharded average.
 
     shard_fn(shard_index, shard_count) returns the shard's sums of values
-    and of squared moduli (see shard_moments).  Sums are accumulated in
-    shard order whatever the completion order, so the results do not
-    depend on the worker count.  The per-shard value sums are returned
-    too; jackknife estimates need them.  A non-finite mean or standard
-    error raises ValueError, which is then the only report of an overflow:
-    numpy's overflow and invalid-value warnings are off inside, in every
-    worker thread too.
+    and centred sums of squared moduli (see shard_moments).  Sums are
+    accumulated, and the shards' (count, mean, centred sum) triples
+    merged (Chan, Golub and LeVeque 1983), in shard order whatever the
+    completion order, so the results do not depend on the worker count.
+    The per-shard value sums are returned too; jackknife estimates need
+    them.  A non-finite mean or standard error raises ValueError, which
+    is then the only report of an overflow: numpy's overflow and
+    invalid-value warnings are off inside, in every worker thread too.
     """
     sizes = shard_plan(samples)
 
@@ -109,21 +127,23 @@ def mc_run(shard_fn, samples, workers=1):
     else:
         parts = [run(i, n) for i, n in enumerate(sizes)]
     with np.errstate(over="ignore", invalid="ignore"):
-        tot, tot2 = parts[0]
-        for s, s2 in parts[1:]:
+        count = sizes[0]
+        tot, m2 = parts[0]
+        for (s, m2b), nb in zip(parts[1:], sizes[1:]):
+            delta = s / nb - tot / count
+            m2 = m2 + m2b + np.abs(delta) ** 2 * (count * nb / (count + nb))
             tot = tot + s
-            tot2 = tot2 + s2
+            count += nb
         mean = tot / samples
-        var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
-        err = np.sqrt(var / samples)
+        err = np.sqrt(m2 / samples / samples)
     if not (np.isfinite(mean).all() and np.isfinite(err).all()):
         raise ValueError("Monte-Carlo estimate is not finite")
     return mean, err, [s for s, _ in parts]
 
 
 def _haar_batch(field, q, n, gen):
-    """n Haar draws from U0(q, F) in the complex working form: (n, e, e),
-    e = q, or 2q over H.
+    """n Haar draws from U0(q, F) in the complex working form: an (n, e, e)
+    view of batch-last memory, e = q, or 2q over H.
 
     Each draw is the Gram-Schmidt orthonormalisation of the columns of a
     Gaussian matrix, which is its QR factor Q with a positive diagonal
@@ -160,7 +180,7 @@ def _haar_batch(field, q, n, gen):
             u[j + 1, 1::2] = v[0::2].conj()
     if field == "r":
         u[-1] *= _det_sign(u)
-    return np.ascontiguousarray(u.T)
+    return u.T
 
 
 def _det_sign(a):
@@ -193,12 +213,26 @@ def haar_unitary(field, q, rng):
 
 
 def _row_embed(field, comp):
-    """Real components (n, q, d) of row vectors -> embedded rows (n, e, E)."""
+    """Real components (n, q, d) of row vectors -> embedded rows (n, e, E),
+    a view of batch-last memory (e, E, n).
+
+    Over H, e = 2 and row 1 is the conj/negate shuffle of row 0 that chi
+    makes of a quaternion row vector.
+    """
+    c = comp.T  # (d, q, n)
     if field == "r":
-        return comp[:, :, 0][:, None, :]
-    if field == "c":
-        return (comp[..., 0] + 1j * comp[..., 1])[:, None, :]
-    return _chi(comp[:, None, :, :])
+        y = np.empty((1,) + c.shape[1:])
+        y[0] = c[0]
+    elif field == "c":
+        y = np.empty((1,) + c.shape[1:], complex)
+        y[0].real, y[0].imag = c[0], c[1]
+    else:
+        q = c.shape[1]
+        y = np.empty((2, 2 * q) + c.shape[2:], complex)
+        y[0, 0::2].real, y[0, 0::2].imag = c[0], c[1]
+        y[0, 1::2].real, y[0, 1::2].imag = c[2], c[3]
+        _odd_rows(y)
+    return _batch_first(y)
 
 
 def _sphere_batch(field, q, n, gen):
@@ -215,47 +249,55 @@ def _ball_rows(field, q, p, n, gen):
     y_j = r_j theta_j with theta_j uniform on the unit sphere of F^q and
     r_j^2 Beta distributed with shapes (dq/2, d(p-q-j+1)/2); Beta draws
     use two Gamma variates so non-integer shapes are exact.  At the
-    boundary p = 2q-1 the last factor sits on the sphere.
+    boundary p = 2q-1 the last factor sits on the sphere.  Each factor is
+    an (n, e, E) view of batch-last memory, as _row_embed returns it.
     """
     d = field_dim(field)
     rows = []
     for j in range(1, q + 1):
         theta = _sphere_batch(field, q, n, gen)
-        if j == q and p == 2 * q - 1:
-            rows.append(theta)
-            continue
-        g1 = gen.standard_gamma(0.5 * d * q, n)
-        g2 = gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
-        r2 = g1 / (g1 + g2)
-        rows.append(theta * np.sqrt(r2)[:, None, None])
+        if j < q or p != 2 * q - 1:
+            g1 = gen.standard_gamma(0.5 * d * q, n)
+            g2 = gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
+            theta *= np.sqrt(g1 / (g1 + g2))[:, None, None]
+        rows.append(theta)
     return rows
 
 
 def _p_map_batch(rows):
-    """Assemble ball matrices from embedded row factors.
+    """Assemble ball matrices from embedded row factors (n, e, E).
 
-    Row j of the result is y_j times the product of the square roots
-    (I - y_i* y_i)^(1/2) for i < j.  Each square root is the identity
-    plus a rank-one correction, applied as an update of the running
-    product: I - y*y has the two eigenvalues 1 and 1 - |y|^2.
+    Row j of the result is y_j S_(j-1) ... S_1, where
+    S_i = (I - y_i* y_i)^(1/2) = I + c_i y_i* y_i, since I - y*y has the
+    two eigenvalues 1 and 1 - |y|^2.  Each S_i acts on the running row v
+    as the rank-e update v += c_i (v y_i*) y_i, so no matrix product is
+    formed: every step is an (e, E, n) slab or length-n vector operation
+    on batch-last memory.  Over H only the even row of each factor is
+    worked, and the odd row is its chi shuffle.  Returns an (n, E, E)
+    view of batch-last memory.
     """
-    n, e, big = rows[0].shape
-    prod = np.broadcast_to(np.eye(big, dtype=rows[0].dtype), (n, big, big)).copy()
-    w = np.empty((n, big, big), dtype=rows[0].dtype)
-    for j, y in enumerate(rows):
-        row = y @ prod
-        w[:, j * e : (j + 1) * e, :] = row
-        if j + 1 == len(rows):
+    ys = [_batch_last(y) for y in rows]  # (e, E, n)
+    ybar = [np.conj(y) for y in ys]
+    e, big = ys[0].shape[:2]
+    w = np.empty((big, big) + ys[0].shape[2:], ys[0].dtype)
+    coefs = []
+    for j, y in enumerate(ys):
+        v = y[0].copy()
+        for i in reversed(range(j)):
+            v += _dot([coefs[i] * _dot(v, yb) for yb in ybar[i]], ys[i])
+        w[e * j] = v
+        if j + 1 == len(ys):
             break
-        s = np.sum(np.abs(y) ** 2, axis=(1, 2)) / e
+        s = _dot(y[0], ybar[j][0]).real
         safe = np.maximum(s, 1e-300)
-        c = np.where(
+        coefs.append(np.where(
             s < 1e-8,
             -0.5 - s / 8.0,
             (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0) / safe,
-        )
-        prod = prod + c[:, None, None] * (np.conj(np.swapaxes(y, 1, 2)) @ row)
-    return w
+        ))
+    if e == 2:
+        _odd_rows(w)
+    return _batch_first(w)
 
 
 def p_map(factors, field, allow_boundary=False):

@@ -266,6 +266,111 @@ class TestBuildG:
                             "r")
 
 
+class TestInputContract:
+    """power_function and build_g name the argument they reject."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_power_function_rejects_non_finite_x(self, bad):
+        x = np.diag([1.0, bad])
+        with pytest.raises(ValueError, match="^x has a non-finite entry"):
+            algebra.power_function(x, "r", np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_build_g_rejects_non_finite_w(self, field):
+        u, w = TestBuildG()._uw(field, 2, np.random.default_rng(21))
+        w = w.copy()
+        w[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^w has a non-finite entry"):
+            algebra.build_g([0.9, 0.4], u, w, field)
+
+    def test_build_g_rejects_non_finite_u(self):
+        with pytest.raises(ValueError, match="^u has a non-finite entry"):
+            algebra.build_g([0.9, 0.4], np.diag([1.0, np.inf]),
+                            np.zeros((2, 2)), "r")
+
+    @pytest.mark.parametrize("field,u,w,name", [
+        ("h", np.eye(2), np.zeros((2, 2, 4)), "u"),
+        ("h", np.zeros((2, 2, 4)), np.zeros((2, 2)), "w"),
+        ("r", np.eye(3), np.zeros((2, 2)), "u"),
+        ("c", np.eye(2), np.zeros((1, 2)), "w"),
+    ])
+    def test_build_g_rejects_shapes_that_miss_t(self, field, u, w, name):
+        with pytest.raises(ValueError, match="^%s has shape" % name):
+            algebra.build_g([1.0, 0.5], u, w, field)
+
+
+class TestBatchLastKernels:
+    """build_g and the log-minors on batch-last memory."""
+
+    @staticmethod
+    def _draws(field, q, n, seed):
+        gen = np.random.default_rng(seed)
+        return (sampling._haar_batch(field, q, n, gen),
+                sampling._mp_batch(field, q, 2 * q + 1.0, n, gen))
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("variant", ["g", "g-tilde", None])
+    def test_batch_first_inputs_same_bits(self, field, variant):
+        """C-contiguous (n, e, e) stacks give the bits that the samplers'
+        batch-last views give."""
+        t = np.array([1.1, 0.6, 0.2])
+        u, w = self._draws(field, 3, 300, 60)
+        if variant is None:
+            w = None
+        outs = []
+        for copy in (lambda x: x, np.ascontiguousarray):
+            g = algebra._build_g_embedded(
+                t, copy(u), None if w is None else copy(w), field,
+                variant or "g")
+            outs.append((g, algebra._log_minors_embedded(copy(g), field)))
+        for got, want in zip(*outs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", ["g", "g-tilde"])
+    def test_quaternion_pivots_pair(self, variant):
+        """build_g's completed chi matrix has Cholesky pivots in equal
+        pairs, and the log-minors take one of each pair."""
+        u, w = self._draws("h", 4, 200, 61)
+        g = algebra.build_g(np.linspace(1.4, 0.2, 4), algebra._chi_inv(u),
+                            algebra._chi_inv(w), "h", variant)
+        piv = np.diagonal(np.linalg.cholesky(algebra._chi(g)), axis1=-2,
+                          axis2=-1).real
+        np.testing.assert_allclose(piv[:, 0::2], piv[:, 1::2], rtol=1e-12)
+        np.testing.assert_allclose(
+            algebra._log_minors(g, "h"),
+            np.cumsum(np.log(piv), axis=-1)[:, 1::2], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_build_g_is_exactly_hermitian(self, field):
+        u, w = TestBuildG()._uw(field, 3, np.random.default_rng(62))
+        t = np.array([1.0, 0.5, 0.25])
+        for g in (algebra.build_g(t, u, w, field),
+                  algebra.build_g(t, u, np.zeros_like(w), field)):
+            np.testing.assert_array_equal(g, algebra.adjoint(g, field))
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_cone_exit_on_batch_last_stacks(self, field):
+        """One draw whose squared pivot is below 1e-13 fails the shard;
+        at 1e-12 it passes, and a NaN pivot passes on as a NaN log."""
+        e = 4 if field == "h" else 2
+        dtype = float if field == "r" else complex
+        for last, raises in ((1e-14, True), (1e-12, False), (np.nan, False)):
+            g = np.zeros((e, e, 50), dtype)  # batch-last memory
+            for i in range(e):
+                g[i, i] = 1.0
+            g[-1, -1, 7] = last
+            if field == "h":
+                g[-2, -2, 7] = last
+            stack = algebra._batch_first(g)
+            if raises:
+                with pytest.raises(ValueError, match="pivot below tolerance"):
+                    algebra._log_minors_embedded(stack, field)
+                continue
+            logs = algebra._log_minors_embedded(stack, field)
+            np.testing.assert_array_equal(logs[7], [0.0, np.log(last)])
+            assert np.all(np.delete(logs, 7, axis=0) == 0.0)
+
+
 class TestSingularValues:
     def test_quaternion_pairing(self):
         gen = np.random.default_rng(19)

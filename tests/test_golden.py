@@ -34,7 +34,7 @@ EVAL = {
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
          ' "stderr": 0.0071973473023627926,'
-         ' "value_im": -0.004971549151948011,'
+         ' "value_im": -0.004971549151948012,'
          ' "value_re": 0.3530875052302129}\n'),
     ),
     "eval-bc-h2": (
@@ -43,15 +43,15 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.0044390683736881325,'
-         ' "value_im": 0.0005325618197589925,'
-         ' "value_re": 0.08526340926777908}\n'
+         ' "stderr": 0.004439068373688131,'
+         ' "value_im": 0.0005325618197589938,'
+         ' "value_re": 0.08526340926777906}\n'
          '{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "2+0i,0-1i", "p": 5.0, "q": 2, "t": [0.8, 0.4]},'
          ' "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.003899715784342395,'
-         ' "value_im": 0.0015389123448164492,'
-         ' "value_re": 0.08473270242256753}\n'),
+         ' "stderr": 0.0038997157843423938,'
+         ' "value_im": 0.0015389123448164514,'
+         ' "value_re": 0.08473270242256752}\n'),
     ),
     "eval-bc-r1-w2": (
         ("eval-bc --field r --q 1 --p 3 --lambda 2,1+1i --t 0.5,1.5 "
@@ -60,14 +60,14 @@ EVAL = {
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
          ' "stderr": 0.004189447727644246,'
-         ' "value_im": 0.0003088246177861187,'
+         ' "value_im": 0.00030882461778611694,'
          ' "value_re": 0.8055557981447752}\n'
          '{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [1.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.0071545271090237145,'
+         ' "stderr": 0.007154527109023715,'
          ' "value_im": -0.0026631681448116584,'
-         ' "value_re": 0.023720452560611904}\n'
+         ' "value_re": 0.0237204525606119}\n'
          '{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
@@ -87,8 +87,8 @@ EVAL = {
         ('{"command": "eval-bc-degenerate", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "q": 2, "t": [0.7, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 3,'
-         ' "stderr": 0.00556197827319476,'
-         ' "value_im": -0.0027612814427482174,'
+         ' "stderr": 0.0055619782731947615,'
+         ' "value_im": -0.002761281442748216,'
          ' "value_re": 0.6395280629164516}\n'),
     ),
     "eval-a-csv": (
@@ -96,8 +96,8 @@ EVAL = {
          "--samples 20000 --seed 4 --format csv"),
         ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
          'eval-a,h,2,,"1+0i,0.5+0i","0.59999999999999998,'
-         '0.10000000000000001",0.97924181075696604+0.12952606550119447i,'
-         "0.0010418230081731094,20000,4,True\n"
+         '0.10000000000000001",0.97924181075696581+0.12952606550119442i,'
+         "0.0010418230081731155,20000,4,True\n"
          'eval-a,h,2,,"1+0i,0.5+0i","0,0",1+0i,0,20000,4,True\n'),
     ),
     "eval-a-r3": (
@@ -106,14 +106,14 @@ EVAL = {
         ('{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [0.9, 0.5,'
          ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.0013861510951121644,'
-         ' "value_im": 0.16232785891917412,'
-         ' "value_re": 0.9677003353420444}\n'
+         ' "stderr": 0.001386151095112167,'
+         ' "value_im": 0.16232785891917415,'
+         ' "value_re": 0.9677003353420441}\n'
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [1.3e-07,'
          ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
-         ' "seed": 6, "stderr": 0.0,'
-         ' "value_im": 4.680883458618701e-15, "value_re": 1.0}\n'
+         ' "seed": 6, "stderr": 3.012431766147676e-17,'
+         ' "value_im": 4.736155911899652e-15, "value_re": 1.0}\n'
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [0.9, 0.5,'
          ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
@@ -123,9 +123,9 @@ EVAL = {
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [1.3e-07,'
          ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
-         ' "seed": 6, "stderr": 0.0,'
-         ' "value_im": 1.4042644824740898e-14,'
-         ' "value_re": 0.9999999999999931}\n'),
+         ' "seed": 6, "stderr": 3.975366874887067e-17,'
+         ' "value_im": 1.4210171928041663e-14,'
+         ' "value_re": 0.999999999999993}\n'),
     ),
     "eval-a-c2-w2": (
         ("eval-a --field c --q 2 --lambda 1+0.5i,0.5,-1,2i --t "
@@ -133,26 +133,26 @@ EVAL = {
         ('{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 0.0011783515536191655,'
+         ' "stderr": 0.0011783515536191679,'
          ' "value_im": 0.2251924564174851,'
          ' "value_re": 0.8807846411577479}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [2e-07, 1e-07]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 7.450580596923828e-11,'
-         ' "value_im": 1.8589441097560396e-14,'
+         ' "stderr": 7.875921257575514e-17,'
+         ' "value_im": 1.8672249857409494e-14,'
          ' "value_re": 0.9999999999999937}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "-1+0i,0+2i", "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 0.00035853968973192105,'
-         ' "value_im": -0.1265021750506731,'
+         ' "stderr": 0.00035853968973192555,'
+         ' "value_im": -0.12650217505067307,'
          ' "value_re": 0.7021668129562589}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "-1+0i,0+2i", "q": 2, "t": [2e-07, 1e-07]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 1.0536712127723508e-10,'
-         ' "value_im": -1.2419620887271383e-14,'
+         ' "stderr": 3.096934313925161e-17,'
+         ' "value_im": -1.247481562494053e-14,'
          ' "value_re": 0.9999999999999751}\n'),
     ),
     # The phase reducer moved onto the shared np.abs reducer, which
@@ -163,7 +163,7 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0017863641719904678,'
+         ' "stderr": 0.0017863641719904665,'
          ' "value_im": -0.0031694144506000826,'
          ' "value_re": 0.9675577583341558}\n'),
     ),
@@ -173,13 +173,13 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.001928691437619558,'
+         ' "stderr": 0.001928691437619563,'
          ' "value_im": -0.003289565525893449,'
          ' "value_re": 0.9620770060279534}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [1.2, 0.1]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.002670717535371986,'
+         ' "stderr": 0.002670717535371987,'
          ' "value_im": -0.00471565794515272,'
          ' "value_re": 0.9259174474515943}\n'),
     ),
@@ -190,8 +190,8 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "h",'
          ' "lambda": "1+0i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0010585752893526108,'
-         ' "value_im": -3.915722393995864e-05,'
+         ' "stderr": 0.0010585752893526087,'
+         ' "value_im": -3.9157223939958867e-05,'
          ' "value_re": 0.9887306840602009}\n'),
     ),
     "eval-bessel-integral-c1": (
@@ -200,7 +200,7 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.8]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.003296436215153033,'
+         ' "stderr": 0.0032964362151530324,'
          ' "value_im": -0.006974534118137346,'
          ' "value_re": 0.8846589859727793}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
@@ -215,8 +215,8 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.004538270146980976,'
-         ' "value_im": 1.545228917546906e-05,'
+         ' "stderr": 0.004538270146980975,'
+         ' "value_im": 1.5452289175469147e-05,'
          ' "value_re": 0.7667516157574774}\n'
          '{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.0]},'
@@ -225,7 +225,7 @@ EVAL = {
          '{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.0057505875862765635,'
+         ' "stderr": 0.005750587586276564,'
          ' "value_im": -0.03444956776729592,'
          ' "value_re": 0.8330514470390498}\n'
          '{"command": "eval-bc", "inputs": {"field": "c",'
@@ -239,7 +239,7 @@ EVAL = {
         ('{"command": "eval-ho-poly", "inputs": {"field": "r",'
          ' "lambda": "4+0i,2+0i", "p": 5.0, "q": 2, "t": [0.5, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.38947097690146215, "value_im": 0.0,'
+         ' "stderr": 0.3894709769014622, "value_im": 0.0,'
          ' "value_re": 76.47082530076769}\n'),
     ),
 }
@@ -248,9 +248,9 @@ SUMMARY = {
     "rate-p": (
         ("rate-p --field r --q 2 --lambda 1,0.5 --t-grid "
          "0.5,0.2,1,0.4 --p-list 5,9,17 --samples 16384 --seed 7"),
-        ('{"normalized_max": 0.10064907202679707, "pass": true,'
-         ' "scale": 1.5, "slope": -1.0807832338705343,'
-         ' "slope_halfwidth": 0.04705049375220116,'
+        ('{"normalized_max": 0.10064907202679702, "pass": true,'
+         ' "scale": 1.5, "slope": -1.0807832338705357,'
+         ' "slope_halfwidth": 0.047050493752202716,'
          ' "unbounded_regime": false}\n'),
     ),
     "rate-p-readme": (
@@ -265,21 +265,21 @@ SUMMARY = {
          "--n-list 2,4,8 --samples 16384 --seed 8"),
         ('{"normalized_max": 0.24331463886359758, "pass": true,'
          ' "scale": 1.5, "slope": -0.9323498553691967,'
-         ' "slope_halfwidth": 0.06813126785337065,'
+         ' "slope_halfwidth": 0.06813126785337109,'
          ' "unbounded_regime": false}\n'),
     ),
     "boundedness": (
         ("boundedness --field r --q 2 --p 4 --n-lambda 4 --n-t 3 "
          "--samples 16384 --seed 9"),
         ('{"all_bounded": true, "all_positive": true,'
-         ' "out_of_hull_max": 12.728396006056597, "pass": true}\n'),
+         ' "out_of_hull_max": 12.728396006056595, "pass": true}\n'),
     ),
     "moment-decay": (
         ("moment-decay --field c --q 2 --n 1 --p-list 9,17,33 "
          "--samples 16384 --seed 10"),
         ('{"normalized_max": 16.913725036319878, "pass": true,'
          ' "scale": 1.0, "slope": -1.9669317558516695,'
-         ' "slope_halfwidth": 0.003475933794737207,'
+         ' "slope_halfwidth": 0.003475933794736763,'
          ' "unbounded_regime": false}\n'),
     ),
 }
@@ -359,14 +359,14 @@ STDOUT = {
         ("lambda,t,value,stderr,bounded,positive\n"
          "0-0.41165740750096891i,0,1+0i,0,True,True\n"
          "0-0.41165740750096891i,3,0.38607413935691287+0i,"
-         "0.0047649994052632195,True,True\n"
+         "0.0047649994052632377,True,True\n"
          "0.10351865637760849-0.85372974945722824i,0,1+0i,0,True,\n"
          "0.10351865637760849-0.85372974945722824i,3,"
-         "0.73538139132305869+0.14303898554935845i,0.0016255087066867765,"
+         "0.73538139132305869+0.14303898554935845i,0.0016255087066867795,"
          "True,\n"
          "-0.040966810223886707+0.22927212940944375i,0,1+0i,0,True,\n"
          "-0.040966810223886707+0.22927212940944375i,3,"
-         "0.3474200790846137+0.011718942367241331i,0.020471843213776153,"
+         "0.3474200790846137+0.011718942367241331i,0.020471843213776195,"
          "True,\n"
          '{"all_bounded": true, "all_positive": true,'
          ' "out_of_hull_max": 2.9803692450760764, "pass": true}\n'), "",
@@ -391,7 +391,7 @@ FILES = {
          "--seed 11 --format csv"),
         {"": ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
               'eval-bc,r,2,5.0,"1+1i,0.5+0i","0.90000000000000002,'
-              '0.29999999999999999",0.68347332465344313-0.066363593760988493i,'
+              '0.29999999999999999",0.68347332465344313-0.066363593760988465i,'
               "0.019524524827129009,4000,11,True\n")},
     ),
     "eps0": (

@@ -43,6 +43,39 @@ def _haar_qr(field, q, n, gen):
     return u
 
 
+def _p_map_reference(rows):
+    """The batch-first p_map the batch-last kernel replaced: the row
+    product y @ prod and the rank-one update of the running square-root
+    product (I - y*y)^(1/2) as batched matrix products."""
+    n, e, big = rows[0].shape
+    prod = np.broadcast_to(np.eye(big, dtype=rows[0].dtype),
+                           (n, big, big)).copy()
+    w = np.empty((n, big, big), rows[0].dtype)
+    for j, y in enumerate(rows):
+        row = y @ prod
+        w[:, j * e:(j + 1) * e] = row
+        s = np.sum(np.abs(y) ** 2, axis=(1, 2)) / e
+        c = (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0) / s
+        prod = prod + c[:, None, None] * (algebra._ct(y) @ row)
+    return w
+
+
+def _g_reference(t, u, w, field, variant):
+    """u* (A* A) u or u* (A A*) u by plain matrix products."""
+    tt = np.repeat(t, 2) if field == "h" else t
+    a = np.diag(np.cosh(tt)) if w is None \
+        else np.sinh(tt)[:, None] * w + np.diag(np.cosh(tt))
+    aa = algebra._ct(a) @ a if variant == "g" else a @ algebra._ct(a)
+    return aa if u is None else algebra._ct(u) @ aa @ u
+
+
+def _log_minors_reference(g, field):
+    """Logs of the principal minors from LAPACK's Cholesky diagonal."""
+    piv = np.diagonal(np.linalg.cholesky(g), axis1=-2, axis2=-1).real
+    cum = np.cumsum(np.log(piv), axis=-1)
+    return cum[..., 1::2] if field == "h" else 2.0 * cum
+
+
 class TestHaar:
     """Haar-distributed unitaries over the three fields."""
 
@@ -189,6 +222,65 @@ class TestBallSampler:
         np.testing.assert_allclose(s1, 1.0, atol=1e-12)
 
 
+class TestBatchLastKernels:
+    """The shard kernels after the draws, p_map -> build_g -> log-minors,
+    against batch-first references built from @ and LAPACK."""
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_p_map_matches_reference(self, field, q):
+        gen = np.random.default_rng(30 + q)
+        for p in (2 * q - 1, 2 * q + 1.5):
+            rows = sampling._ball_rows(field, q, p, 1000, gen)
+            got = sampling._p_map_batch(rows)
+            want = _p_map_reference([np.ascontiguousarray(y) for y in rows])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", ["g", "g-tilde", None])
+    def test_chain_matches_reference(self, field, q, variant):
+        """variant None is the w = None law of psi."""
+        gen = np.random.default_rng(40 + q)
+        t = np.linspace(1.2, 0.3, q)
+        u = sampling._haar_batch(field, q, 1000, gen)
+        rows = sampling._ball_rows(field, q, 2 * q + 1.0, 1000, gen)
+        w = None if variant is None else sampling._p_map_batch(rows)
+        w_ref = None if variant is None else _p_map_reference(
+            [np.ascontiguousarray(y) for y in rows])
+        g = algebra._build_g_embedded(t, u, w, field, variant or "g")
+        g_ref = _g_reference(t, np.ascontiguousarray(u), w_ref, field,
+                             variant or "g")
+        worked = np.tril(np.ones(g.shape[1:], bool))
+        if field == "h":
+            worked[1::2] = False  # odd rows are left to build_g
+        scale = np.abs(g_ref).max()
+        np.testing.assert_allclose(g[:, worked], g_ref[:, worked], rtol=0,
+                                   atol=1e-13 * scale)
+        assert np.all(g[:, ~worked] == 0.0)
+        logs = algebra._log_minors_embedded(g, field)
+        np.testing.assert_allclose(logs, _log_minors_reference(g_ref, field),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_draws_are_batch_last(self, field):
+        """Draws are (n, e, e) views whose batch axis has unit stride."""
+        gen = np.random.default_rng(50)
+        draws = [sampling._haar_batch(field, 3, 64, gen),
+                 sampling._mp_batch(field, 3, 6.0, 64, gen)]
+        draws += sampling._ball_rows(field, 3, 6.0, 64, gen)
+        for x in draws:
+            assert x.strides[0] == x.itemsize
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_p_map_batch_first_rows_same_bits(self, field):
+        rows = sampling._ball_rows(field, 3, 6.0, 300,
+                                   np.random.default_rng(51))
+        np.testing.assert_array_equal(
+            sampling._p_map_batch(rows),
+            sampling._p_map_batch([np.ascontiguousarray(y) for y in rows]))
+
+
 class TestKappa:
     """The closed-form ball mass against rejection sampling."""
 
@@ -235,15 +327,33 @@ class TestShardEngine:
                 sampling.shard_stream(seed, 0, stream_id)
 
     def test_shard_moments_bits(self):
+        """Value sums, and sums of |v - mean|^2 about each column mean."""
         gen = np.random.default_rng(8)
         real = gen.standard_normal((300, 3))
         cplx = real + 1j * gen.standard_normal((300, 3))
-        sums, sqs = sampling.shard_moments([real, cplx])
-        np.testing.assert_array_equal(
-            sums, np.concatenate([real.sum(axis=0), cplx.sum(axis=0)]))
-        np.testing.assert_array_equal(
-            sqs, np.concatenate([(np.abs(real) ** 2).sum(axis=0),
-                                 (np.abs(cplx) ** 2).sum(axis=0)]))
+        blocks = (real, cplx)
+        sums = [x.sum(axis=0) for x in blocks]
+        m2s = [(np.abs(x - s / len(x)) ** 2).sum(axis=0)
+               for x, s in zip(blocks, sums)]
+        got_sums, got_m2s = sampling.shard_moments([x.copy() for x in blocks])
+        np.testing.assert_array_equal(got_sums, np.concatenate(sums))
+        np.testing.assert_array_equal(got_m2s, np.concatenate(m2s))
+
+    def test_stderr_of_nearly_constant_values(self):
+        """Centred moments keep the stderr of values that differ only in
+        their last digits, which the raw second moment cancels to 0."""
+        sizes = sampling.shard_plan(20000)
+
+        def values(shard, count):
+            noise = sampling.shard_stream(2, shard, 2).standard_normal(
+                (count, 1))
+            return 1.0 + 1e-13 * noise
+
+        _, err, _ = sampling.mc_run(
+            lambda i, n: sampling.shard_moments([values(i, n)]), 20000)
+        vals = np.concatenate([values(i, n) for i, n in enumerate(sizes)])
+        np.testing.assert_allclose(err, vals.std(axis=0) / np.sqrt(20000),
+                                   rtol=1e-3)
 
     def test_shard_moments_drops_each_block(self):
         """Block k is freed before block k + 1 is built."""

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import hypergeo
 
 SRC = pathlib.Path(hypergeo.__file__).parent
@@ -82,3 +84,43 @@ def test_bessel_does_not_import_sampling():
     modules = {node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)}
     assert "sampling" not in imported | modules
+
+
+# The shard kernels after the draws, which run as length-n vector
+# operations on batch-last memory.
+VECTOR_KERNELS = (("sampling.py", "_p_map_batch"),
+                  ("algebra.py", "_build_g_embedded"),
+                  ("algebra.py", "_log_minors_embedded"))
+
+
+def _per_matrix_calls(func):
+    """`@` products, matmul and np.linalg calls inside one function."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ("matmul", "linalg")):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "matmul":
+            found.append(node.id)
+    return found
+
+
+@pytest.mark.parametrize("module,name", VECTOR_KERNELS)
+def test_kernels_dispatch_no_per_matrix_products(module, name):
+    """No batched BLAS or LAPACK call creeps back into the kernels or the
+    module's own helpers they call."""
+    tree = ast.parse((SRC / module).read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    todo, seen = [name], set()
+    while todo:
+        func = funcs[todo.pop()]
+        seen.add(func.name)
+        assert _per_matrix_calls(func) == [], func.name
+        todo += [node.func.id for node in ast.walk(func)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in funcs and node.func.id not in seen]
