@@ -4,8 +4,16 @@ The series is indexed by partitions and built from Jack polynomials in
 the C normalization, which is the one satisfying the binomial identity
 sum_{|m|=k} C_m(x) = (x_1 + ... + x_q)^k.  Coefficient tables come from
 the eigenvalue recurrence of the Laplace-Beltrami operator in the
-monomial basis and are cached per (weight, alpha, rank).  Integral mode
-averages a phase column with `hyper_bc._mc_pairs`, on phi's draws.
+monomial basis and are cached per (weight, alpha, rank).
+
+The series is summed one weight shell at a time.  `_shell` caches, per
+(weight, alpha, rank), the shell's partitions, the matrix K (`coeffs`)
+of their C polynomials in the monomial basis, the exponent rows of every
+distinct permutation of each partition, and the values C(1^q).  A
+shell's monomials at a point are then one power table, one gather, one
+product and one sum per partition, and its C values one product with K.
+Integral mode averages a phase column with `hyper_bc._mc_pairs`, on
+phi's draws.
 """
 
 import itertools
@@ -146,13 +154,58 @@ def _c_scale(lam, alpha):
     return scale
 
 
-def _monomial(mu, xi):
-    q = len(xi)
-    padded = mu + (0,) * (q - len(mu))
-    total = 0.0
-    for perm in set(itertools.permutations(padded)):
-        total = total + np.prod(xi ** np.asarray(perm))
-    return total
+@dataclass(frozen=True)
+class _Shell:
+    """The partitions of one weight into at most q parts, and their C
+    polynomials in the monomial basis.
+
+    Row i of `coeffs` holds C_parts[i] = sum_j coeffs[i, j] m_parts[j]; it
+    is zero left of the diagonal, and `support` marks the entries the
+    P expansion defines.  `exponents` holds the distinct permutations of
+    every partition, in partition order, and `starts` where each
+    partition's rows begin.
+    """
+
+    weight: int
+    parts: list
+    index: dict
+    coeffs: np.ndarray
+    support: np.ndarray
+    exponents: np.ndarray
+    starts: np.ndarray
+    at_ones: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _shell(weight, alpha, q):
+    """The C table of one weight shell; the only permutation walk."""
+    parts = partitions_of_weight(weight, q)
+    index = {lam: i for i, lam in enumerate(parts)}
+    tables = _jack_tables(weight, alpha, q)
+    coeffs = np.zeros((len(parts), len(parts)))
+    support = np.zeros(coeffs.shape, bool)
+    for i, lam in enumerate(parts):
+        scale = _c_scale(lam, alpha)
+        for mu, c in tables[lam].items():
+            coeffs[i, index[mu]] = scale * c
+            support[i, index[mu]] = True
+    perms = [sorted(set(itertools.permutations(lam + (0,) * (q - len(lam)))),
+                    reverse=True) for lam in parts]
+    counts = np.array([len(rows) for rows in perms])
+    exponents = np.array([row for rows in perms for row in rows], np.intp)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    at_ones = coeffs @ counts
+    for a in (coeffs, support, exponents, starts, at_ones):
+        a.setflags(write=False)
+    return _Shell(weight, parts, index, coeffs, support, exponents, starts,
+                  at_ones)
+
+
+def _monomial(shell, x):
+    """Monomial symmetric functions of every partition of a shell at x."""
+    powers = x[:, None] ** np.arange(shell.weight + 1)
+    terms = powers[np.arange(x.shape[0]), shell.exponents].prod(axis=1)
+    return np.add.reduceat(terms, shell.starts)
 
 
 def jack_C(m, alpha, xi):
@@ -165,9 +218,8 @@ def jack_C(m, alpha, xi):
                          % (m, q))
     if not m:
         return 1.0
-    coeffs = _jack_tables(sum(m), float(alpha), q)[m]
-    return _c_scale(m, alpha) * sum(c * _monomial(mu, xi)
-                                    for mu, c in coeffs.items())
+    shell = _shell(sum(m), float(alpha), q)
+    return shell.coeffs[shell.index[m]] @ _monomial(shell, xi)
 
 
 def gen_pochhammer(x, m, alpha):
@@ -194,7 +246,6 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     if xi.shape != eta.shape or xi.ndim != 1:
         raise ValueError("xi and eta must be vectors of a common length")
     q = xi.shape[0]
-    ones = np.ones(q)
     shells = [1.0]
     total = 1.0
     quiet = 0
@@ -202,15 +253,15 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_degree + 1):
-            s = 0.0
-            for m in partitions_of_weight(k, q):
-                poch = gen_pochhammer(idx.mu, m, idx.alpha)
-                if poch == 0:
-                    raise ValueError(
-                        "Pochhammer symbol (mu)_m vanishes at m=%s" % (m,))
-                s = s + (-1.0) ** k * jack_C(m, idx.alpha, xi) \
-                    * jack_C(m, idx.alpha, eta) \
-                    / (poch * math.factorial(k) * jack_C(m, idx.alpha, ones))
+            shell = _shell(k, float(idx.alpha), q)
+            poch = np.array([gen_pochhammer(idx.mu, m, idx.alpha)
+                             for m in shell.parts])
+            if not np.all(poch):
+                raise ValueError("Pochhammer symbol (mu)_m vanishes at m=%s"
+                                 % (shell.parts[np.argmin(poch != 0)],))
+            s = ((-1.0) ** k * (shell.coeffs @ _monomial(shell, xi))
+                 * (shell.coeffs @ _monomial(shell, eta))
+                 / (poch * float(math.factorial(k)) * shell.at_ones)).sum()
             total = total + s
             if not np.isfinite(total):
                 raise OverflowError("the Bessel series overflows at shell %d"

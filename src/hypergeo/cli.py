@@ -31,8 +31,7 @@ import numpy as np
 
 from . import experiments, weyl
 from .algebra import field_dim, normalize_field
-from .bessel import (_c_scale, _jack_tables, bessel_phi_tilde, jack_C,
-                     partitions_of_weight)
+from .bessel import _shell, bessel_phi_tilde
 from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
 from .hyper_bc import (c_function, eval_phi_bc, eval_ho_polynomial,
@@ -432,22 +431,15 @@ def _cmd_jack_table(args):
     if not (np.isfinite(alpha) and alpha > 0):
         raise _ConfigError("alpha must be positive and finite, not %r"
                            % alpha)
-    ones = np.ones(args.rank)
-    rows = []
     try:
-        for lam in partitions_of_weight(args.weight, args.rank):
-            scale = _c_scale(lam, alpha) if lam else 1.0
-            at_ones = jack_C(lam, alpha, ones)
-            table = _jack_tables(args.weight, alpha, args.rank)[lam] if lam \
-                else {(): 1.0}
-            for mu in sorted(table, reverse=True):
-                rows.append(["+".join(str(x) for x in lam),
-                             "+".join(str(x) for x in mu),
-                             _fmt(scale * table[mu]), _fmt(alpha),
-                             _fmt(at_ones)])
+        shell = _shell(args.weight, alpha, args.rank)
     except OverflowError:
         raise ValueError("--alpha %r overflows the Jack coefficients of "
                          "weight %d" % (alpha, args.weight))
+    name = ["+".join(str(x) for x in lam) for lam in shell.parts]
+    rows = [[name[i], name[j], _fmt(shell.coeffs[i, j]), _fmt(alpha),
+             _fmt(shell.at_ones[i])]
+            for i, j in zip(*np.nonzero(shell.support))]
     _write(args.output, _csv_text(["partition", "monomial", "coefficient",
                                    "alpha", "c_at_ones"], rows))
     return 0

@@ -1,8 +1,11 @@
 """Tests for Jack polynomials and the Bessel function of matrix argument."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +15,85 @@ from oracles import bessel_0f1, partitions_brute
 
 # frozen from the 50-digit confluent series (bessel_0f1)
 B_FROZEN = 0.7538717682021518 + 0.0j
+
+ALPHAS = (0.5, 1.0, 2.0, 0.37)
+
+
+# The per-partition evaluation the shell tables replaced, kept as a
+# reference: each monomial a sum over a permutation set, each C value a
+# sum over its P expansion.
+
+@lru_cache(maxsize=None)
+def _perm_set(mu, q):
+    return tuple(set(itertools.permutations(mu + (0,) * (q - len(mu)))))
+
+
+def _monomial_ref(mu, xi):
+    total = 0.0
+    for perm in _perm_set(mu, len(xi)):
+        total = total + np.prod(xi ** np.asarray(perm))
+    return total
+
+
+def _monomials_ref(k, xi):
+    """{mu: (m_mu(xi), m_mu(|xi|))} over the partitions of weight k."""
+    return {mu: (_monomial_ref(mu, xi), _monomial_ref(mu, abs(xi)))
+            for mu in bessel.partitions_of_weight(k, len(xi))}
+
+
+def _shell_ref(k, alpha, xi, monomials=None):
+    """C_m(xi) for every partition m of weight k, in shell order, each as
+    the sum over its P expansion; and the sums of |terms| of those
+    expansions, which bound what rounding can reach."""
+    monomials = monomials or _monomials_ref(k, xi)
+    values, sizes = [], []
+    for m, coeffs in bessel._jack_tables(k, alpha, len(xi)).items():
+        scale = bessel._c_scale(m, alpha)
+        values.append(scale * sum(c * monomials[mu][0]
+                                  for mu, c in coeffs.items()))
+        sizes.append(sum(abs(scale * c) * monomials[mu][1]
+                         for mu, c in coeffs.items()))
+    return np.array(values), np.array(sizes)
+
+
+def _series_ref(idx, xi, eta, max_degree=30, rel_tol=1e-12):
+    """The shell-summed series on the reference C values:
+    (value, truncation degree, converged)."""
+    q = len(xi)
+    total, quiet = 1.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_degree + 1):
+            cx, ce, c1 = (_shell_ref(k, idx.alpha, x)[0]
+                          for x in (xi, eta, np.ones(q)))
+            s = 0.0
+            for j, m in enumerate(bessel.partitions_of_weight(k, q)):
+                poch = bessel.gen_pochhammer(idx.mu, m, idx.alpha)
+                s = s + (-1.0) ** k * cx[j] * ce[j] \
+                    / (poch * math.factorial(k) * c1[j])
+            total = total + s
+            if abs(s) < rel_tol * max(1.0, abs(total)):
+                quiet += 1
+                if quiet == 3:
+                    return total, k, True
+            else:
+                quiet = 0
+    return total, max_degree, False
+
+
+def _c_at_ones_closed_form(m, alpha, q):
+    """Stanley's C_m(1^q) = alpha^k k! / j_m prod_{(i,j) in m}
+    (q - (i-1) + alpha (j-1)), j_m = prod (leg + alpha (arm+1))
+    (leg + 1 + alpha arm)."""
+    conj = [sum(1 for part in m if part >= j)
+            for j in range(1, max(m, default=0) + 1)]
+    k = sum(m)
+    value = alpha ** k * math.factorial(k)
+    for i, part in enumerate(m, 1):
+        for j in range(1, part + 1):
+            arm, leg = part - j, conj[j - 1] - i
+            value *= (q - (i - 1) + alpha * (j - 1)) \
+                / ((leg + alpha * (arm + 1)) * (leg + 1 + alpha * arm))
+    return value
 
 
 class TestPartitions:
@@ -92,6 +174,65 @@ class TestJack:
         assert proc.stdout.split() == ["ValueError"] * 3, proc.stderr
 
 
+class TestShell:
+    """The cached shell tables against the per-partition reference."""
+
+    @staticmethod
+    def _points(q):
+        gen = np.random.default_rng(40 + q)
+        real = gen.uniform(0.2, 2.0, q)
+        zero = real.copy()
+        zero[0] = 0.0
+        return {"real": real,
+                "complex": real + 1j * gen.uniform(-1.0, 1.0, q),
+                "zero": zero,
+                "negative": -real * (-1.0) ** np.arange(q) if q > 1
+                else -real}
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_shell_vectors_match_reference(self, q):
+        for name, x in self._points(q).items():
+            for k in range(13):
+                monomials = _monomials_ref(k, x)
+                for alpha in ALPHAS:
+                    shell = bessel._shell(k, alpha, q)
+                    assert shell.parts == bessel.partitions_of_weight(k, q)
+                    got = shell.coeffs @ bessel._monomial(shell, x)
+                    want, size = _shell_ref(k, alpha, x, monomials)
+                    assert np.all(np.abs(got - want) <= 1e-13 * size), \
+                        "%s q=%d k=%d alpha=%g" % (name, q, k, alpha)
+
+    def test_jack_C_reads_its_shell_row(self):
+        xi = np.array([0.7, -1.2, 0.4 + 0.3j])
+        for alpha in ALPHAS:
+            for k in (1, 4, 7):
+                want, size = _shell_ref(k, alpha, xi)
+                for j, m in enumerate(bessel.partitions_of_weight(k, 3)):
+                    assert abs(bessel.jack_C(m, alpha, xi) - want[j]) \
+                        <= 1e-13 * size[j]
+
+    @pytest.mark.parametrize("q", (1, 2, 3, 4, 6))
+    def test_c_at_ones_closed_form(self, q):
+        """C_m(1^q) in closed form (Stanley 1989), independent of the
+        tables, against both the cached values and jack_C."""
+        for alpha in ALPHAS:
+            for k in range(11):
+                shell = bessel._shell(k, alpha, q)
+                for j, m in enumerate(shell.parts):
+                    want = _c_at_ones_closed_form(m, alpha, q)
+                    np.testing.assert_allclose(shell.at_ones[j], want,
+                                               rtol=1e-13)
+                    np.testing.assert_allclose(
+                        bessel.jack_C(m, alpha, np.ones(q)), want,
+                        rtol=1e-13)
+
+    def test_shell_is_cached_read_only(self):
+        shell = bessel._shell(5, 2.0, 3)
+        assert bessel._shell(5, 2.0, 3) is shell
+        with pytest.raises(ValueError):
+            shell.coeffs[0, 0] = 0.0
+
+
 class TestPochhammer:
     def test_generalized_factorial(self):
         # m = (2, 1): j=1 contributes x(x+1), j=2 contributes x - 1/alpha
@@ -167,6 +308,31 @@ class TestSeries:
         idx = bessel.bessel_index("r", 5.0)
         with pytest.raises(ValueError):
             bessel.bessel_series(idx, np.array([0.5]), np.array([0.4, 0.1]))
+
+
+class TestSeriesReference:
+    """The shell-vector series against the per-partition reference: the
+    same truncation degree and convergence, and values within 1e-13."""
+
+    def _check(self, idx, xi, eta, max_degree):
+        res = bessel.bessel_series(idx, xi, eta, max_degree=max_degree)
+        value, degree, converged = _series_ref(idx, xi, eta,
+                                               max_degree=max_degree)
+        assert (res.truncation_degree, res.converged) == (degree, converged)
+        assert abs(res.value - value) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("p", (3.0, 4.0, 7.0))
+    def test_point_grid(self, p):
+        idx = bessel.bessel_index("r", p)
+        for x in np.linspace(0.0, 2.0, 4):
+            for y in np.linspace(0.0, 2.0, 4):
+                self._check(idx, 0.5 * np.array([x, 0.5 * x]) ** 2,
+                            0.5 * np.array([y, 0.5 * y]) ** 2, 40)
+
+    @pytest.mark.parametrize("field", "rch")
+    def test_rank_four(self, field):
+        arg = 0.5 * np.array([2.0, 1.5, 1.0, 0.5]) ** 2
+        self._check(bessel.bessel_index(field, 9.0), arg, arg, 40)
 
 
 class TestPhiTilde:

@@ -293,12 +293,12 @@ STDOUT = {
         ('{"command": "eval-bessel-series", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 8, "seed": 0,'
-         ' "stderr": 5.959480048205e-21, "value_im": 0.0,'
+         ' "stderr": 5.9594800482049985e-21, "value_im": 0.0,'
          ' "value_re": 0.9678808860600279}\n'
          '{"command": "eval-bessel-series", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [1.2, 0.1]},'
          ' "pass": true, "samples": 9, "seed": 0,'
-         ' "stderr": 7.99281078608905e-21, "value_im": 0.0,'
+         ' "stderr": 7.992810786089046e-21, "value_im": 0.0,'
          ' "value_re": 0.9371535287139239}\n'), "",
     ),
     "eval-bessel-series-csv": (
@@ -307,7 +307,7 @@ STDOUT = {
         ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
          'eval-bessel-series,h,2,9.0,"1+0.5i,0.5+0i","0.59999999999999998,'
          '0.20000000000000001",0.99722191033761565-0.0027699654474797651i,'
-         "5.5671169728498289e-21,6,0,False\n"), "",
+         "5.5671169728498282e-21,6,0,False\n"), "",
     ),
     "c-function": (
         "c-function --field c --q 2 --p 5 --lambda 2.5+1i,1-0.5i,3,1", 0,

@@ -86,6 +86,28 @@ def test_bessel_does_not_import_sampling():
     assert "sampling" not in imported | modules
 
 
+def _names(node):
+    """Every name and attribute read inside one AST node."""
+    return [getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_bessel_series_runs_on_shell_tables():
+    """The series reads each shell's cached table: it calls no jack_C
+    per partition, and the one permutation walk is the cached shell
+    builder's, so none runs when a point is evaluated."""
+    tree = ast.parse((SRC / "bessel.py").read_text())
+    tops = [(getattr(top, "name", None), top) for top in tree.body]
+    funcs = dict(tops)
+    called = [name for node in ast.walk(funcs["bessel_series"])
+              if isinstance(node, ast.Call) for name in _names(node.func)]
+    assert "jack_C" not in called and "permutations" not in called
+    assert [name for name, top in tops
+            if "permutations" in _names(top)] == ["_shell"]
+    assert "lru_cache" in _names(funcs["_shell"].decorator_list[0])
+
+
 # The shard kernels after the draws, which run as length-n vector
 # operations on batch-last memory.
 VECTOR_KERNELS = (("sampling.py", "_p_map_batch"),
