@@ -2,18 +2,18 @@
 
 The series is indexed by partitions and built from Jack polynomials in
 the C normalization, which is the one satisfying the binomial identity
-sum_{|m|=k} C_m(x) = (x_1 + ... + x_q)^k.  Coefficient tables come from
-the eigenvalue recurrence of the Laplace-Beltrami operator in the
-monomial basis and are cached per (weight, alpha, rank).
+sum_{|m|=k} C_m(x) = (x_1 + ... + x_q)^k.
 
-The series is summed one weight shell at a time.  `_shell` caches, per
-(weight, alpha, rank), the shell's partitions, the matrix K (`coeffs`)
-of their C polynomials in the monomial basis, the exponent rows of every
-distinct permutation of each partition, and the values C(1^q).  A
-shell's monomials at a point are then one power table, one gather, one
-product and one sum per partition, and its C values one product with K.
-Integral mode averages a phase column with `hyper_bc._mc_pairs`, on
-phi's draws.
+The series is summed one weight shell at a time.  `_shell` is the one
+place the tables are built and the one cache: per (weight, alpha,
+rank), it runs the eigenvalue recurrence of the Laplace-Beltrami
+operator in the monomial basis, one column at a time, and holds the
+shell's partitions, the matrix K (`coeffs`) of their C polynomials in
+the monomial basis, the exponent rows of every distinct permutation of
+each partition, and the values C(1^q).  A shell's monomials at a point
+are then one power table, one gather, one product and one sum per
+partition, and its C values one product with K.  Integral mode averages
+a phase column with `hyper_bc._mc_pairs`, on phi's draws.
 """
 
 import itertools
@@ -78,60 +78,6 @@ def _conjugate(lam):
                  for j in range(1, lam[0] + 1))
 
 
-def _dominates(lam, mu):
-    """Whether lam >= mu in the dominance order (equal weights assumed)."""
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
-
-
-def _lb_eigenvalue(lam, alpha, n):
-    value = 0.5 * alpha * sum(x * (x - 1) for x in lam) \
-        + sum((n - i) * x for i, x in enumerate(lam, 1))
-    if value == math.inf:
-        raise OverflowError("alpha=%r overflows the eigenvalue of %s"
-                            % (alpha, lam))
-    return value
-
-
-@lru_cache(maxsize=None)
-def _jack_tables(weight, alpha, q):
-    """Monomial expansions {lam: {mu: coeff}} of the Jack P at one weight.
-
-    Coefficients solve u_mu = sum (mu_i - mu_j + 2r) u_nu / (d_lam - d_mu)
-    where nu is mu with r units moved from slot j up to slot i < j.  The
-    targets are processed in descending lex order, a linear extension of
-    dominance, so every source coefficient is already known.
-    """
-    parts = partitions_of_weight(weight, q)
-    tables = {}
-    for idx, lam in enumerate(parts):
-        d_lam = _lb_eigenvalue(lam, alpha, q)
-        coeffs = {lam: 1.0}
-        for mu in parts[idx + 1:]:
-            if not _dominates(lam, mu):
-                continue
-            padded = mu + (0,) * (q - len(mu))
-            total = 0.0
-            for j in range(1, q):
-                for r in range(1, padded[j] + 1):
-                    for i in range(j):
-                        nu = list(padded)
-                        nu[i] += r
-                        nu[j] -= r
-                        nu = tuple(sorted(nu, reverse=True))
-                        src = coeffs.get(tuple(x for x in nu if x))
-                        if src:
-                            total += (padded[i] - padded[j] + 2 * r) * src
-            coeffs[mu] = total / (d_lam - _lb_eigenvalue(mu, alpha, q))
-        tables[lam] = coeffs
-    return tables
-
-
 def _c_scale(lam, alpha):
     """Factor turning P_lam into C_lam: alpha^|lam| |lam|! / c'_lam.
 
@@ -168,7 +114,6 @@ class _Shell:
 
     weight: int
     parts: list
-    index: dict
     coeffs: np.ndarray
     support: np.ndarray
     exponents: np.ndarray
@@ -178,27 +123,52 @@ class _Shell:
 
 @lru_cache(maxsize=None)
 def _shell(weight, alpha, q):
-    """The C table of one weight shell; the only permutation walk."""
+    """The C table of one weight shell; the only Jack recurrence and the
+    only permutation walk.
+
+    The P coefficients solve u_mu = sum (mu_i - mu_j + 2r) u_nu
+    / (d_lam - d_mu) over the rows lam that dominate mu, where nu is mu
+    with r units moved from slot j up to slot i < j and d is the
+    Laplace-Beltrami eigenvalue.  Columns mu are filled in descending lex
+    order, a linear extension of dominance, so every source is known.
+    """
     parts = partitions_of_weight(weight, q)
-    index = {lam: i for i, lam in enumerate(parts)}
-    tables = _jack_tables(weight, alpha, q)
-    coeffs = np.zeros((len(parts), len(parts)))
-    support = np.zeros(coeffs.shape, bool)
-    for i, lam in enumerate(parts):
-        scale = _c_scale(lam, alpha)
-        for mu, c in tables[lam].items():
-            coeffs[i, index[mu]] = scale * c
-            support[i, index[mu]] = True
-    perms = [sorted(set(itertools.permutations(lam + (0,) * (q - len(lam)))),
-                    reverse=True) for lam in parts]
+    padded = [lam + (0,) * (q - len(lam)) for lam in parts]
+    grid = np.array(padded, np.intp)
+    with np.errstate(over="ignore"):
+        eig = 0.5 * alpha * (grid * (grid - 1)).sum(axis=1) \
+            + grid @ np.arange(q - 1, -1, -1)
+    if eig[0] == math.inf:  # (weight,) has the largest eigenvalue
+        raise OverflowError("alpha=%r overflows the eigenvalue of %s"
+                            % (alpha, parts[0]))
+    support = np.ones((len(parts), len(parts)), bool)
+    for sums in grid.cumsum(axis=1).T:
+        support &= sums[:, None] >= sums
+    index = {mu: k for k, mu in enumerate(padded)}
+    coeffs = np.eye(len(parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, mu in enumerate(padded):
+            lams = np.flatnonzero(support[:k, k])
+            total = np.zeros(lams.size)
+            for j in range(1, q):
+                for r in range(1, mu[j] + 1):
+                    for i in range(j):
+                        nu = list(mu)
+                        nu[i] += r
+                        nu[j] -= r
+                        src = index[tuple(sorted(nu, reverse=True))]
+                        total += (mu[i] - mu[j] + 2 * r) * coeffs[lams, src]
+            coeffs[lams, k] = total / (eig[lams] - eig[k])
+        coeffs *= np.array([[_c_scale(lam, alpha)] for lam in parts])
+    perms = [sorted(set(itertools.permutations(lam)), reverse=True)
+             for lam in padded]
     counts = np.array([len(rows) for rows in perms])
     exponents = np.array([row for rows in perms for row in rows], np.intp)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     at_ones = coeffs @ counts
     for a in (coeffs, support, exponents, starts, at_ones):
         a.setflags(write=False)
-    return _Shell(weight, parts, index, coeffs, support, exponents, starts,
-                  at_ones)
+    return _Shell(weight, parts, coeffs, support, exponents, starts, at_ones)
 
 
 def _monomial(shell, x):
@@ -209,8 +179,21 @@ def _monomial(shell, x):
 
 
 def jack_C(m, alpha, xi):
-    """Jack polynomial C_m at the point xi (a length-q vector)."""
-    m = tuple(int(x) for x in m)
+    """Jack polynomial C_m at the point xi (a length-q vector).
+
+    m is a partition: weakly decreasing non-negative integers, trailing
+    zeros dropped.  alpha must be positive and finite.
+    """
+    given = tuple(m)
+    integral = all(float(x).is_integer() for x in given)
+    if not integral or min(given, default=0) < 0 \
+            or list(given) != sorted(given, reverse=True):
+        raise ValueError("m=%s is not a partition: its parts must be weakly "
+                         "decreasing non-negative integers" % (given,))
+    m = tuple(int(x) for x in given if x)
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be positive and finite, not %r" % alpha)
     xi = np.asarray(xi)
     q = xi.shape[0]
     if len(m) > q:
@@ -218,8 +201,8 @@ def jack_C(m, alpha, xi):
                          % (m, q))
     if not m:
         return 1.0
-    shell = _shell(sum(m), float(alpha), q)
-    return shell.coeffs[shell.index[m]] @ _monomial(shell, xi)
+    shell = _shell(sum(m), alpha, q)
+    return shell.coeffs[shell.parts.index(m)] @ _monomial(shell, xi)
 
 
 def gen_pochhammer(x, m, alpha):

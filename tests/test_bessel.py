@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -41,19 +42,96 @@ def _monomials_ref(k, xi):
             for mu in bessel.partitions_of_weight(k, len(xi))}
 
 
+# The dict recurrence the shell table replaced, kept as a reference:
+# {lam: {mu: P coefficient}}, one pure-Python division per pair.
+
+def _dominates_ref(lam, mu):
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def _lb_eigenvalue_ref(lam, alpha, n):
+    return 0.5 * alpha * sum(x * (x - 1) for x in lam) \
+        + sum((n - i) * x for i, x in enumerate(lam, 1))
+
+
+@lru_cache(maxsize=None)
+def _jack_tables_ref(weight, alpha, q):
+    parts = bessel.partitions_of_weight(weight, q)
+    tables = {}
+    for idx, lam in enumerate(parts):
+        d_lam = _lb_eigenvalue_ref(lam, alpha, q)
+        coeffs = {lam: 1.0}
+        for mu in parts[idx + 1:]:
+            if not _dominates_ref(lam, mu):
+                continue
+            padded = mu + (0,) * (q - len(mu))
+            total = 0.0
+            for j in range(1, q):
+                for r in range(1, padded[j] + 1):
+                    for i in range(j):
+                        nu = list(padded)
+                        nu[i] += r
+                        nu[j] -= r
+                        nu = tuple(sorted(nu, reverse=True))
+                        src = coeffs.get(tuple(x for x in nu if x))
+                        if src:
+                            total += (padded[i] - padded[j] + 2 * r) * src
+            coeffs[mu] = total / (d_lam - _lb_eigenvalue_ref(mu, alpha, q))
+        tables[lam] = coeffs
+    return tables
+
+
 def _shell_ref(k, alpha, xi, monomials=None):
     """C_m(xi) for every partition m of weight k, in shell order, each as
     the sum over its P expansion; and the sums of |terms| of those
     expansions, which bound what rounding can reach."""
     monomials = monomials or _monomials_ref(k, xi)
     values, sizes = [], []
-    for m, coeffs in bessel._jack_tables(k, alpha, len(xi)).items():
+    for m, coeffs in _jack_tables_ref(k, alpha, len(xi)).items():
         scale = bessel._c_scale(m, alpha)
         values.append(scale * sum(c * monomials[mu][0]
                                   for mu, c in coeffs.items()))
         sizes.append(sum(abs(scale * c) * monomials[mu][1]
                          for mu, c in coeffs.items()))
     return np.array(values), np.array(sizes)
+
+
+def _p_table(k, alpha, q):
+    """{lam: {mu: P coefficient}} read from the shell's C table."""
+    shell = bessel._shell(k, alpha, q)
+    return {lam: {mu: shell.coeffs[i, j] / shell.coeffs[i, i]
+                  for j, mu in enumerate(shell.parts) if shell.support[i, j]}
+            for i, lam in enumerate(shell.parts)}
+
+
+def _kostka(lam, q):
+    """{mu: K_lam,mu} for the partitions mu with at most q parts, counting
+    the semistandard tableaux of shape lam by enumerating every filling
+    with entries 1..q."""
+    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+    found = Counter()
+
+    def fill(n, tab):
+        if n == len(cells):
+            content = [list(tab.values()).count(v) for v in range(1, q + 1)]
+            if content == sorted(content, reverse=True):
+                found[tuple(x for x in content if x)] += 1
+            return
+        i, j = cells[n]
+        low = max(tab.get((i, j - 1), 1), tab.get((i - 1, j), 0) + 1)
+        for v in range(low, q + 1):
+            tab[i, j] = v
+            fill(n + 1, tab)
+        tab.pop((i, j), None)
+
+    fill(0, {})
+    return dict(found)
 
 
 def _series_ref(idx, xi, eta, max_degree=30, rel_tol=1e-12):
@@ -113,10 +191,10 @@ class TestJack:
     def test_known_p_normalized_coefficients(self):
         """P_2, P_21 and P_3 against their textbook expansions."""
         for alpha in (0.5, 1.0, 2.0):
-            t2 = bessel._jack_tables(2, alpha, 3)
+            t2 = _p_table(2, alpha, 3)
             np.testing.assert_allclose(t2[(2,)][(1, 1)], 2.0 / (alpha + 1.0))
             assert t2[(2,)][(2,)] == 1.0
-            t3 = bessel._jack_tables(3, alpha, 3)
+            t3 = _p_table(3, alpha, 3)
             np.testing.assert_allclose(t3[(2, 1)][(1, 1, 1)],
                                        6.0 / (alpha + 2.0))
             np.testing.assert_allclose(t3[(3,)][(2, 1)],
@@ -124,6 +202,17 @@ class TestJack:
             np.testing.assert_allclose(
                 t3[(3,)][(1, 1, 1)],
                 6.0 / ((2.0 * alpha + 1.0) * (alpha + 1.0)))
+
+    @pytest.mark.parametrize("q", range(1, 5))
+    def test_schur_coefficients_are_kostka_numbers(self, q):
+        """At alpha = 1, P_lam is the Schur polynomial, so its monomial
+        coefficients are the Kostka numbers, counted here by tableaux."""
+        for k in range(8):
+            for lam, row in _p_table(k, 1.0, q).items():
+                want = _kostka(lam, q)
+                assert row.keys() == want.keys(), lam
+                for mu, count in want.items():
+                    np.testing.assert_allclose(row[mu], count, rtol=1e-13)
 
     def test_rank_one_collapse(self):
         xi = np.array([1.7])
@@ -150,6 +239,25 @@ class TestJack:
         with pytest.raises(ValueError):
             bessel.jack_C((1, 1, 1), 1.0, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("m", [(1, 2), (2, -1, 1), (1.5,), (2, 0, 1)])
+    def test_non_partition_rejected(self, m):
+        """Out of order or negative parts raised a bare KeyError, and a
+        non-integer part was truncated: (1.5,) gave 2.0 at xi = 1."""
+        with pytest.raises(ValueError, match=r"m=\(.*\) is not a partition"):
+            bessel.jack_C(m, 1.0, np.ones(3))
+
+    def test_trailing_zeros_dropped(self):
+        xi = np.array([0.7, 1.3])
+        assert bessel.jack_C((2, 0), 2.0, xi) == bessel.jack_C((2,), 2.0, xi)
+        assert bessel.jack_C((1, 0, 0), 0.5, np.array([1.7])) == 1.7
+        assert bessel.jack_C((0, 0), 1.0, xi) == 1.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        """nan returned nan, and 0 or -1 raised ZeroDivisionError."""
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            bessel.jack_C((2, 1), alpha, np.ones(2))
+
     def test_input_checks_survive_optimize(self):
         """Under python -O an assert is gone: a too-long partition raised
         KeyError and a negative weight or zero rank gave no partitions."""
@@ -158,6 +266,7 @@ class TestJack:
             "from hypergeo import bessel",
             "for call in (lambda: bessel.partitions_of_weight(-1, 2),",
             "             lambda: bessel.partitions_of_weight(2, 0),",
+            "             lambda: bessel.jack_C((1, 2), 1.0, np.ones(2)),",
             "             lambda: bessel.jack_C((1, 1, 1), 1.0,",
             "                                   np.array([1.0, 2.0]))):",
             "    try:",
@@ -171,7 +280,7 @@ class TestJack:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, env=env,
                               timeout=120)
-        assert proc.stdout.split() == ["ValueError"] * 3, proc.stderr
+        assert proc.stdout.split() == ["ValueError"] * 4, proc.stderr
 
 
 class TestShell:
@@ -225,6 +334,36 @@ class TestShell:
                     np.testing.assert_allclose(
                         bessel.jack_C(m, alpha, np.ones(q)), want,
                         rtol=1e-13)
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_table_bits_match_dict_recurrence(self, q):
+        """coeffs and support equal, bit for bit, the C table the dict
+        recurrence gives, from a subnormal alpha to a huge one."""
+        for k in range(13):
+            for alpha in (5e-324, 0.37, 0.5, 1.0, 2.0, 1e300):
+                shell = bessel._shell(k, alpha, q)
+                index = {lam: i for i, lam in enumerate(shell.parts)}
+                coeffs = np.zeros(shell.coeffs.shape)
+                support = np.zeros(shell.coeffs.shape, bool)
+                for lam, row in _jack_tables_ref(k, alpha, q).items():
+                    scale = bessel._c_scale(lam, alpha)
+                    for mu, c in row.items():
+                        coeffs[index[lam], index[mu]] = scale * c
+                        support[index[lam], index[mu]] = True
+                assert shell.coeffs.tobytes() == coeffs.tobytes(), (k, alpha)
+                assert np.array_equal(shell.support, support), (k, alpha)
+
+    def test_largest_table(self):
+        """The largest table jack-table accepts, weight 30 at rank 6 (1206
+        partitions), against Stanley's C(1^6) and the trace identity."""
+        shell = bessel._shell(30, 1.0, 6)
+        assert len(shell.parts) == 1206
+        want = [_c_at_ones_closed_form(m, 1.0, 6) for m in shell.parts]
+        np.testing.assert_allclose(shell.at_ones, want, rtol=1e-13)
+        x = np.random.default_rng(30).uniform(0.2, 2.0, 6)
+        np.testing.assert_allclose(
+            (shell.coeffs @ bessel._monomial(shell, x)).sum(),
+            x.sum() ** 30, rtol=1e-13)
 
     def test_shell_is_cached_read_only(self):
         shell = bessel._shell(5, 2.0, 3)

@@ -108,6 +108,27 @@ def test_bessel_series_runs_on_shell_tables():
     assert "lru_cache" in _names(funcs["_shell"].decorator_list[0])
 
 
+def _loop_depth(node):
+    """The deepest nest of for loops in one AST node, each clause of a
+    comprehension counting as one loop."""
+    here = isinstance(node, ast.For) + len(getattr(node, "generators", ()))
+    return here + max((_loop_depth(child)
+                       for child in ast.iter_child_nodes(node)), default=0)
+
+
+def test_shell_is_the_one_jack_table_builder():
+    """bessel.py has one cache, the shell table's (the test above checks
+    it is on _shell), and the raising-operator loop (for j, for r, for
+    i, inside the column loop) runs only in _shell: no second table
+    format or cache grows back beside it."""
+    tree = ast.parse((SRC / "bessel.py").read_text())
+    assert [name for name in _names(tree)
+            if name in ("lru_cache", "cache")] == ["lru_cache"]
+    assert [top.name for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            and _loop_depth(top) >= 3] == ["_shell"]
+
+
 # The shard kernels after the draws, which run as length-n vector
 # operations on batch-last memory.
 VECTOR_KERNELS = (("sampling.py", "_p_map_batch"),
