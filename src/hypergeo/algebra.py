@@ -233,7 +233,7 @@ def power_function(x, field, lam):
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("x has a non-finite entry")
-    lam = np.asarray(lam, complex)
+    lam = _check_finite("lam", np.asarray(lam, complex))
     logs = _log_minors(x, field)
     if lam.shape != logs.shape[-1:]:
         raise ValueError("lam must be a vector of length q")
@@ -262,18 +262,15 @@ def singular_values(a, field):
     """Singular values in descending order.
 
     Quaternion input routes through the chi embedding, whose 2q singular
-    values come in equal pairs; the pairs are deduplicated back to q
-    values after a consistency check.
+    values come in equal pairs; one of each pair is returned.  The pairs
+    agree to LAPACK's backward error, which is relative to the largest
+    singular value.  A non-finite entry is a ValueError naming a.
     """
     field = normalize_field(field)
+    a = _check_finite("a", a)
     if field == "h":
-        s = np.linalg.svd(_chi(a), compute_uv=False)
-        even, odd = s[..., 0::2], s[..., 1::2]
-        assert np.allclose(even, odd, rtol=1e-9, atol=1e-9), (
-            "embedded singular values failed to pair"
-        )
-        return even
-    return np.linalg.svd(np.asarray(a), compute_uv=False)
+        return np.linalg.svd(_chi(a), compute_uv=False)[..., 0::2]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def _build_g_embedded(t, u, w, field, variant):
@@ -323,6 +320,17 @@ def _build_g_embedded(t, u, w, field, variant):
     return _batch_first(g)
 
 
+def _check_finite(name, x):
+    """x as an array, if every entry is finite; a ValueError names the
+    argument and its first bad entry otherwise.  A NaN would pass every
+    range check, since it compares false."""
+    x = np.asarray(x)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError("%s must be finite, not %r" % (name, bad[0].item()))
+    return x
+
+
 def _check_matrix(name, x, q, field):
     """x as a float or complex array of shape (..., q, q), or (..., q, q, 4)
     over H, with finite entries; a ValueError names the argument."""
@@ -347,7 +355,7 @@ def build_g(t, u, w, field, variant="g"):
     field = normalize_field(field)
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
-    t = np.asarray(t, float)
+    t = _check_finite("t", np.asarray(t, float))
     if t.ndim != 1:
         raise ValueError("t must be a vector, got shape %s" % (t.shape,))
     u = _check_matrix("u", u, t.size, field)

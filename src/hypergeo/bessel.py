@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _batch_last, field_dim, normalize_field
+from .algebra import _batch_last, _check_finite, field_dim, normalize_field
 from .hyper_bc import McEstimate, _mc_pairs
 
 
@@ -194,7 +194,7 @@ def jack_C(m, alpha, xi):
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be positive and finite, not %r" % alpha)
-    xi = np.asarray(xi)
+    xi = _check_finite("xi", xi)
     q = xi.shape[0]
     if len(m) > q:
         raise ValueError("partition %s has more parts than the %d variables"
@@ -291,29 +291,24 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
     ball and the unitary group and returns a McEstimate.
     """
     field = normalize_field(field)
-    d = field_dim(field)
-    t = np.asarray(t, float).reshape(-1)
+    if mode not in ("series", "integral"):
+        raise ValueError("mode must be 'series' or 'integral'")
+    _check_finite("p", p)
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
+    lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
     q = t.size
+    if lam.size != q:
+        raise ValueError("lam must have length q")
     if mode == "series":
-        lam = np.asarray(lam, complex).reshape(-1)
-        if lam.size != q:
-            raise ValueError("lam must have length q")
         if np.all(lam.imag == 0.0):
             lam = lam.real
         with np.errstate(over="ignore", invalid="ignore"):
             xi, eta = 0.5 * lam ** 2, 0.5 * t ** 2
         return bessel_series(bessel_index(field, p), xi, eta,
                              max_degree=max_degree, rel_tol=rel_tol)
-    if mode != "integral":
-        raise ValueError("mode must be 'series' or 'integral'")
-    lam = np.asarray(lam)
-    if np.iscomplexobj(lam):
-        if np.any(lam.imag != 0.0):
-            raise ValueError("integral mode needs a real lam")
-        lam = lam.real
-    lam = np.asarray(lam, float).reshape(-1)
-    if lam.size != q:
-        raise ValueError("lam must have length q")
+    if np.any(lam.imag != 0.0):
+        raise ValueError("integral mode needs a real lam")
+    lam = lam.real
     if p < 2 * q - 1:
         raise ValueError("integral mode needs p >= 2q - 1")
     if np.all(t == 0.0) or np.all(lam == 0.0):

@@ -20,6 +20,7 @@ stderr, the truncation degree as samples, and convergence as pass.
 """
 
 import argparse
+import cmath
 import contextlib
 import csv
 import io
@@ -53,7 +54,7 @@ def _config_errors(prefix=""):
 
 def _finite(x):
     """x, if finite: no writer prints NaN or Infinity."""
-    if not np.isfinite(x):
+    if not cmath.isfinite(x):
         raise ValueError("cannot write the non-finite value %r" % (x,))
     return x
 
@@ -437,9 +438,12 @@ def _cmd_jack_table(args):
         raise ValueError("--alpha %r overflows the Jack coefficients of "
                          "weight %d" % (alpha, args.weight))
     name = ["+".join(str(x) for x in lam) for lam in shell.parts]
-    rows = [[name[i], name[j], _fmt(shell.coeffs[i, j]), _fmt(alpha),
-             _fmt(shell.at_ones[i])]
-            for i, j in zip(*np.nonzero(shell.support))]
+    alpha_text = _fmt(alpha)
+    at_ones = [_fmt(x) for x in shell.at_ones]
+    rows_i, cols_j = np.nonzero(shell.support)
+    rows = [[name[i], name[j], _fmt(c), alpha_text, at_ones[i]]
+            for i, j, c in zip(rows_i.tolist(), cols_j.tolist(),
+                               shell.coeffs[shell.support].tolist())]
     _write(args.output, _csv_text(["partition", "monomial", "coefficient",
                                    "alpha", "c_at_ones"], rows))
     return 0

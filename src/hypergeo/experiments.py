@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import betaln
 
 from . import sampling, weyl
-from .algebra import field_dim, normalize_field
+from .algebra import _check_finite, field_dim, normalize_field
 from .bessel import bessel_phi_tilde
 from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_bc,
                        rho_shift)
@@ -109,13 +109,14 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     """
     field = normalize_field(field)
     d = field_dim(field)
-    lam = np.asarray(lam, complex).reshape(-1)
+    lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
     if lam.size != q:
         raise ValueError("lam has %d entries, expected q=%d" % (lam.size, q))
-    p_list = _increasing([float(p) for p in p_list], "p_list")
+    p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
+                         "p_list")
     if not min(p_list) > 2 * q - 1:
         raise ValueError("rate_p_experiment needs min(p_list) > 2q - 1")
-    t_grid = np.asarray(t_grid, float)
+    t_grid = _check_finite("t_grid", np.asarray(t_grid, float))
     if t_grid.ndim == 1:
         t_grid = t_grid[:, None]
     if t_grid.shape[1] != q:
@@ -181,8 +182,9 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     """Decay of |phi_{n lam - i rho}(t/n) - phi-tilde_lam(t)| in n."""
     field = normalize_field(field)
     d = field_dim(field)
-    lam = np.asarray(lam, float).reshape(-1)
-    t = np.asarray(t, float).reshape(-1)
+    _check_finite("p", p)
+    lam = _check_finite("lam", np.asarray(lam, float).reshape(-1))
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     if lam.size != q or t.size != q:
         raise ValueError("lam and t have %d and %d entries, expected q=%d"
                          % (lam.size, t.size, q))
@@ -231,6 +233,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     """
     field = normalize_field(field)
     d = field_dim(field)
+    _check_finite("p", p)
     if not p > 2 * q - 1:
         raise ValueError("boundedness_sweep needs p > 2q - 1")
     for name, count in (("n_lambda", n_lambda), ("n_t", n_t)):
@@ -307,7 +310,8 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     n = int(n_exponent)
     if n < 1:
         raise ValueError("moment exponent n must be at least 1, not %d" % n)
-    p_list = _increasing([float(p) for p in p_list], "p_list")
+    p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
+                         "p_list")
     if not min(p_list) > 2 * q:
         raise ValueError("moment_decay_experiment needs min(p_list) > 2q")
     shift = 4.0 * n / d

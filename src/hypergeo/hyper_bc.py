@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import loggamma, roots_jacobi
 
 from . import algebra, sampling
-from .algebra import field_dim, normalize_field
+from .algebra import _check_finite, field_dim, normalize_field
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def c_function(lam, k, q):
     """
     if not np.all(np.isfinite(k)):
         raise ValueError("multiplicity must be finite, got %s" % (k,))
-    facs = _c_factors(lam, k, q)
+    facs = _c_factors(_check_finite("lam", lam), k, q)
     ref = _c_factors(None, k, q)
     for num, _den, root in facs:
         if _nonpositive_integer(num):
@@ -206,9 +206,10 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     float range there raises OverflowError.
     """
     field = normalize_field(field)
-    t = np.asarray(t, float).reshape(-1)
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     q = t.size
-    nu_mat, batch = _nu_matrix(lam, q, rho_a(field_dim(field), q))
+    nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
+                               rho_a(field_dim(field), q))
     if q == 1:
         with np.errstate(over="ignore", invalid="ignore"):
             val = np.cosh(t[0]) ** (2.0 * nu_mat[0])
@@ -267,14 +268,16 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1
     comparisons work.
     """
     field = normalize_field(field)
-    t = np.asarray(t, float).reshape(-1)
+    _check_finite("p", p)
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     q = t.size
     _check_chamber(t)
     if not p >= 2 * q - 1:
         raise ValueError("eval_phi_bc needs p >= 2q - 1")
     if variant not in ("g", "g-tilde"):
         raise ValueError("variant must be 'g' or 'g-tilde'")
-    nu_mat, batch = _nu_matrix(lam, q, rho_bc(p, field_dim(field), q))
+    nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
+                               rho_bc(p, field_dim(field), q))
     mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
                              workers, functools.partial(_phi_columns,
                                                         variant=variant))
@@ -293,12 +296,13 @@ def eval_phi_bc_quadrature_q1(p, lam, t, nodes=256, field="r"):
         raise ValueError("the quadrature path supports the real field only")
     if nodes < 8:
         raise ValueError("nodes must be at least 8")
+    _check_finite("p", p)
+    lam = _check_finite("lam", np.asarray(lam, dtype=complex))
+    t = _check_finite("t", np.asarray(t, float))
     if not p > 1:
         raise ValueError("the rank-one quadrature needs p > 1")
     x, wts = roots_jacobi(nodes, 0.5 * (p - 3.0), 0.5 * (p - 3.0))
     wts = wts / wts.sum()
-    lam = np.asarray(lam, dtype=complex)
-    t = np.asarray(t, float)
     lam, t = np.broadcast_arrays(lam, t)
     nu = 1j * lam - 0.5 * (p - 1.0)
     logs = np.log(np.cosh(t)[..., None] + np.sinh(t)[..., None] * x)
@@ -316,10 +320,11 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     """
     field = normalize_field(field)
     d = field_dim(field)
-    t = np.asarray(t, float).reshape(-1)
+    _check_finite("p", p)
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     q = t.size
     _check_chamber(t)
-    mu = np.asarray(mu)
+    mu = _check_finite("mu", mu)
     if mu.shape != (q,) or np.any(mu != np.floor(mu)) or np.any(mu % 2 != 0) \
             or np.any(np.diff(mu) > 0) or np.any(mu < 0):
         raise ValueError("mu must be a weakly decreasing vector of even "

@@ -29,8 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import gammaln
 
-from .algebra import (_batch_first, _batch_last, _chi_inv, _dot, _odd_rows,
-                      field_dim, normalize_field)
+from .algebra import (_batch_first, _batch_last, _check_finite, _chi_inv,
+                      _dot, _odd_rows, field_dim, normalize_field)
 
 SHARD_SIZE = 8192
 
@@ -142,8 +142,8 @@ def mc_run(shard_fn, samples, workers=1):
 
 
 def _haar_batch(field, q, n, gen):
-    """n Haar draws from U0(q, F) in the complex working form: an (n, e, e)
-    view of batch-last memory, e = q, or 2q over H.
+    """n Haar draws from U(q, F) = O(q), U(q) or Sp(q): an (n, e, e) view
+    of batch-last memory in the complex working form, e = q, or 2q over H.
 
     Each draw is the Gram-Schmidt orthonormalisation of the columns of a
     Gaussian matrix, which is its QR factor Q with a positive diagonal
@@ -154,8 +154,9 @@ def _haar_batch(field, q, n, gen):
     are orthonormalised left to right, each projected twice against the
     ones before it ("twice is enough" for orthogonality to rounding).
     Over H each column 2j is followed by its symplectic partner, which
-    keeps the quaternionic structure exact.  Over R the last column is
-    flipped where det = -1, so the draw lies in SO(q).
+    keeps the quaternionic structure exact.  No integrand sees det u:
+    each is invariant under u -> u D for D = diag(+-1), so over R the
+    draw is left in O(q).
     """
     z = gen.standard_normal((n, q, q, field_dim(field))).T  # (d, col, row, n)
     step = 2 if field == "h" else 1
@@ -178,33 +179,11 @@ def _haar_batch(field, q, n, gen):
         if field == "h":
             u[j + 1, 0::2] = -v[1::2].conj()
             u[j + 1, 1::2] = v[0::2].conj()
-    if field == "r":
-        u[-1] *= _det_sign(u)
     return u.T
 
 
-def _det_sign(a):
-    """Sign of det for orthogonal matrices a (q, q, n), batch axis last.
-
-    Givens rotations, which have det 1, turn rows 0 .. q-2 into e_0 ..
-    e_(q-2); what is left of the last row is then +-e_(q-1), whose sign
-    is the determinant.  Every rotation is a length-n vector operation.
-    """
-    a = a.copy()
-    for k in range(len(a) - 1):
-        for r in range(k + 1, len(a)):
-            h = np.hypot(a[k, k], a[r, k])
-            c, s = a[k, k] / h, a[r, k] / h
-            top = a[k, k:].copy()
-            a[k, k:] *= c
-            a[k, k:] += s * a[r, k:]
-            a[r, k:] *= c
-            a[r, k:] -= s * top
-    return np.sign(a[-1, -1])
-
-
 def haar_unitary(field, q, rng):
-    """One Haar draw from SO(q), U(q), or Sp(q) depending on the field."""
+    """One Haar draw from U(q, F): O(q), U(q) or Sp(q) by the field."""
     field = normalize_field(field)
     if q < 1:
         raise ValueError("q must be at least 1, got %d" % q)
@@ -346,6 +325,7 @@ def sample_mp(field, q, p, rng):
     sphere, so the ball matrix satisfies det(I - w* w) = 0 identically.
     """
     field = normalize_field(field)
+    _check_finite("p", p)
     if not p >= 2 * q - 1:
         raise ValueError("sample_mp needs p >= 2q - 1")
     w = _mp_batch(field, q, p, 1, rng)[0]
@@ -356,6 +336,7 @@ def kappa(p, d, q):
     """Total mass of the unnormalized ball density, in closed Gamma form."""
     if d not in (1, 2, 4):
         raise ValueError("d must be 1, 2 or 4, got %r" % (d,))
+    _check_finite("p", p)
     if not p > 2 * q - 1:
         raise ValueError("kappa needs p > 2q - 1 so every Gamma argument is positive")
     out = 0.5 * d * q * q * np.log(np.pi)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hypergeo
 from hypergeo import algebra, sampling
 from oracles import quat_matmul
 
@@ -267,7 +268,8 @@ class TestBuildG:
 
 
 class TestInputContract:
-    """power_function and build_g name the argument they reject."""
+    """power_function, build_g and every public evaluator, experiment
+    and sampler name the argument they reject."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_power_function_rejects_non_finite_x(self, bad):
@@ -287,6 +289,71 @@ class TestInputContract:
         with pytest.raises(ValueError, match="^u has a non-finite entry"):
             algebra.build_g([0.9, 0.4], np.diag([1.0, np.inf]),
                             np.zeros((2, 2)), "r")
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: hypergeo.eval_phi_bc("r", np.inf, [1, 0.5], [0.8, 0.4]),
+         "p"),
+        (lambda: hypergeo.eval_phi_bc("c", 5, [np.nan, 0.5], [0.8, 0.4]),
+         "lam"),
+        (lambda: hypergeo.eval_phi_bc("h", 5, [1, 0.5], [np.inf, 0.4]), "t"),
+        (lambda: hypergeo.eval_phi_bc_quadrature_q1(np.inf, 1.0, 0.5), "p"),
+        (lambda: hypergeo.eval_phi_bc_quadrature_q1(3.0, np.inf, 0.5),
+         "lam"),
+        (lambda: hypergeo.eval_phi_bc_quadrature_q1(3.0, 1.0, np.nan), "t"),
+        (lambda: hypergeo.eval_psi("r", [1.0], [np.nan]), "t"),
+        (lambda: hypergeo.eval_psi("c", [np.inf, 1.0], [0.8, 0.4]), "lam"),
+        (lambda: hypergeo.eval_ho_polynomial("r", np.inf, [2, 0], [0.5, 0.2]),
+         "p"),
+        (lambda: hypergeo.eval_ho_polynomial("r", 5, [np.inf, 0], [0.5, 0.2]),
+         "mu"),
+        (lambda: hypergeo.c_function(
+            [np.nan, 1.0], hypergeo.multiplicity_bc(5.0, 1, 2), 2), "lam"),
+        (lambda: hypergeo.kappa(np.inf, 1, 2), "p"),
+        (lambda: hypergeo.sample_mp("r", 2, np.nan,
+                                    np.random.default_rng(0)), "p"),
+        (lambda: hypergeo.bessel_phi_tilde("r", np.nan, [1, 0.5], [0.7, 0.2]),
+         "p"),
+        (lambda: hypergeo.bessel_phi_tilde("r", 5, [1, 0.5], [np.nan, 0.2]),
+         "t"),
+        (lambda: hypergeo.bessel_phi_tilde("r", np.nan, [1, 0.5], [0.7, 0.2],
+                                           mode="integral"), "p"),
+        (lambda: hypergeo.bessel_phi_tilde("r", 5, [np.inf, 0.5], [0.7, 0.2],
+                                           mode="integral"), "lam"),
+        (lambda: hypergeo.jack_C((1,), 1.0, [np.nan, 1.0]), "xi"),
+        (lambda: hypergeo.rate_p_experiment("r", 1, [2.0], [[0.5]],
+                                            [10, np.inf]), "p_list"),
+        (lambda: hypergeo.rate_p_experiment("r", 2, [1, 0.5], [[np.nan, 0.2]],
+                                            [10, 20]), "t_grid"),
+        (lambda: hypergeo.contraction_experiment("r", 1, np.inf, [1.0],
+                                                 [0.5], [2, 4]), "p"),
+        (lambda: hypergeo.contraction_experiment("r", 1, 5, [1.0],
+                                                 [np.nan], [2, 4]), "t"),
+        (lambda: hypergeo.boundedness_sweep("r", 1, np.inf), "p"),
+        (lambda: hypergeo.moment_decay_experiment("r", 1, 1, [9, np.inf]),
+         "p_list"),
+        (lambda: hypergeo.power_function(np.eye(2), "r", [np.inf, 0]),
+         "lam"),
+        (lambda: hypergeo.build_g([np.nan, 0.1], np.eye(2), np.zeros((2, 2)),
+                                  "r"), "t"),
+    ], ids=["phi-p", "phi-lam", "phi-t", "quadrature-p", "quadrature-lam",
+            "quadrature-t", "psi-q1-t", "psi-lam", "ho-poly-p", "ho-poly-mu",
+            "c-function-lam", "kappa-p", "sample-mp-p", "series-p",
+            "series-t", "integral-p", "integral-lam",
+            "jack-xi", "rate-p-p-list", "rate-p-t-grid", "contraction-p",
+            "contraction-t", "boundedness-p", "moment-decay-p-list",
+            "power-function-lam", "build-g-t"])
+    def test_public_calls_reject_non_finite_input(self, call, name,
+                                                  monkeypatch):
+        """A NaN or infinite p, t or lam is a ValueError naming it, raised
+        before any draw: not a RuntimeWarning, a silent 0 or NaN, or a
+        message about overflow."""
+        def never(*args):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(sampling, "shard_stream", never)
+        with pytest.raises(ValueError, match="^%s must be finite, not "
+                           % name):
+            call()
 
     @pytest.mark.parametrize("field,u,w,name", [
         ("h", np.eye(2), np.zeros((2, 2, 4)), "u"),
@@ -378,6 +445,28 @@ class TestSingularValues:
         s = algebra.singular_values(a, "h")
         assert s.shape == (3,)
         assert np.all(np.diff(s) <= 0)
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12, 1e15])
+    def test_quaternion_row_at_large_scale(self, scale):
+        """One quaternion row scaled far up: the chi pairs agree to
+        rounding relative to the largest singular value, not to an
+        absolute 1e-9, and one of each pair is returned."""
+        a = random_quat(np.random.default_rng(21), 3, 3)
+        a[0] *= scale
+        s = np.linalg.svd(algebra._chi(a), compute_uv=False)
+        np.testing.assert_array_equal(algebra.singular_values(a, "h"),
+                                      s[..., 0::2])
+        np.testing.assert_allclose(s[0::2], s[1::2], rtol=0,
+                                   atol=1e-13 * s[0])
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_rejected(self, field, bad):
+        shape = (2, 2, 4) if field == "h" else (2, 2)
+        a = np.ones(shape, complex if field == "c" else float)
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="^a must be finite, not "):
+            algebra.singular_values(a, field)
 
     def test_real_matches_numpy(self):
         gen = np.random.default_rng(20)

@@ -529,6 +529,12 @@ class TestPhiTilde:
                                       np.zeros(2), mode="series")
         assert srs.value == 1.0
 
+    @pytest.mark.parametrize("mode", ["series", "integral"])
+    def test_lambda_length_checked(self, mode):
+        with pytest.raises(ValueError, match="^lam must have length q$"):
+            bessel.bessel_phi_tilde("r", 5.0, np.array([1.0, 0.5, 0.2]),
+                                    np.array([0.7, 0.2]), mode=mode)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             bessel.bessel_phi_tilde("r", 4.0, np.array([1.0]),

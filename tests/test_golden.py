@@ -163,9 +163,9 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0017863641719904665,'
-         ' "value_im": -0.0031694144506000826,'
-         ' "value_re": 0.9675577583341558}\n'),
+         ' "stderr": 0.0017857721586986028,'
+         ' "value_im": -0.0018312443955468577,'
+         ' "value_re": 0.9675830726549026}\n'),
     ),
     "eval-bessel-integral-boundary": (
         ("eval-bessel-integral --field c --q 2 --p 3 --lambda 1,0.5 "

@@ -198,6 +198,25 @@ class TestMonteCarloPhi:
             assert all(np.array_equal(a[cols], b)
                        for a, b in zip(parts, one[2], strict=True))
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_integrand_cannot_see_det_u(self, q):
+        """u -> u D with D = diag(1, ..., 1, -1) leaves every principal
+        minor of u* X u, so phi and psi columns keep their bytes, and a
+        Haar draw on O(q) gives the values SO(q) gave."""
+        t = np.linspace(1.1, 0.2, q)
+        p = 2 * q + 1.5
+        lam = np.array([np.ones(q), np.linspace(0.3, -0.2, q) + 0.4j])
+        nu, _ = hyper_bc._nu_matrix(lam, q, hyper_bc.rho_bc(p, 1, q))
+        u = sampling.draw_haar("r", q, 11, 0, 1000)
+        flipped = u.copy()
+        flipped[:, :, -1] *= -1.0
+        w = sampling.draw_ball("r", q, p, 11, 0, 1000)
+        for law, variant in ((w, "g"), (w, "g-tilde"), (None, "g")):
+            cols = [hyper_bc._phi_columns("r", t, nu, lambda x=x: x, law,
+                                          variant)
+                    for x in (u, flipped)]
+            assert cols[0].tobytes() == cols[1].tobytes()
+
     def test_chamber_enforced(self):
         lam = np.array([1.0 + 0j, 0.5 + 0j])
         with pytest.raises(ValueError):

@@ -17,9 +17,7 @@ def _haar_qr(field, q, n, gen):
         u, r = np.linalg.qr(z)
         d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         d[d == 0] = 1.0
-        u = u * d[:, None, :]
-        u[np.linalg.det(u) < 0, :, -1] *= -1.0
-        return u
+        return u * d[:, None, :]
     if field == "c":
         z = gen.standard_normal((n, q, q, 2))
         z = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
@@ -89,9 +87,13 @@ class TestHaar:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
-    def test_real_draws_have_det_one(self, q):
+    def test_real_draws_fill_both_components_of_o_q(self, q):
+        """Real draws are Haar on O(q), not SO(q): det u = +-1, and -1 on
+        half the draws, within four binomial standard deviations."""
         u = sampling._haar_batch("r", q, 2000, np.random.default_rng(13))
-        np.testing.assert_allclose(np.linalg.det(u), 1.0, atol=1e-12)
+        det = np.linalg.det(u)
+        np.testing.assert_allclose(np.abs(det), 1.0, rtol=0, atol=1e-12)
+        assert abs(np.count_nonzero(det < 0) - 1000) < 4 * np.sqrt(500)
 
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_quaternion_partner_columns(self, q):
