@@ -1,5 +1,8 @@
 """Monte-Carlo and series evaluators for hypergeometric functions of
-matrix argument, with the root-system geometry behind their bounds."""
+matrix argument, with the root-system geometry behind their bounds.
+
+scipy.special is imported inside the few functions that call it, so
+importing the package does not load scipy."""
 
 from .algebra import build_g, complex_embed, field_dim, power_function
 from .bessel import bessel_index, bessel_phi_tilde, bessel_series, jack_C

@@ -222,12 +222,17 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     the running total.  The tail bound extrapolates the last shell
     geometrically from the observed shell ratios.  A shell out of float
     range raises OverflowError, and an argument out of it makes the first
-    shell so; numpy's warnings are off inside.
+    shell so; numpy's warnings are off inside.  A NaN in xi, eta or the
+    index raises ValueError naming it.
     """
     xi = np.atleast_1d(np.asarray(xi))
     eta = np.atleast_1d(np.asarray(eta))
     if xi.shape != eta.shape or xi.ndim != 1:
         raise ValueError("xi and eta must be vectors of a common length")
+    for name, x in (("xi", xi), ("eta", eta), ("idx.mu", idx.mu),
+                    ("idx.alpha", idx.alpha)):
+        if np.any(np.isnan(x)):
+            raise ValueError("%s must not be NaN" % name)
     q = xi.shape[0]
     shells = [1.0]
     total = 1.0

@@ -12,7 +12,6 @@ experiment's own errors with one shard left out at a time.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from . import sampling, weyl
 from .algebra import _check_finite, field_dim, normalize_field
@@ -287,6 +286,8 @@ def moment_decay_rate_q1(p, n):
     """Closed form of the decay ratio at q = 1, d = 1, via Beta moments."""
     if not p - 4 * n > 1:
         raise ValueError("p too small for the importance shift")
+    from scipy.special import betaln
+
     return float(np.exp(betaln(n + 0.5, 0.5 * (p - 1.0) - 2 * n)
                         - betaln(0.5, 0.5 * (p - 1.0))))
 

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, roots_jacobi
 
 from . import algebra, sampling
 from .algebra import _check_finite, field_dim, normalize_field
@@ -126,6 +125,8 @@ def c_function(lam, k, q):
     cancel (|lam| or the multiplicities beyond about 2e4) raises
     ValueError.
     """
+    from scipy.special import loggamma
+
     if not np.all(np.isfinite(k)):
         raise ValueError("multiplicity must be finite, got %s" % (k,))
     facs = _c_factors(_check_finite("lam", lam), k, q)
@@ -175,7 +176,7 @@ def _nu_matrix(lam, q, rho):
     return nu.reshape(-1, q).T, lam.shape[:-1]
 
 
-def _phi_columns(field, t, nu_mat, haar, w, variant="g"):
+def _phi_columns(field, t, nu_mat, haar, w):
     """phi integrand values on one shard's draws, one column per exponent.
 
     w = None is the p -> infinity law w = 0, on which the integrand is
@@ -186,7 +187,7 @@ def _phi_columns(field, t, nu_mat, haar, w, variant="g"):
         rows = (haar() if w is None else w).shape[0]
         return np.ones((rows, nu_mat.shape[1]), complex)
     u = haar() if t.size > 1 or w is None else None
-    g = algebra._build_g_embedded(t, u, w, field, variant)
+    g = algebra._build_g_embedded(t, u, w, field, "g")
     return algebra._power_from_logs(algebra._log_minors_embedded(g, field),
                                     nu_mat)
 
@@ -256,7 +257,7 @@ def _shape_estimate(mean, err, batch, samples, seed):
     return McEstimate(mean.reshape(batch), err.reshape(batch), samples, seed)
 
 
-def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1):
+def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of phi_lam^p(t) for p >= 2q - 1.
 
     w follows the matrix-ball law for p > 2q - 1 and, at p = 2q - 1, the
@@ -274,13 +275,10 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, variant="g", workers=1
     _check_chamber(t)
     if not p >= 2 * q - 1:
         raise ValueError("eval_phi_bc needs p >= 2q - 1")
-    if variant not in ("g", "g-tilde"):
-        raise ValueError("variant must be 'g' or 'g-tilde'")
     nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
                                rho_bc(p, field_dim(field), q))
     mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
-                             workers, functools.partial(_phi_columns,
-                                                        variant=variant))
+                             workers)
     return _shape_estimate(mean, err, batch, samples, seed)
 
 
@@ -301,6 +299,8 @@ def eval_phi_bc_quadrature_q1(p, lam, t, nodes=256, field="r"):
     t = _check_finite("t", np.asarray(t, float))
     if not p > 1:
         raise ValueError("the rank-one quadrature needs p > 1")
+    from scipy.special import roots_jacobi
+
     x, wts = roots_jacobi(nodes, 0.5 * (p - 3.0), 0.5 * (p - 3.0))
     wts = wts / wts.sum()
     lam, t = np.broadcast_arrays(lam, t)

@@ -27,7 +27,6 @@ across evaluators that share a role.  `draw_haar`, `draw_ball` and
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammaln
 
 from .algebra import (_batch_first, _batch_last, _check_finite, _chi_inv,
                       _dot, _odd_rows, field_dim, normalize_field)
@@ -339,6 +338,8 @@ def kappa(p, d, q):
     _check_finite("p", p)
     if not p > 2 * q - 1:
         raise ValueError("kappa needs p > 2q - 1 so every Gamma argument is positive")
+    from scipy.special import gammaln
+
     out = 0.5 * d * q * q * np.log(np.pi)
     for r in range(1, q + 1):
         out += gammaln(0.5 * d * (p - q - r + 1)) - gammaln(0.5 * d * (p - r + 1))

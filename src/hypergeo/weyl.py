@@ -3,8 +3,10 @@
 Membership in the convex hull of a Weyl orbit co(W.rho) is decided by
 chamber projection followed by the dual-cone partial-sum inequalities,
 so the hull is never triangulated.  The polytope K is the part of the
-hull inside the closed positive chamber; its vertices come from solving
-all rank-sized subsets of the bounding hyperplanes.
+hull inside the closed positive chamber.  Its vertices are in closed
+form: rho averaged over runs of consecutive coordinates, with family b
+zero after the last run.  A vertex has rank independent tight walls or
+partial sums, and these cut rho into runs on which the vertex is flat.
 
 Family "b" acts on R^q by signed permutations; family "a" acts on
 R^(q+1) by permutations, on data lowered to the sum-zero subspace.
@@ -144,49 +146,25 @@ def check_vertex_rank(spec):
 
 
 def polytope_vertices_K(poly):
-    """Vertices of K, by solving all rank-sized systems of active walls.
+    """Vertices of K in closed form: rho averaged over runs of coordinates.
 
-    The candidate walls are the chamber walls and the shifted walls
-    where a leading partial sum meets that of rho; family a adds the
-    full-sum equality to every system.  Singular systems are skipped
-    and infeasible solutions dropped, so the survivors are exactly the
-    vertices (0 and rho among them whenever rho is interior).
+    A vertex has rank independent tight walls or partial sums of rho:
+    the tight partial sums cut rho into runs and the tight walls make
+    each run flat.  Each cut mask, in product order, gives one vertex;
+    family b is zero after the last cut, and family a closes its last
+    run at the final coordinate.  With ties in rho, masks that give one
+    point keep the first.
     """
     spec, rho = poly.spec, poly.rho
     check_vertex_rank(spec)
-    q = spec.rank
-    n = spec.dim
-    rows, rhs = [], []
-    for r in range(n - 1):
-        e = np.zeros(n)
-        e[r], e[r + 1] = 1.0, -1.0
-        rows.append(e)
-        rhs.append(0.0)
-    if spec.family == "b":
-        e = np.zeros(n)
-        e[-1] = 1.0
-        rows.append(e)
-        rhs.append(0.0)
-    target = np.cumsum(rho)
-    for l in range(q):
-        e = np.zeros(n)
-        e[: l + 1] = 1.0
-        rows.append(e)
-        rhs.append(target[l])
-    fixed_row = [np.ones(n)] if spec.family == "a" else []
-    fixed_rhs = [rho.sum()] if spec.family == "a" else []
     out, seen = [], set()
-    for subset in itertools.combinations(range(len(rows)), q):
-        a = np.array([rows[i] for i in subset] + fixed_row)
-        b = np.array([rhs[i] for i in subset] + fixed_rhs)
-        try:
-            v = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.abs(a @ v - b) <= 1e-8 * max(1.0, abs(target[-1]))):
-            continue
-        if not polytope_contains(poly, v):
-            continue
+    for mask in itertools.product((False, True), repeat=spec.rank):
+        cuts = [i + 1 for i, cut in enumerate(mask) if cut]
+        if spec.family == "a":
+            cuts.append(spec.dim)
+        v = np.zeros(spec.dim)
+        for a, b in zip([0] + cuts, cuts):
+            v[a:b] = rho[a:b].mean()
         key = tuple(np.round(v, 9) + 0.0)
         if key not in seen:
             seen.add(key)
@@ -265,9 +243,8 @@ def _unit_rho_samples(spec, count, gen):
 def eps0_estimate(spec, rho_samples=40, resolution=1e-3):
     """Empirical largest epsilon for which the stretch map stays inside.
 
-    Scans the vertices of K (sufficient by convexity) plus random
-    convex combinations of them as a safety net, over unit-norm chamber
-    points, and bisects epsilon to the requested resolution.  The
+    Scans the vertices of K, which suffice by convexity, over unit-norm
+    chamber points, and bisects epsilon to the requested resolution.  The
     search is capped at 1.  The sampling is internally seeded so the
     report is a deterministic function of its arguments.  The bisection
     cannot narrow below one float spacing, so resolution must be a
@@ -283,10 +260,7 @@ def eps0_estimate(spec, rho_samples=40, resolution=1e-3):
     scans = []
     for rho in _unit_rho_samples(spec, rho_samples, gen):
         poly = OrbitPolytope(spec, rho)
-        verts = np.array(polytope_vertices_K(poly))
-        wts = gen.random((8, len(verts)))
-        inner = (wts / wts.sum(axis=1, keepdims=True)) @ verts
-        scans.append((poly, np.vstack([verts, inner])))
+        scans.append((poly, polytope_vertices_K(poly)))
 
     def ok(eps):
         return all(prop65_check(poly, eps, y)

@@ -448,6 +448,19 @@ class TestSeries:
         with pytest.raises(ValueError):
             bessel.bessel_series(idx, np.array([0.5]), np.array([0.4, 0.1]))
 
+    @pytest.mark.parametrize("name,idx,xi,eta", [
+        ("xi", (2.5, 2.0), [np.nan], [1.0]),
+        ("eta", (2.5, 2.0), [1.0], [np.nan]),
+        ("idx.mu", (np.nan, 2.0), [1.0], [1.0]),
+        ("idx.alpha", (2.5, np.nan), [1.0], [1.0]),
+    ], ids=["xi", "eta", "mu", "alpha"])
+    def test_nan_is_value_error(self, name, idx, xi, eta):
+        """A NaN is not out of float range: it is a ValueError that names
+        the argument, not an overflow at shell 1."""
+        with pytest.raises(ValueError, match=name):
+            bessel.bessel_series(bessel.BesselIndex(*idx), np.array(xi),
+                                 np.array(eta))
+
 
 class TestSeriesReference:
     """The shell-vector series against the per-partition reference: the

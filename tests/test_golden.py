@@ -326,21 +326,21 @@ STDOUT = {
         ("family,rank,rho,eps,witness,pass\n"
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,"0,0,0",True\n'
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
-         '"1.3333333333333335,1.3333333333333335,1.3333333333333333",'
+         '"1.3333333333333333,1.3333333333333333,1.3333333333333333",'
          "False\n"
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,"1.95,1.95,0",'
          "True\n"
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
-         '"1.95,1.95,0.10000000000000009",True\n'
+         '"1.95,1.95,0.10000000000000001",True\n'
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,"2,0,0",True\n'
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,"2,1,1",True\n'
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
          '"2,1.8999999999999999,0",True\n'
          'b,3,"2,1.8999999999999999,0.10000000000000001",1,'
-         '"2,1.8999999999999999,0.10000000000000009",True\n'
+         '"2,1.8999999999999999,0.10000000000000001",True\n'
          '{"eps": 1.0, "family": "b", "pass": false, "rank": 3,'
          ' "violations": 1, "witness_rho": [2.0, 1.9, 0.1],'
-         ' "witness_vertex": [1.3333333333333335, 1.3333333333333335,'
+         ' "witness_vertex": [1.3333333333333333, 1.3333333333333333,'
          ' 1.3333333333333333]}\n'),
         "acceptance predicate failed: no-violations\n",
     ),

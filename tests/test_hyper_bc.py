@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypergeo import hyper_bc, sampling
+from hypergeo import algebra, hyper_bc, sampling
 from oracles import c_function_gamma, jacobi_2f1, jacobi_poly_normalized
 
 # frozen from the 50-digit Gamma oracle (see c_function_gamma)
@@ -201,8 +201,9 @@ class TestMonteCarloPhi:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_integrand_cannot_see_det_u(self, q):
         """u -> u D with D = diag(1, ..., 1, -1) leaves every principal
-        minor of u* X u, so phi and psi columns keep their bytes, and a
-        Haar draw on O(q) gives the values SO(q) gave."""
+        minor of u* X u, so phi and psi columns and the g-tilde minors
+        keep their bytes, and a Haar draw on O(q) gives the values SO(q)
+        gave."""
         t = np.linspace(1.1, 0.2, q)
         p = 2 * q + 1.5
         lam = np.array([np.ones(q), np.linspace(0.3, -0.2, q) + 0.4j])
@@ -211,11 +212,14 @@ class TestMonteCarloPhi:
         flipped = u.copy()
         flipped[:, :, -1] *= -1.0
         w = sampling.draw_ball("r", q, p, 11, 0, 1000)
-        for law, variant in ((w, "g"), (w, "g-tilde"), (None, "g")):
-            cols = [hyper_bc._phi_columns("r", t, nu, lambda x=x: x, law,
-                                          variant)
+        for law in (w, None):
+            cols = [hyper_bc._phi_columns("r", t, nu, lambda x=x: x, law)
                     for x in (u, flipped)]
             assert cols[0].tobytes() == cols[1].tobytes()
+        logs = [algebra._log_minors_embedded(
+            algebra._build_g_embedded(t, x, w, "r", "g-tilde"), "r")
+            for x in (u, flipped)]
+        assert logs[0].tobytes() == logs[1].tobytes()
 
     def test_chamber_enforced(self):
         lam = np.array([1.0 + 0j, 0.5 + 0j])
@@ -228,14 +232,6 @@ class TestMonteCarloPhi:
         with pytest.raises(ValueError):
             hyper_bc.eval_phi_bc("r", 2.5, np.array([1.0 + 0j, 0.5 + 0j]),
                                  np.array([0.5, 0.1]))
-
-    def test_variant_g_tilde_also_converges(self):
-        lam, t = 1.5, 0.8
-        want = hyper_bc.eval_phi_bc_quadrature_q1(5.0, lam, t)
-        est = hyper_bc.eval_phi_bc("r", 5.0, np.array([lam + 0j]),
-                                   np.array([t]), samples=200000, seed=5,
-                                   variant="g-tilde")
-        assert abs(est.value - want) < 4.0 * est.stderr
 
 
 class TestDegenerate:

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,17 @@ def test_no_asserts_guard_input():
     """Input checks raise, so they survive python -O."""
     found = [a for path in sorted(SRC.glob("*.py")) for a in _asserts(path)]
     assert [a for a in found if a not in ALLOWED] == []
+
+
+def test_import_loads_no_scipy():
+    """scipy.special is most of an import's cost and only the Gamma,
+    Beta and Jacobi-root helpers need it, so they import it themselves."""
+    code = ("import sys, hypergeo; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout == "[]\n"
 
 
 def test_one_kernel_draws_and_reduces():

@@ -134,6 +134,49 @@ class TestVertices:
             assert weyl.polytope_contains(poly, v)
 
 
+class TestClosedFormVertices:
+    """The closed-form vertices against the LP hull oracle: each lies in
+    K, none lies in the hull of the others, and random points of K lie
+    in the hull of them all."""
+
+    @staticmethod
+    def _points_of_k(poly, count, gen):
+        """Chamber projections of random convex combinations of orbit
+        points, drawn without enumerating the orbit."""
+        spec, n = poly.spec, poly.spec.dim
+        out = []
+        for _ in range(count):
+            images = np.array([poly.rho[gen.permutation(n)]
+                               for _ in range(n + 1)])
+            if spec.family == "b":
+                images *= gen.choice([-1.0, 1.0], images.shape)
+            wts = gen.random(n + 1)
+            x = (wts / wts.sum()) @ images
+            out.append(weyl.chamber_project(spec, x)[0])
+        return out
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_against_lp(self, family, rank):
+        spec = weyl.RootSystemSpec(family, rank)
+        gen = np.random.default_rng(40 + rank)
+        distinct = np.sort(gen.uniform(0.2, 2.0, spec.dim))[::-1]
+        tied = (np.arange(spec.dim, 0, -1) // 2).astype(float)
+        for rho in (distinct, tied):
+            poly = weyl.OrbitPolytope(
+                spec, rho - rho.mean() if family == "a" else rho)
+            verts = weyl.polytope_vertices_K(poly)
+            if rho is distinct:
+                assert len(verts) == 2 ** rank
+            assert all(weyl.polytope_contains(poly, v) for v in verts)
+            for i, v in enumerate(verts):
+                others = verts[:i] + verts[i + 1:]
+                assert not (others and hull_contains_lp(others, v))
+            for x in self._points_of_k(poly, 20, gen):
+                assert weyl.polytope_contains(poly, x)
+                assert hull_contains_lp(verts, x)
+
+
 class TestProp65:
     """The shrink-and-shift membership predicate."""
 
