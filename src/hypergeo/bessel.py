@@ -223,7 +223,7 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     geometrically from the observed shell ratios.  A shell out of float
     range raises OverflowError, and an argument out of it makes the first
     shell so; numpy's warnings are off inside.  A NaN in xi, eta or the
-    index raises ValueError naming it.
+    index, or an idx.alpha <= 0, raises ValueError naming it.
     """
     xi = np.atleast_1d(np.asarray(xi))
     eta = np.atleast_1d(np.asarray(eta))
@@ -233,6 +233,8 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
                     ("idx.alpha", idx.alpha)):
         if np.any(np.isnan(x)):
             raise ValueError("%s must not be NaN" % name)
+    if not idx.alpha > 0:
+        raise ValueError("idx.alpha must be positive, not %r" % (idx.alpha,))
     q = xi.shape[0]
     shells = [1.0]
     total = 1.0

@@ -102,9 +102,9 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
 
     Both functions are evaluated in the shifted convention, where the
     spectral exponent is i lam / 2 for every p, so the unitary draws
-    pair across the whole grid.  At q = 1 over the reals the sweep is
-    deterministic quadrature; otherwise Monte Carlo with a jackknife
-    band on the fitted slope.
+    pair across the whole grid.  At q = 1 the sweep is deterministic
+    quadrature; otherwise Monte Carlo with a jackknife band on the fitted
+    slope.
     """
     field = normalize_field(field)
     d = field_dim(field)
@@ -133,39 +133,32 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         * (np.exp(_envelope(lam.imag, t)) if unbounded else 1.0)
         for t in t_grid])
 
-    # psi is exact at q = 1; otherwise it shares the phi run's draws.
-    psi = (np.array([eval_psi(field, lam, t).value for t in t_grid])
-           if q == 1 else None)
-    if q == 1 and d == 1:
+    if q == 1:
         diffs = np.array([
             [abs(eval_phi_bc_quadrature_q1(
-                p, rho_shift(lam, rho_bc(p, d, 1))[0], t[0]) - psi[i])
-             for i, t in enumerate(t_grid)]
+                p, rho_shift(lam, rho_bc(p, d, 1))[0], t[0], field)
+                 - eval_psi(field, lam, t).value) for t in t_grid]
             for p in p_list])
-        errors = [float(row.max()) for row in diffs]
-        stderrs = [0.0] * len(p_list)
-        halfwidth = 0.0
+        stderrs, halfwidth = [0.0] * len(p_list), 0.0
     else:
         # The shifted exponent (i(lam - i rho(p)) - rho(p)) / 2 = i lam / 2
         # carries no p dependence, so one nu column serves psi and every p.
         nu = (0.5j * lam).reshape(q, 1)
-        laws = ([] if q == 1 else [None]) + p_list
         mean, err, parts = _mc_pairs(
-            field, q, [(p, t, nu) for p in laws for t in t_grid], samples,
-            seed, workers)
-        err = err.reshape(len(laws), -1)
-        psi_err = np.zeros(len(t_grid)) if q == 1 else err[0]
+            field, q, [(p, t, nu) for p in [None] + p_list for t in t_grid],
+            samples, seed, workers)
+        err = err.reshape(-1, len(t_grid))
 
         def diffs_of(means):
-            means = means.reshape(len(laws), -1)
-            return np.abs(means[-len(p_list):] - (psi if q == 1 else means[0]))
+            means = means.reshape(-1, len(t_grid))
+            return np.abs(means[1:] - means[0])
 
         diffs = diffs_of(mean)
-        errors = [float(e) for e in diffs.max(axis=1)]
-        stderrs = [float(np.hypot(e[k], psi_err[k]))
-                   for e, k in zip(err[-len(p_list):], diffs.argmax(axis=1))]
+        stderrs = [float(np.hypot(e[k], err[0, k]))
+                   for e, k in zip(err[1:], diffs.argmax(axis=1))]
         halfwidth = _jackknife_slope_halfwidth(
             p_list, parts, samples, lambda means: diffs_of(means).max(axis=1))
+    errors = [float(e) for e in diffs.max(axis=1)]
 
     mask = scales > 0.0
     normalized = [float(np.max(np.sqrt(p) * diffs[i][mask] / scales[mask]))
@@ -197,21 +190,19 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
                          "at lam=%s, t=%s: tail bound %.3g"
                          % (lam.tolist(), t.tolist(), series.tail_bound))
     ref = series.value
-    if q == 1 and d == 1:
+    if q == 1:
         phis = np.array([
             eval_phi_bc_quadrature_q1(
-                p, rho_shift(n * lam, rho_bc(p, d, 1))[0], t[0] / n)
+                p, rho_shift(n * lam, rho_bc(p, d, 1))[0], t[0] / n, field)
             for n in n_list])
-        errors = np.abs(phis - ref)
-        stderrs = [0.0] * len(n_list)
-        halfwidth = 0.0
+        stderrs, halfwidth = [0.0] * len(n_list), 0.0
     else:
         pairs = [(p, t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
-        mean, err, parts = _mc_pairs(field, q, pairs, samples, seed, workers)
-        errors = np.abs(mean - ref)
+        phis, err, parts = _mc_pairs(field, q, pairs, samples, seed, workers)
         stderrs = [float(e) for e in err]
         halfwidth = _jackknife_slope_halfwidth(
             n_list, parts, samples, lambda means: np.abs(means - ref))
+    errors = np.abs(phis - ref)
     norm1 = float(np.sum(np.abs(lam)))
     normalized = tuple(float(n * e / norm1) if norm1 > 0 else 0.0
                        for n, e in zip(n_list, errors))

@@ -11,7 +11,7 @@ averages over u alone, on the same Haar draws, and is exact at q = 1.
 phi and psi share one column function, and the Bessel phase and the
 moment decay supply their own.  The module also provides the half-sum
 vectors, the normalized c-function, the deterministic rank-one
-quadrature, and the polynomial special values.
+quadrature (every field, p >= 1), and the polynomial special values.
 """
 
 import functools
@@ -282,32 +282,49 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, workers=1):
     return _shape_estimate(mean, err, batch, samples, seed)
 
 
-def eval_phi_bc_quadrature_q1(p, lam, t, nodes=256, field="r"):
-    """Deterministic rank-one value of phi over the reals.
+NODES = 256  # Gauss-Jacobi nodes per axis of the rank-one quadrature
 
-    Gauss quadrature with weight (1 - x^2)^((p-3)/2) of the integrand
-    (cosh t + x sinh t)^(i lam - rho), rho = (p - 1)/2.  Weights are
-    normalized by their total mass, which encodes the density constant.
-    lam and t broadcast together; scalars give a complex scalar.
+
+def _gauss_jacobi(a, b):
+    """Nodes in [-1, 1] and unit-sum weights for (1 - y)^a (1 + y)^b; an
+    exponent -1 is the limit law, an atom at its end (y = 1 for a)."""
+    if a == -1.0 or b == -1.0:
+        y = np.array([-1.0, 1.0])[[b == -1.0, a == -1.0]]
+        return y, np.full(y.size, 1.0 / y.size)
+    from scipy.special import roots_jacobi
+    y, wts = roots_jacobi(NODES, a, b)
+    return y, wts / wts.sum()
+
+
+def eval_phi_bc_quadrature_q1(p, lam, t, field="r"):
+    """Deterministic rank-one value of phi for every field and p >= 1.
+
+    At q = 1 the integrand |cosh t + w sinh t|^(i lam - rho) sees w only
+    through x = Re w and |w|^2 = x^2 + (1 - x^2) u, where under the ball
+    law x has weight (1 - x^2)^((dp - 3)/2) and u ~ Beta((d - 1)/2,
+    d(p - 1)/2) given x.  So phi is exactly this (x, u) integral
+    (Koornwinder's Laplace-type integral); a tensor Gauss-Jacobi rule
+    takes it, over u first.  A Beta parameter 0 is an atom (u = 0 over R,
+    u = 1 at p = 1, x = +-1 over R at p = 1).  lam and t broadcast, and
+    scalars give a complex; a value out of float range raises OverflowError.
     """
-    if normalize_field(field) != "r":
-        raise ValueError("the quadrature path supports the real field only")
-    if nodes < 8:
-        raise ValueError("nodes must be at least 8")
-    _check_finite("p", p)
+    d = field_dim(normalize_field(field))
+    if not _check_finite("p", p) >= 1:
+        raise ValueError("the rank-one quadrature needs p >= 1")
     lam = _check_finite("lam", np.asarray(lam, dtype=complex))
     t = _check_finite("t", np.asarray(t, float))
-    if not p > 1:
-        raise ValueError("the rank-one quadrature needs p > 1")
-    from scipy.special import roots_jacobi
-
-    x, wts = roots_jacobi(nodes, 0.5 * (p - 3.0), 0.5 * (p - 3.0))
-    wts = wts / wts.sum()
-    lam, t = np.broadcast_arrays(lam, t)
-    nu = 1j * lam - 0.5 * (p - 1.0)
-    logs = np.log(np.cosh(t)[..., None] + np.sinh(t)[..., None] * x)
-    vals = np.exp(nu[..., None] * logs) @ wts
-    vals = np.where(t == 0.0, 1.0 + 0.0j, vals)
+    x, x_wts = _gauss_jacobi(0.5 * (d * p - 3.0), 0.5 * (d * p - 3.0))
+    y, u_wts = _gauss_jacobi(0.5 * d * (p - 1.0) - 1.0, 0.5 * (d - 3.0))
+    nu = (1j * lam - 0.5 * (d * p - (2.0 - d)))[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh = np.sinh(t)[..., None, None]
+        base = np.cosh(t)[..., None, None] + sh * x[:, None]
+        logs = np.log(base) + 0.5 * np.log1p(
+            (1.0 - x * x)[:, None] * (0.5 + 0.5 * y) * (sh / base) ** 2)
+        vals = np.where(t == 0, 1.0 + 0.0j, np.exp(nu * logs) @ u_wts @ x_wts)
+    if not np.isfinite(vals).all():
+        raise OverflowError("phi's rank-one quadrature is out of float range "
+                            "at lam=%s, t=%s" % (lam.tolist(), t.tolist()))
     return vals if vals.shape else complex(vals)
 
 

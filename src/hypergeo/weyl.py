@@ -202,11 +202,6 @@ def lemma44_check(poly, epsilon, y):
     return hull_membership(poly, z)
 
 
-def product_membership(poly1, poly2, a1, a2):
-    """Hull membership in a product of two orbit polytopes, factorwise."""
-    return hull_membership(poly1, a1) and hull_membership(poly2, a2)
-
-
 def _unit_rho_samples(spec, count, gen):
     """Unit-norm chamber points: random interior ones plus wall pinches.
 

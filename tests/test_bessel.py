@@ -462,6 +462,15 @@ class TestSeries:
                                  np.array(eta))
 
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_alpha_is_value_error(self, alpha):
+        """alpha <= 0 is outside the Jack polynomials' domain: a ValueError
+        naming idx.alpha, not a ZeroDivisionError or a RuntimeWarning."""
+        with pytest.raises(ValueError, match="idx.alpha"):
+            bessel.bessel_series(bessel.BesselIndex(2.5, alpha),
+                                 np.array([1.0, 0.5]), np.array([1.0, 0.2]))
+
+
 class TestSeriesReference:
     """The shell-vector series against the per-partition reference: the
     same truncation degree and convergence, and values within 1e-13."""

@@ -399,12 +399,18 @@ class TestExitCodes:
         ("contraction --q 1 --p 5 --lambda 1 --t 1e3 --n-list 2,4",
          "the series reference phi-tilde did not converge at lam=[1.0], "
          "t=[1000.0]: tail bound 9.29e+96"),
+        # Four RuntimeWarnings, then "cannot write the non-finite value
+        # nan": cosh(t) overflowed in the rank-one quadrature.
+        ("contraction --q 1 --p 3 --lambda 0.001 --t 800 --n-list 1,2",
+         "phi's rank-one quadrature is out of float range at "
+         "lam=(0.001-1j), t=800.0"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
             "series-t", "series-rank-one", "psi-t", "psi-lambda",
             "psi-lambda-imaginary", "c-function-cancel-1e12",
-            "c-function-cancel-1e300", "contraction-series"])
+            "c-function-cancel-1e300", "contraction-series",
+            "contraction-quadrature"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

@@ -38,6 +38,24 @@ class TestRateQuadrature:
         assert all(e < 1e-13 for e in rep.errors)
         assert rep.slope == float("-inf")
 
+    @pytest.mark.parametrize("field", ["c", "h"])
+    def test_rank_one_exact_over_every_field(self, field, monkeypatch):
+        """At q = 1 the sweep is quadrature over C and H too: no Monte
+        Carlo, zero stderrs and band, and the same report for any seed or
+        workers count."""
+        def no_mc_run(*args, **kwargs):
+            raise AssertionError("mc_run called at q = 1")
+
+        monkeypatch.setattr(sampling, "mc_run", no_mc_run)
+        t_grid = np.linspace(0.0, 2.0, 5).reshape(-1, 1)
+        a, b = (ex.rate_p_experiment(field, 1, np.array([2.0 + 0j]), t_grid,
+                                     [10, 20, 40], samples=5000, seed=seed,
+                                     workers=workers)
+                for seed, workers in ((0, 1), (7, 2)))
+        assert a == b
+        assert a.stderrs == (0.0, 0.0, 0.0) and a.slope_halfwidth == 0.0
+        assert a.slope <= -0.45
+
     def test_p_list_validation(self):
         t_grid = np.linspace(0.0, 1.0, 3).reshape(-1, 1)
         with pytest.raises(ValueError):
@@ -119,6 +137,20 @@ class TestContraction:
         assert rep.slope <= -0.8
         pos = [c for c in rep.normalized if c > 0]
         assert max(pos) / min(pos) < 10.0
+
+    @pytest.mark.parametrize("field", ["c", "h"])
+    def test_rank_one_quadrature_other_fields(self, field):
+        rep = ex.contraction_experiment(field, 1, 3.0, np.array([1.0]),
+                                        np.array([1.0]), [2, 4, 8, 16])
+        assert rep.stderrs == (0.0,) * 4 and rep.slope_halfwidth == 0.0
+        assert rep.slope <= -0.8
+
+    def test_rank_one_real_boundary_is_exact(self):
+        """At p = 1 over R, phi_{n lam}(t/n) and phi-tilde_lam(t) are both
+        cos(lam t): the errors are rounding."""
+        rep = ex.contraction_experiment("r", 1, 1.0, np.array([1.0]),
+                                        np.array([0.8]), [1, 2, 4, 8])
+        assert max(rep.errors) < 1e-14
 
     def test_q2_regular_and_degenerate(self):
         lam = np.array([1.0, 0.5])

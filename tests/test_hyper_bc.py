@@ -125,12 +125,53 @@ class TestQuadrature:
             got[1, 2], hyper_bc.eval_phi_bc_quadrature_q1(6.0, 1.0, 1.5))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            hyper_bc.eval_phi_bc_quadrature_q1(1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            hyper_bc.eval_phi_bc_quadrature_q1(3.0, 1.0, 0.5, nodes=4)
-        with pytest.raises(ValueError):
-            hyper_bc.eval_phi_bc_quadrature_q1(3.0, 1.0, 0.5, field="c")
+        for field in ("r", "c", "h"):
+            with pytest.raises(ValueError, match="p >= 1"):
+                hyper_bc.eval_phi_bc_quadrature_q1(0.9, 1.0, 0.5, field)
+        with pytest.raises(ValueError, match="unknown scalar field"):
+            hyper_bc.eval_phi_bc_quadrature_q1(3.0, 1.0, 0.5, field="x")
+
+    @pytest.mark.parametrize("field,d", [("c", 2), ("h", 4)])
+    def test_other_fields_match_jacobi_oracle(self, field, d):
+        """Over C and H, on the acceptance grid of the real rule, and at
+        the boundary p = 1 for t <= 1."""
+        grid = [(p, t) for p in (2.0, 3.0, 5.0, 10.0)
+                for t in (0.1, 0.5, 1.0, 2.0)]
+        grid += [(1.0, t) for t in (0.1, 0.5, 1.0)]
+        failures = []
+        for p, t in grid:
+            for base in (0.5, 1.0, 2.0, 4.0):
+                for lam in (base + 0j, base + 2j, base - 2j):
+                    got = hyper_bc.eval_phi_bc_quadrature_q1(p, lam, t, field)
+                    want = jacobi_2f1(p, d, lam, t)
+                    if not abs(got - want) <= 1e-6 * abs(want):
+                        failures.append((p, lam, t, got, want))
+        assert failures == []
+
+    @pytest.mark.parametrize("field", ["c", "h"])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_matches_sampler_over_c_and_h(self, field, p):
+        """The rule's law is the sampler's, the boundary law included."""
+        lam, t = 1.5 - 0.5j, 0.8
+        want = hyper_bc.eval_phi_bc_quadrature_q1(p, lam, t, field)
+        est = hyper_bc.eval_phi_bc(field, p, np.array([lam]), np.array([t]),
+                                   samples=200000, seed=3)
+        assert abs(est.value - want) < 4.0 * est.stderr
+
+    def test_real_boundary_is_cosine(self):
+        """At p = 1 over R the rule is the atoms x = +-1, so phi is
+        cos(lam t)."""
+        lam = np.array([0.5, 1.0, 2.5 + 0.5j])
+        t = np.array([0.3, 1.0, 2.0])
+        got = hyper_bc.eval_phi_bc_quadrature_q1(1.0, lam[:, None], t)
+        np.testing.assert_allclose(got, np.cos(np.outer(lam, t)),
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_overflow_names_t(self):
+        """cosh(800) is out of float range: a named OverflowError, before
+        any RuntimeWarning (which the test configuration makes an error)."""
+        with pytest.raises(OverflowError, match=r"t=800\.0"):
+            hyper_bc.eval_phi_bc_quadrature_q1(3.0, 1.0, 800.0)
 
 
 class TestMonteCarloPhi:

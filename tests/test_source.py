@@ -107,6 +107,19 @@ def _names(node):
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def test_experiments_do_not_branch_on_the_field():
+    """Every evaluator takes the field as an argument, so no if test,
+    conditional expression or comprehension filter in experiments.py
+    reads d or field: a per-field fork does not grow back."""
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    tests = [node.test for node in ast.walk(tree)
+             if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+    tests += [cond for node in ast.walk(tree)
+              if isinstance(node, ast.comprehension) for cond in node.ifs]
+    assert [ast.unparse(test) for test in tests
+            if {"d", "field"} & set(_names(test))] == []
+
+
 def test_bessel_series_runs_on_shell_tables():
     """The series reads each shell's cached table: it calls no jack_C
     per partition, and the one permutation walk is the cached shell

@@ -245,16 +245,6 @@ class TestLemma44:
             weyl.lemma44_check(poly, 0.5, np.array([1.0, 0.5]))
 
 
-class TestProductMembership:
-    def test_conjunction(self):
-        p1 = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
-        p2 = weyl.OrbitPolytope(spec_b(2), np.array([1.0, 0.5]))
-        inside = np.array([1.0, 0.5])
-        outside = np.array([2.0, 1.0])
-        assert weyl.product_membership(p1, p2, inside, 0.5 * inside)
-        assert not weyl.product_membership(p1, p2, inside, outside)
-
-
 class TestEps0:
     """The estimated largest shrink factor."""
 
