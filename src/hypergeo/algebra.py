@@ -48,24 +48,6 @@ def field_dim(field):
     return FIELD_DIMS[normalize_field(field)]
 
 
-def _ct(m):
-    """Conjugate transpose of a complex (or real) matrix stack."""
-    return np.conj(np.swapaxes(m, -2, -1))
-
-
-def adjoint(a, field):
-    """Conjugate transpose; an involution over each of the three fields."""
-    field = normalize_field(field)
-    a = np.asarray(a)
-    if field == "h":
-        out = np.swapaxes(a, -3, -2).copy()
-        out[..., 1:] = -out[..., 1:]
-        return out
-    if field == "c":
-        return _ct(a)
-    return np.swapaxes(a, -2, -1).copy()
-
-
 def complex_embed(a, field="h"):
     """Complex 2q x 2p image of a quaternion matrix, in block layout.
 
@@ -127,26 +109,6 @@ def matmul(a, b, field):
     if field == "h":
         return _chi_inv(_chi(a) @ _chi(b))
     return np.asarray(a) @ np.asarray(b)
-
-
-def det_dieudonne(a, field):
-    """Nonnegative determinant: |det| over R and C, sqrt(det chi) over H."""
-    field = normalize_field(field)
-    if field == "h":
-        return np.sqrt(np.abs(np.linalg.det(_chi(a))))
-    return np.abs(np.linalg.det(np.asarray(a)))
-
-
-def principal_minor(x, field, r):
-    """Dieudonne determinant of the top-left r x r block."""
-    field = normalize_field(field)
-    x = np.asarray(x)
-    q = x.shape[-3] if field == "h" else x.shape[-2]
-    if not 1 <= r <= q:
-        raise ValueError("minor index r=%d out of range 1..%d" % (r, q))
-    if field == "h":
-        return det_dieudonne(x[..., :r, :r, :], field)
-    return det_dieudonne(x[..., :r, :r], field)
 
 
 def _batch_last(x):

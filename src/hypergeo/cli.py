@@ -6,13 +6,13 @@ Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
 Exit codes: 0 success, 2 configuration problems (including a count
-such as --q, --samples, --n-t or --max-degree below 1, a --p, --eps or
---rel-tol or an entry of --lambda, --t, --t-grid, --p-list or --rho that
-is not finite, or a --rho, --rank, --resolution or --alpha that
-weyl-scan, eps0 or jack-table rejects), 3 domain errors (a named
-precondition failed, an input overflows or leaves the c-function no 10
-correct digits, or an estimate is not finite), 4 a declared acceptance
-predicate failed.
+such as --q, --samples, --n-t, --max-degree or an --n-list entry below
+1, a --p, --eps or --rel-tol or an entry of --lambda, --t, --t-grid,
+--p-list or --rho that is not finite, or a --rho, --rank, --resolution
+or --alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors
+(a named precondition failed, an input overflows or leaves the
+c-function no 10 correct digits, or an estimate is not finite), 4 a
+declared acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -195,11 +195,14 @@ _EVALUATORS = {
         lam, multiplicity_bc(a.p, field_dim(field), a.q), a.q), 0.0, 0, True),
 }
 
-# What overflows in an evaluator, with the flag its message names beside
-# --lambda; an OverflowError there is a domain error naming both flags.
+# What overflows in a subcommand, with the flag its message names beside
+# --lambda; main reports an OverflowError there as a domain error naming
+# both flags as typed.
 _OVERFLOWS = {"c-function": ("the c-function's Gamma product", "p"),
               "eval-a": ("psi", "t"),
-              "eval-bessel-series": ("the Bessel series", "t")}
+              "eval-bessel-series": ("the Bessel series", "t"),
+              "rate-p": ("phi or psi", "t-grid"),
+              "contraction": ("phi or the Bessel series", "t")}
 
 _RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
                    "stderr", "samples", "seed", "pass"]
@@ -227,15 +230,7 @@ def _cmd_eval(args):
                 inputs["p"] = args.p
             if t is not None:
                 inputs["t"] = [float(x) for x in t]
-            try:
-                value, stderr, samples, ok = evaluate(args, field, lam, t,
-                                                      seed)
-            except OverflowError:
-                if args.command not in _OVERFLOWS:
-                    raise
-                what, flag = _OVERFLOWS[args.command]
-                raise ValueError("%s overflows at --lambda %s and --%s %s"
-                                 % (what, args.lam, flag, getattr(args, flag)))
+            value, stderr, samples, ok = evaluate(args, field, lam, t, seed)
             value = complex(value)
             records.append({"command": args.command, "inputs": inputs,
                             "value_re": value.real, "value_im": value.imag,
@@ -330,8 +325,10 @@ def _cmd_contraction(args):
     seed = _seed_of(args)
     lam = _vector(_parse_list(args.lam, "--lambda"), args.q, "lambda")
     t = _vector(_parse_list(args.t, "--t"), args.q, "t")
-    n_list = _increasing(_parse_list(args.n_list, "--n-list", int),
-                         "--n-list")
+    with _config_errors():
+        n_list = experiments._increasing(experiments._counts(
+            _parse_list(args.n_list, "--n-list", int), "--n-list"),
+            "--n-list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,
                                     workers=args.workers)
@@ -561,7 +558,12 @@ def main(argv=None):
         print("config error: %s" % (exc,), file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as exc:
-        print("domain error: %s" % (exc,), file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OverflowError) and args.command in _OVERFLOWS:
+            what, flag = _OVERFLOWS[args.command]
+            message = "%s overflows at --lambda %s and --%s %s" % (
+                what, args.lam, flag, getattr(args, flag.replace("-", "_")))
+        print("domain error: %s" % message, file=sys.stderr)
         return 3
 
 

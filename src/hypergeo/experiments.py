@@ -54,6 +54,17 @@ def _increasing(values, name):
     return values
 
 
+def _counts(values, name):
+    """values as ints, if each is a whole number of at least 1; ValueError
+    naming them otherwise."""
+    values = _check_finite(name, np.asarray(values, float).reshape(-1))
+    for v in values:
+        if not (v >= 1 and v == np.floor(v)):
+            raise ValueError("%s entries must be integers of at least 1, "
+                             "not %g" % (name, v))
+    return [int(v) for v in values]
+
+
 def _fit_slope(params, errors):
     """Least-squares slope of log error against log parameter."""
     errors = np.asarray(errors, float)
@@ -180,7 +191,7 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if lam.size != q or t.size != q:
         raise ValueError("lam and t have %d and %d entries, expected q=%d"
                          % (lam.size, t.size, q))
-    n_list = _increasing([int(n) for n in n_list], "n_list")
+    n_list = _increasing(_counts(n_list, "n_list"), "n_list")
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
@@ -271,16 +282,6 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     out_max = float(np.abs(mean[:, -1]).max())
     return BoundednessReport(tuple(rows), all_bounded, all_positive,
                              out_max, out_max > 1.0)
-
-
-def moment_decay_rate_q1(p, n):
-    """Closed form of the decay ratio at q = 1, d = 1, via Beta moments."""
-    if not p - 4 * n > 1:
-        raise ValueError("p too small for the importance shift")
-    from scipy.special import betaln
-
-    return float(np.exp(betaln(n + 0.5, 0.5 * (p - 1.0) - 2 * n)
-                        - betaln(0.5, 0.5 * (p - 1.0))))
 
 
 def _top_moment(field, t, power, haar, w):

@@ -202,9 +202,10 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of psi_lam(t); exact at q = 1.
 
     lam is a length-q complex vector (or batch of shape (..., q)) in
-    the plain convention, so the power-function exponent is i lam / 2.
-    At q = 1, rho is 0 and psi_lam(t) = cosh(t)^(i lam); a value out of
-    float range there raises OverflowError.
+    the plain convention, so the power-function exponent is
+    (i lam - rho)/2 with rho = rho_a(d, q).  At q = 1, rho is 0 and
+    psi_lam(t) = cosh(t)^(i lam); a value out of float range there
+    raises OverflowError.
     """
     field = normalize_field(field)
     t = _check_finite("t", np.asarray(t, float).reshape(-1))

@@ -278,39 +278,6 @@ def _p_map_batch(rows):
     return _batch_first(w)
 
 
-def p_map(factors, field, allow_boundary=False):
-    """Ball matrix built from the factors y_1 .. y_q.
-
-    Row j is y_j (I - y_{j-1}* y_{j-1})^(1/2) ... (I - y_1* y_1)^(1/2).
-    Factors must have norm < 1; with allow_boundary the last one may sit
-    on the unit sphere, as in the boundary law p = 2q - 1 of sample_mp.
-    The result has largest singular value below 1 (equal to 1 in the
-    boundary case).
-    """
-    field = normalize_field(field)
-    q = len(factors)
-    rows = []
-    shape = (q, 4) if field == "h" else (q,)
-    for j, y in enumerate(factors):
-        y = np.asarray(y, complex if field == "c" else float)
-        if y.shape != shape:
-            raise ValueError("ball factor %d has shape %s, expected %s"
-                             % (j + 1, y.shape, shape))
-        if field == "h":
-            comp = y[None]
-        elif field == "c":
-            comp = np.stack([y.real, y.imag], axis=-1)[None]
-        else:
-            comp = y[None, :, None]
-        s = float(np.sum(comp**2))
-        limit = 1.0 + 1e-12 if (allow_boundary and j == q - 1) else 1.0
-        if s >= limit:
-            raise ValueError("ball factor %d has norm >= 1" % (j + 1,))
-        rows.append(_row_embed(field, comp))
-    w = _p_map_batch(rows)[0]
-    return _chi_inv(w) if field == "h" else w
-
-
 def _mp_batch(field, q, p, n, gen):
     return _p_map_batch(_ball_rows(field, q, p, n, gen))
 

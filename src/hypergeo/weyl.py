@@ -70,19 +70,13 @@ def _check_vector(name, x, n):
                          % (name, n, x.shape))
 
 
-def apply_weyl(element, x):
-    """Apply a (permutation, signs) pair as returned by chamber_project."""
-    perm, signs = element
-    x = np.asarray(x, float)
-    return np.asarray(signs, float) * x[list(perm)]
-
-
 def chamber_project(spec, x):
     """Chamber representative of x and the Weyl element achieving it.
 
     Family b takes absolute values and sorts in descending order;
-    family a only sorts.  The returned element is (permutation, signs)
-    with apply_weyl(element, x) reproducing the projection bitwise.
+    family a only sorts.  The returned element is a pair of tuples
+    (perm, signs) with signs[i] * x[perm[i]] equal to entry i of the
+    projection, bitwise.
     """
     x = np.asarray(x, float)
     _check_vector("x", x, spec.dim)

@@ -224,6 +224,13 @@ class TestExitCodes:
          "lambda has 1 entries, expected q=2"),
         ("contraction --q 2 --p 5 --lambda 1,0 --t 1,0.5 --n-list 4,2",
          "--n-list must be strictly increasing, got 4,2"),
+        # A divide-by-zero warning, then "t must be finite, not inf".
+        ("contraction --q 1 --p 3 --lambda 1 --t 0.5 --n-list 0,1",
+         "--n-list entries must be integers of at least 1, not 0"),
+        # Six LAPACK DLASCL lines, then "SVD did not converge".
+        ("contraction --q 2 --p 5 --lambda 1,0.5 --t 0.5,0.2 "
+         "--n-list=-2,-1",
+         "--n-list entries must be integers of at least 1, not -2"),
         ("moment-decay --q 1 --n 0 --p-list 9,17",
          "--n must be at least 1"),
         ("boundedness --q 1 --p 3 --n-lambda 0", "--n-lambda must be at "
@@ -260,7 +267,8 @@ class TestExitCodes:
          "--p must be finite, not inf"),
         ("weyl-scan --family b --rank 2 --eps nan --rho 2,1",
          "--eps must be finite, not nan"),
-    ], ids=["seed", "p-list", "lambda-length", "n-list", "moment-n",
+    ], ids=["seed", "p-list", "lambda-length", "n-list", "n-list-0",
+            "n-list-negative", "moment-n",
             "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
             "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg",
             "q-0", "q-0-rate-p", "q-neg", "p-inf", "p-inf-boundedness",
@@ -400,17 +408,20 @@ class TestExitCodes:
          "the series reference phi-tilde did not converge at lam=[1.0], "
          "t=[1000.0]: tail bound 9.29e+96"),
         # Four RuntimeWarnings, then "cannot write the non-finite value
-        # nan": cosh(t) overflowed in the rank-one quadrature.
+        # nan": cosh(t) overflowed in the rank-one quadrature.  Then a
+        # message naming the shifted point lam=(0.001-1j), not the flags.
         ("contraction --q 1 --p 3 --lambda 0.001 --t 800 --n-list 1,2",
-         "phi's rank-one quadrature is out of float range at "
-         "lam=(0.001-1j), t=800.0"),
+         "phi or the Bessel series overflows at --lambda 0.001 and --t "
+         "800"),
+        ("rate-p --q 1 --lambda 0.001 --t-grid 800 --p-list 3,4",
+         "phi or psi overflows at --lambda 0.001 and --t-grid 800"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
             "series-t", "series-rank-one", "psi-t", "psi-lambda",
             "psi-lambda-imaginary", "c-function-cancel-1e12",
             "c-function-cancel-1e300", "contraction-series",
-            "contraction-quadrature"])
+            "contraction-quadrature", "rate-p-quadrature"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

@@ -165,6 +165,18 @@ class TestContraction:
             ex.contraction_experiment("r", 2, 2.0, np.array([1.0, 0.5]),
                                       np.array([0.5, 0.2]), [2, 4])
 
+    @pytest.mark.parametrize("q, n_list, bad", [
+        (1, [0, 1], "0"), (2, [-2, -1], "-2"), (1, [1.5, 2], "1.5"),
+    ], ids=["zero", "negative", "fraction"])
+    def test_n_list_entries_are_counts(self, q, n_list, bad, monkeypatch):
+        """n = 0 divided t by zero, a negative n reached LAPACK, and 1.5
+        ran as 1; each is now rejected before the series reference."""
+        monkeypatch.setattr(ex, "bessel_phi_tilde", None)
+        with pytest.raises(ValueError, match="n_list entries must be "
+                           "integers of at least 1, not %s$" % bad):
+            ex.contraction_experiment("r", q, 5.0, np.linspace(1.0, 0.5, q),
+                                      np.linspace(0.5, 0.2, q), n_list)
+
     @pytest.mark.parametrize("q, lam, t, tail", [
         (1, [1.0], [1e3], r"9\.29e\+96"),
         (2, [1.0, 0.5], [30.0, 20.0], r"4\.22e\+08"),
@@ -202,11 +214,19 @@ class TestBoundedness:
             ex.boundedness_sweep("r", 1, 3.0, samples=100, **{name: 0})
 
 
+def _moment_decay_rate_q1_ref(p, n):
+    """Closed form of the decay ratio at q = 1, d = 1, via Beta moments."""
+    from scipy.special import betaln
+
+    return float(np.exp(betaln(n + 0.5, 0.5 * (p - 1.0) - 2 * n)
+                        - betaln(0.5, 0.5 * (p - 1.0))))
+
+
 class TestMomentDecay:
     def test_closed_form_matches_sampler(self):
         """The rank-one Beta closed form against importance sampling."""
         for p in (9.0, 17.0):
-            want = ex.moment_decay_rate_q1(p, 1)
+            want = _moment_decay_rate_q1_ref(p, 1)
             rep = ex.moment_decay_experiment("r", 1, 1, [p, p + 4],
                                              samples=200000, seed=4)
             assert abs(rep.errors[0] - want) < 4.0 * rep.stderrs[0]
@@ -220,8 +240,6 @@ class TestMomentDecay:
     def test_shift_guard(self):
         with pytest.raises(ValueError):
             ex.moment_decay_experiment("r", 1, 2, [8, 12], samples=100)
-        with pytest.raises(ValueError):
-            ex.moment_decay_rate_q1(9.0, 2)
 
     def test_p_guard(self):
         with pytest.raises(ValueError):

@@ -194,3 +194,61 @@ def test_kernels_dispatch_no_per_matrix_products(module, name):
                  if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name)
                  and node.func.id in funcs and node.func.id not in seen]
+
+
+ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
+
+
+def _origins(tree, modules):
+    """Where each name bound by a package import in tree comes from:
+    (module, None) for a package module, (module, name) for a name taken
+    from one."""
+    origin = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.level or node.module == "hypergeo"):
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module not in (None, "hypergeo"):
+                    origin[bound] = (node.module, alias.name)
+                elif alias.name in modules:  # `from . import sampling`
+                    origin[bound] = (alias.name, None)
+    return origin
+
+
+def _package_reads(node, module, origin):
+    """(module, name) for every name read inside node: a bare name
+    resolves to this module or to the one it was imported from, and
+    `alias.name` counts only when alias is a package module, so np.matmul
+    is not a read of algebra.matmul."""
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add(origin.get(sub.id, (module, sub.id)))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            owner, name = origin.get(sub.value.id, (None, None))
+            if owner and name is None:
+                reads.add((owner, sub.attr))
+    return reads
+
+
+def test_package_defines_only_what_it_runs_or_exports():
+    """Every top-level function and class in the package is read by
+    another definition in it, exported in __all__, or read as
+    module.name by the fixed acceptance suite; test references live in
+    the tests."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {(getattr(hypergeo, name).__module__.split(".")[-1], name)
+            for name in hypergeo.__all__}
+    for module, tree in trees.items():
+        origin = _origins(tree, trees)
+        for top in tree.body:
+            own = (module, getattr(top, "name", None))
+            used |= _package_reads(top, module, origin) - {own}
+    acceptance = ast.parse(ACCEPTANCE.read_text())
+    used |= _package_reads(acceptance, None, _origins(acceptance, trees))
+    defined = [(module, top.name) for module, tree in trees.items()
+               for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    assert [d for d in defined if d not in used] == []
