@@ -12,11 +12,18 @@ The shard kernels `_build_g_embedded` and `_log_minors_embedded` take
 (n, e, e) stacks and work batch-last: `_batch_last` views a stack as
 (e, e, n), whose entry (i, j) is one length-n vector, contiguous for the
 samplers' draws, and every step is a loop of vector multiply-adds over
-such entries (`_dot`), with no per-matrix BLAS or LAPACK call.  Over H
-they work the even rows of the chi embedding only: chi maps the
-quaternion entry (a1, a2) to the block [[a1, a2], [-conj(a2), conj(a1)]],
-so each odd row is a conj/negate shuffle of the even row above it
-(`_odd_rows`), and the LDL* pivots come in equal pairs.
+such entries (`_dot`), with no per-matrix BLAS or LAPACK call.
+
+Over H (e = 2q) the shard keeps only the even rows of every chi matrix:
+chi maps the quaternion entry (a1, a2) to the block
+[[a1, a2], [-conj(a2), conj(a1)]], so each odd row is a conj/negate
+shuffle of the even row above it (`_odd_rows`), and the LDL* pivots come
+in equal pairs.  The samplers hand on (n, q, 2q) even-row stacks, the
+kernels take either those or full (n, 2q, 2q) stacks (a stack with as
+many rows as columns is full), form an odd row only where they read it
+(`_row`), and `_build_g_embedded` returns the even rows of g.  The
+shuffle is written here alone; a caller that needs the full 2q x 2q
+form gets it from `_chi_full`.
 """
 
 import numpy as np
@@ -131,12 +138,45 @@ def _dot(x, y):
     return total
 
 
-def _odd_rows(x):
-    """Fill the odd rows of a chi-structured batch-last matrix (e, E, ...)
-    from its even rows: chi sends the quaternion entry (a1, a2) to the
-    block [[a1, a2], [-conj(a2), conj(a1)]]."""
-    x[1::2, 0::2] = -np.conj(x[0::2, 1::2])
-    x[1::2, 1::2] = np.conj(x[0::2, 0::2])
+def _odd_rows(even, out=None):
+    """The odd rows (r, E, ...) of a chi-structured batch-last matrix from
+    its even rows: chi sends the quaternion entry (a1, a2) to the block
+    [[a1, a2], [-conj(a2), conj(a1)]].  Written into out if given."""
+    out = np.empty_like(even) if out is None else out
+    np.conj(even[:, 1::2], out=out[:, 0::2])
+    np.negative(out[:, 0::2], out=out[:, 0::2])
+    np.conj(even[:, 0::2], out=out[:, 1::2])
+    return out
+
+
+def _chi_full(x):
+    """The full (..., e, e) form of a kernel stack: x itself if it has as
+    many rows as columns, else the chi stack (..., 2r, 2r) whose even
+    rows are x (..., r, 2r), in batch-last memory ordered as x's is."""
+    xb = _batch_last(x)
+    if len(xb) == xb.shape[1]:
+        return x
+    full = np.empty_like(xb, shape=(2 * len(xb),) + xb.shape[1:])
+    full[0::2] = xb
+    _odd_rows(xb, out=full[1::2])
+    return _batch_first(full)
+
+
+def _worked_rows(x, step):
+    """The rows (r, E, ...) of a stack x that the kernels work, batch-last:
+    every row, or over H (step 2) the even rows, read as a view of a full
+    stack (as many rows as columns) or taken as they are from an
+    even-row stack."""
+    xb = _batch_last(x)
+    return xb[::step] if len(xb) == xb.shape[1] else xb
+
+
+def _row(x, i, step):
+    """Row i of a batch-last matrix from its worked rows x (see
+    _worked_rows); over H an odd row is formed from the even row above."""
+    if i % step == 0:
+        return x[i // step]
+    return _odd_rows(x[i // step:i // step + 1])[0]
 
 
 def _log_minors_embedded(m, field):
@@ -148,11 +188,14 @@ def _log_minors_embedded(m, field):
     and the Dieudonne minor takes one of each pair, so only the even rows
     are worked: each 2 x 2 pivot block is a real multiple of the identity,
     and the odd-row entries a step reads are chi shuffles of even ones.
-    A pivot below 1e-13 (the square of a Cholesky diagonal entry) means
-    the input left the cone; a NaN pivot passes on as a NaN log.
+    m is an (n, e, e) stack, or over H also the (n, q, 2q) stack of its
+    even rows, as _build_g_embedded returns it; only the lower triangle
+    is read.  Returns the (n, q) logs.  A pivot below 1e-13 (the square
+    of a Cholesky diagonal entry) means the input left the cone; a NaN
+    pivot passes on as a NaN log.
     """
     step = 2 if field == "h" else 1
-    a = _batch_last(m)[::step].copy()  # row r is row step * r of m
+    a = _worked_rows(m, step).copy()  # row r is row step * r of m
     e = a.shape[1]
     total, logs = 0.0, []
     for r in range(len(a)):
@@ -245,40 +288,58 @@ def _build_g_embedded(t, u, w, field, variant):
     A = diag(cosh t) commutes with A*, so both variants give psi's
     argument u* cosh^2(t) u.
 
-    C is formed by slab updates on batch-last memory, over H on its even
-    rows, whose chi shuffles give the odd ones.  Only what
-    _log_minors_embedded reads of C* C is formed: its lower triangle, over
-    H on the even rows; the rest stays zero, and build_g fills it in.
-    The diagonal is made real, so the triangle is that of an exactly
-    Hermitian matrix.  Takes and returns (..., e, e) stacks, in the shard
-    as views of batch-last memory.
+    u and w are (..., e, e) stacks, in the shard views of batch-last
+    memory; over H either may also be the (..., q, 2q) stack of its even
+    rows.  Only the worked rows of C are formed: all of them, over H the
+    even ones.  The summed index is outermost, i in C = A u and k in
+    C* C, so each odd row of u or C is formed once, where it is read,
+    and every entry is summed in index order.  Only what
+    _log_minors_embedded reads of C* C is formed: the lower triangle of
+    its worked rows; the rest stays zero, and build_g fills it in.  The
+    diagonal is made real, so the triangle is that of an exactly
+    Hermitian matrix.  Returns the worked rows of g: an (..., e, e)
+    stack, or over H the (..., q, 2q) stack of its even rows.
     """
     step = 2 if field == "h" else 1
     tt = np.repeat(t, step)
     ch, sh = np.cosh(tt), np.sinh(tt)
-    ub = None if u is None else _batch_last(u)
-    wb = None if w is None else _batch_last(w)
+    ub = None if u is None else _worked_rows(u, step)
+    wb = None if w is None else _worked_rows(w, step)
     given = [x for x in (ub, wb) if x is not None]
     c = np.empty(np.broadcast_shapes(*(x.shape for x in given)),
                  np.result_type(*given))
-    m = np.empty_like(c[0])  # row k of A (variant "g") or of A*
-    for k in range(0, tt.size, step):
-        if wb is None:
-            np.multiply(ch[k], ub[k], out=c[k])
-            continue
-        if variant == "g":
-            np.multiply(sh[k], wb[k], out=m)
-        else:
-            for i, x in enumerate(sh):
-                m[i] = x * np.conj(wb[i, k])
-        m[k] += ch[k]
-        c[k] = m if ub is None else _dot(m, ub)
-    if step == 2:
-        _odd_rows(c)
+    worked = range(0, tt.size, step)  # row step * r of C is c[r]
+    if wb is None:
+        for r, k in enumerate(worked):
+            np.multiply(ch[k], ub[r], out=c[r])
+    else:
+        for i in range(tt.size):
+            urow = None if ub is None else _row(ub, i, step)
+            wrow = _row(wb, i, step) if variant == "g-tilde" else None
+            for r, k in enumerate(worked):
+                # entry (k, i) of A (variant "g") or of A*
+                if variant == "g":
+                    a = sh[k] * wb[r, i]
+                else:
+                    a = sh[i] * np.conj(wrow[k])
+                if i == k:
+                    a += ch[k]
+                if ub is None:
+                    c[r, i] = a
+                elif i == 0:
+                    np.multiply(a, urow, out=c[r])
+                else:
+                    c[r] += a * urow
     g = np.zeros_like(c)
-    for i in range(0, tt.size, step):
-        g[i, :i + 1] = _dot(np.conj(c[:, i]), c[:, :i + 1])
-        g[i, i] = g[i, i].real  # a fused complex product leaves an imag ulp
+    for k in range(tt.size):
+        crow = _row(c, k, step)
+        for r, i in enumerate(worked):
+            if k == 0:
+                np.multiply(np.conj(crow[i]), crow[:i + 1], out=g[r, :i + 1])
+            else:
+                g[r, :i + 1] += np.conj(crow[i]) * crow[:i + 1]
+    for r, i in enumerate(worked):
+        g[r, i] = g[r, i].real  # a fused complex product leaves an imag ulp
     return _batch_first(g)
 
 
@@ -325,10 +386,8 @@ def build_g(t, u, w, field, variant="g"):
     s1 = np.asarray(singular_values(w, field))[..., 0]
     if np.any(s1 >= 1.0):
         raise ValueError("w must have largest singular value < 1")
-    g = _batch_last(_build_g_embedded(t, _embed(u, field), _embed(w, field),
-                                      field, variant))
-    if field == "h":
-        _odd_rows(g)
+    g = _batch_last(_chi_full(_build_g_embedded(
+        t, _embed(u, field), _embed(w, field), field, variant)))
     for i in range(len(g) - 1):
         g[i, i + 1:] = np.conj(g[i + 1:, i])
     g = _batch_first(g)

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _batch_last, _check_finite, field_dim, normalize_field
+from .algebra import (_batch_last, _check_finite, _chi_full, field_dim,
+                      normalize_field)
 from .hyper_bc import McEstimate, _mc_pairs
 
 
@@ -278,12 +279,15 @@ def _phase_columns(field, t, lam, haar, w):
     """exp(-i Re tr(w diag(t) u diag(lam))) on one shard, as one column.
 
     The draws are read as the batch-last memory the samplers write.  Over
-    H the 2q x 2q working form doubles the real trace."""
+    H they are expanded to their full chi images, and the 2q x 2q working
+    form doubles the real trace."""
     tt, ll = t, lam
     if field == "h":
         tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
-    w, u = _batch_last(w), _batch_last(haar())
-    tr = np.einsum("ijn,jin->n", w * tt[:, None], u * ll[:, None])
+    # Each full chi image is dropped once scaled, before the next is made.
+    w = _batch_last(_chi_full(w)) * tt[:, None]
+    u = _batch_last(_chi_full(haar())) * ll[:, None]
+    tr = np.einsum("ijn,jin->n", w, u)
     phase = tr.real if field != "h" else 0.5 * tr.real
     return np.exp(-1j * phase)[:, None]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling, weyl
-from .algebra import _check_finite, field_dim, normalize_field
+from .algebra import _check_finite, _chi_full, field_dim, normalize_field
 from .bessel import bessel_phi_tilde
 from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_bc,
                        rho_shift)
@@ -47,7 +47,11 @@ class BoundednessReport:
 
 
 def _increasing(values, name):
-    """values, if strictly increasing; ValueError naming them otherwise."""
+    """values, if at least two and strictly increasing (a slope needs two
+    points); ValueError naming them otherwise."""
+    if len(values) < 2:
+        raise ValueError("%s needs at least two entries to fit a slope, "
+                         "got %s" % (name, ",".join("%g" % v for v in values)))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("%s must be strictly increasing, got %s"
                          % (name, ",".join("%g" % v for v in values)))
@@ -182,7 +186,12 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
 
 def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
                            seed=0, workers=1):
-    """Decay of |phi_{n lam - i rho}(t/n) - phi-tilde_lam(t)| in n."""
+    """Decay of |phi_{n lam - i rho}(t/n) - phi-tilde_lam(t)| in n.
+
+    phi-tilde is the Jack series; an error at or below its resolution,
+    rel_tol max(1, |ref|) + tail bound, carries no rate and is a
+    ValueError, as a series that did not converge is.
+    """
     field = normalize_field(field)
     d = field_dim(field)
     _check_finite("p", p)
@@ -195,7 +204,9 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
-    series = bessel_phi_tilde(field, p, lam, t, mode="series")
+    rel_tol = 1e-12
+    series = bessel_phi_tilde(field, p, lam, t, mode="series",
+                              rel_tol=rel_tol)
     if not series.converged:
         raise ValueError("the series reference phi-tilde did not converge "
                          "at lam=%s, t=%s: tail bound %.3g"
@@ -214,6 +225,14 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
         halfwidth = _jackknife_slope_halfwidth(
             n_list, parts, samples, lambda means: np.abs(means - ref))
     errors = np.abs(phis - ref)
+    resolution = rel_tol * max(1.0, abs(ref)) + series.tail_bound
+    if np.any(errors <= resolution):
+        raise ValueError("the contraction error %.3g at n=%d is at or below "
+                         "the series reference's resolution %.3g "
+                         "(rel_tol max(1, |ref|) + tail bound), so it "
+                         "carries no rate"
+                         % (errors.min(), n_list[int(np.argmin(errors))],
+                            resolution))
     norm1 = float(np.sum(np.abs(lam)))
     normalized = tuple(float(n * e / norm1) if norm1 > 0 else 0.0
                        for n, e in zip(n_list, errors))
@@ -285,8 +304,9 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
 
 
 def _top_moment(field, t, power, haar, w):
-    """sigma_1(w)^power on one shard's ball draws, as one column."""
-    return np.linalg.svd(w, compute_uv=False)[:, :1] ** power
+    """sigma_1(w)^power on one shard's ball draws, as one column; over H
+    the singular values of the full chi images."""
+    return np.linalg.svd(_chi_full(w), compute_uv=False)[:, :1] ** power
 
 
 def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,

@@ -9,11 +9,14 @@ factors and assemble them with `_p_map_batch`.
 Memory layout: `_haar_batch`, `_ball_rows` (through `_row_embed`) and
 `_p_map_batch` own the shard's draws, and write them batch-last, entry
 (i, j) of every draw one contiguous length-n vector.  They hand them on
-as (n, e, e) views, or (n, e, E) row factors, of that memory, which
-`algebra._build_g_embedded` and `bessel._phase_columns` read batch-last
-again without a copy.  Over H (e = 2q) the matrices are chi images of
-quaternion ones: only the even rows are worked, and each odd row is the
-conj/negate shuffle of the even row above it (`algebra._odd_rows`).
+as (n, e, e) views, or (n, 1, e) row factors, of that memory, which
+`algebra._build_g_embedded` reads batch-last again without a copy.
+Over H (e = 2q) the matrices are chi images of quaternion ones, and
+each odd row is a conj/negate shuffle of the even row above it, so only
+the even rows are kept: Haar and ball draws are (n, q, 2q) stacks and
+each row factor is its even row.  The algebra kernels form an odd row
+where they read it; a caller that needs the full chi form, as
+`_p_map_batch` does for each factor, gets it from `algebra._chi_full`.
 
 Also home of the deterministic shard layout behind every Monte-Carlo
 estimate in the package: a fixed shard size, one random stream per
@@ -28,8 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .algebra import (_batch_first, _batch_last, _check_finite, _chi_inv,
-                      _dot, _odd_rows, field_dim, normalize_field)
+from .algebra import (_batch_first, _batch_last, _check_finite, _chi_full,
+                      _chi_inv, _dot, field_dim, normalize_field)
 
 SHARD_SIZE = 8192
 
@@ -62,19 +65,21 @@ def shard_plan(samples):
 
 def draw_haar(field, q, seed, shard, count):
     """Embedded Haar draws (count, e, e) for one shard, from its unitary
-    stream."""
+    stream; over H the (count, q, 2q) stack of their even rows."""
     return _haar_batch(field, q, count,
                        shard_stream(seed, shard, ROLE_UNITARY))
 
 
 def draw_ball(field, q, p, seed, shard, count):
-    """Embedded ball draws (count, e, e) for one shard.
+    """Embedded ball draws (count, e, e) for one shard; over H the
+    (count, q, 2q) stack of their even rows.
 
     w follows the ball law of parameter p, or the boundary law when
     p = 2q - 1.  The shard's ball stream is opened afresh on every call,
     so each p sees the same variates whatever else the shard draws.
     """
-    return _mp_batch(field, q, p, count, shard_stream(seed, shard, ROLE_BALL))
+    return _p_map_batch(_ball_rows(field, q, p, count,
+                                   shard_stream(seed, shard, ROLE_BALL)))
 
 
 def shard_moments(blocks):
@@ -142,7 +147,8 @@ def mc_run(shard_fn, samples, workers=1):
 
 def _haar_batch(field, q, n, gen):
     """n Haar draws from U(q, F) = O(q), U(q) or Sp(q): an (n, e, e) view
-    of batch-last memory in the complex working form, e = q, or 2q over H.
+    of batch-last memory in the complex working form, e = q; over H the
+    (n, q, 2q) view of the even rows of the chi images.
 
     Each draw is the Gram-Schmidt orthonormalisation of the columns of a
     Gaussian matrix, which is its QR factor Q with a positive diagonal
@@ -155,7 +161,8 @@ def _haar_batch(field, q, n, gen):
     Over H each column 2j is followed by its symplectic partner, which
     keeps the quaternionic structure exact.  No integrand sees det u:
     each is invariant under u -> u D for D = diag(+-1), so over R the
-    draw is left in O(q).
+    draw is left in O(q).  The full u is built; over H its even rows are
+    copied out once the Gaussians and the column buffer are released.
     """
     z = gen.standard_normal((n, q, q, field_dim(field))).T  # (d, col, row, n)
     step = 2 if field == "h" else 1
@@ -168,6 +175,7 @@ def _haar_batch(field, q, n, gen):
     else:
         cols[:, 0::2] = z[0] + 1j * z[1]
         cols[:, 1::2] = 1j * z[3] - z[2]
+    del z
     u = np.empty((e, e, n), dtype=cols.dtype)  # u[j] is column j
     for j, v in zip(range(0, e, step), cols):
         for _ in range(2 if j else 0):
@@ -178,6 +186,9 @@ def _haar_batch(field, q, n, gen):
         if field == "h":
             u[j + 1, 0::2] = -v[1::2].conj()
             u[j + 1, 1::2] = v[0::2].conj()
+    del cols, v
+    if field == "h":
+        u = u[:, 0::2].copy()
     return u.T
 
 
@@ -186,16 +197,16 @@ def haar_unitary(field, q, rng):
     field = normalize_field(field)
     if q < 1:
         raise ValueError("q must be at least 1, got %d" % q)
-    u = _haar_batch(field, q, 1, rng)[0]
+    u = _chi_full(_haar_batch(field, q, 1, rng))[0]
     return _chi_inv(u) if field == "h" else u
 
 
 def _row_embed(field, comp):
-    """Real components (n, q, d) of row vectors -> embedded rows (n, e, E),
-    a view of batch-last memory (e, E, n).
+    """Real components (n, q, d) of row vectors -> embedded rows (n, 1, E),
+    a view of batch-last memory (1, E, n).
 
-    Over H, e = 2 and row 1 is the conj/negate shuffle of row 0 that chi
-    makes of a quaternion row vector.
+    Over H, E = 2q and the row is the even row of the 2 x 2q chi image of
+    a quaternion row vector.
     """
     c = comp.T  # (d, q, n)
     if field == "r":
@@ -206,10 +217,9 @@ def _row_embed(field, comp):
         y[0].real, y[0].imag = c[0], c[1]
     else:
         q = c.shape[1]
-        y = np.empty((2, 2 * q) + c.shape[2:], complex)
+        y = np.empty((1, 2 * q) + c.shape[2:], complex)
         y[0, 0::2].real, y[0, 0::2].imag = c[0], c[1]
         y[0, 1::2].real, y[0, 1::2].imag = c[2], c[3]
-        _odd_rows(y)
     return _batch_first(y)
 
 
@@ -228,7 +238,8 @@ def _ball_rows(field, q, p, n, gen):
     r_j^2 Beta distributed with shapes (dq/2, d(p-q-j+1)/2); Beta draws
     use two Gamma variates so non-integer shapes are exact.  At the
     boundary p = 2q-1 the last factor sits on the sphere.  Each factor is
-    an (n, e, E) view of batch-last memory, as _row_embed returns it.
+    an (n, 1, E) view of batch-last memory, as _row_embed returns it:
+    over H the even row of the factor's chi image.
     """
     d = field_dim(field)
     rows = []
@@ -243,43 +254,44 @@ def _ball_rows(field, q, p, n, gen):
 
 
 def _p_map_batch(rows):
-    """Assemble ball matrices from embedded row factors (n, e, E).
+    """Assemble ball matrices from embedded row factors (n, 1, E).
 
     Row j of the result is y_j S_(j-1) ... S_1, where
     S_i = (I - y_i* y_i)^(1/2) = I + c_i y_i* y_i, since I - y*y has the
-    two eigenvalues 1 and 1 - |y|^2.  Each S_i acts on the running row v
+    two eigenvalues 1 and 1 - |y|^2.  Each S_i acts on a running row v
     as the rank-e update v += c_i (v y_i*) y_i, so no matrix product is
     formed: every step is an (e, E, n) slab or length-n vector operation
-    on batch-last memory.  Over H only the even row of each factor is
-    worked, and the odd row is its chi shuffle.  Returns an (n, E, E)
-    view of batch-last memory.
+    on batch-last memory.  The factor index is outermost, each S_i
+    applied to every later row in turn, so each row still meets
+    S_(j-1) .. S_1 in that order.  Over H each factor is given by its
+    even row, and its chi image (e = 2) is formed once, for its own
+    update; only the even rows of w are formed.  Returns an (n, E, E)
+    view of batch-last memory, over H the (n, q, 2q) view of the even
+    rows.
     """
-    ys = [_batch_last(y) for y in rows]  # (e, E, n)
-    ybar = [np.conj(y) for y in ys]
-    e, big = ys[0].shape[:2]
-    w = np.empty((big, big) + ys[0].shape[2:], ys[0].dtype)
-    coefs = []
-    for j, y in enumerate(ys):
-        v = y[0].copy()
-        for i in reversed(range(j)):
-            v += _dot([coefs[i] * _dot(v, yb) for yb in ybar[i]], ys[i])
-        w[e * j] = v
-        if j + 1 == len(ys):
-            break
-        s = _dot(y[0], ybar[j][0]).real
+    chi = rows[0].shape[-1] == 2 * len(rows)  # over H, E = 2q
+    w = np.empty((len(rows),) + _batch_last(rows[0]).shape[1:],
+                 rows[0].dtype)
+    for v, y in zip(w, rows):
+        v[...] = _batch_last(y)[0]
+    for i in reversed(range(len(rows) - 1)):
+        y = _batch_last(_chi_full(rows[i]) if chi else rows[i])  # (e, E, n)
+        ybar = np.conj(y)
+        s = _dot(y[0], ybar[0]).real
         safe = np.maximum(s, 1e-300)
-        coefs.append(np.where(
+        coef = np.where(
             s < 1e-8,
             -0.5 - s / 8.0,
             (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0) / safe,
-        ))
-    if e == 2:
-        _odd_rows(w)
+        )
+        for v in w[i + 1:]:
+            v += _dot([coef * _dot(v, yb) for yb in ybar], y)
     return _batch_first(w)
 
 
 def _mp_batch(field, q, p, n, gen):
-    return _p_map_batch(_ball_rows(field, q, p, n, gen))
+    """n ball draws as full (n, e, e) stacks, the chi images over H."""
+    return _chi_full(_p_map_batch(_ball_rows(field, q, p, n, gen)))
 
 
 def sample_mp(field, q, p, rng):

@@ -404,7 +404,8 @@ class TestBatchLastKernels:
         """build_g's completed chi matrix has Cholesky pivots in equal
         pairs, and the log-minors take one of each pair."""
         u, w = self._draws("h", 4, 200, 61)
-        g = algebra.build_g(np.linspace(1.4, 0.2, 4), algebra._chi_inv(u),
+        g = algebra.build_g(np.linspace(1.4, 0.2, 4),
+                            algebra._chi_inv(algebra._chi_full(u)),
                             algebra._chi_inv(w), "h", variant)
         piv = np.diagonal(np.linalg.cholesky(algebra._chi(g)), axis1=-2,
                           axis2=-1).real

@@ -233,6 +233,14 @@ class TestExitCodes:
          "--n-list entries must be integers of at least 1, not -2"),
         ("moment-decay --q 1 --n 0 --p-list 9,17",
          "--n must be at least 1"),
+        # A slope fitted through one point: -2.3136, -0.6588 and -0.2811,
+        # the first two with "pass": true.
+        ("contraction --q 1 --p 3 --lambda 1 --t 0.5 --n-list 2",
+         "--n-list needs at least two entries to fit a slope, got 2"),
+        ("rate-p --q 1 --lambda 2 --t-grid 0.5 --p-list 10",
+         "--p-list needs at least two entries to fit a slope, got 10"),
+        ("moment-decay --q 1 --n 1 --p-list 9 --samples 8192",
+         "--p-list needs at least two entries to fit a slope, got 9"),
         ("boundedness --q 1 --p 3 --n-lambda 0", "--n-lambda must be at "
          "least 1"),
         ("boundedness --q 1 --p 3 --n-t 0", "--n-t must be at least 1"),
@@ -268,8 +276,8 @@ class TestExitCodes:
         ("weyl-scan --family b --rank 2 --eps nan --rho 2,1",
          "--eps must be finite, not nan"),
     ], ids=["seed", "p-list", "lambda-length", "n-list", "n-list-0",
-            "n-list-negative", "moment-n",
-            "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
+            "n-list-negative", "moment-n", "n-list-one", "p-list-one",
+            "moment-p-list-one", "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
             "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg",
             "q-0", "q-0-rate-p", "q-neg", "p-inf", "p-inf-boundedness",
             "eps-nan"])
@@ -415,13 +423,21 @@ class TestExitCodes:
          "800"),
         ("rate-p --q 1 --lambda 0.001 --t-grid 800 --p-list 3,4",
          "phi or psi overflows at --lambda 0.001 and --t-grid 800"),
+        # phi equals phi-tilde here: errors of 1.1e-16 to 5.1e-16 gave
+        # slope 0.73 and "pass": false, exit 4.
+        ("contraction --field r --q 1 --p 1 --lambda 1 --t 0.8 "
+         "--n-list 1,2,4,8",
+         "the contraction error 1.11e-16 at n=1 is at or below the series "
+         "reference's resolution 1e-12 (rel_tol max(1, |ref|) + tail "
+         "bound), so it carries no rate"),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
             "series-t", "series-rank-one", "psi-t", "psi-lambda",
             "psi-lambda-imaginary", "c-function-cancel-1e12",
             "c-function-cancel-1e300", "contraction-series",
-            "contraction-quadrature", "rate-p-quadrature"])
+            "contraction-quadrature", "rate-p-quadrature",
+            "contraction-rounding"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

@@ -46,6 +46,88 @@ def _haar_qr(field, q, n, gen):
     return u
 
 
+def _chi_rows_ref(x):
+    """A batch-last chi matrix (2r, E, ...) from its even rows (r, E, ...),
+    written out here rather than taken from the package."""
+    full = np.empty((2 * len(x),) + x.shape[1:], x.dtype)
+    full[0::2] = x
+    full[1::2, 0::2] = -np.conj(x[:, 1::2])
+    full[1::2, 1::2] = np.conj(x[:, 0::2])
+    return full
+
+
+def _haar_full_ref(q, n, gen):
+    """The batch-last Gram-Schmidt over H as it was when every row of u
+    was kept: its (n, 2q, 2q) draws are the bit-for-bit reference of the
+    even-row ones."""
+    z = gen.standard_normal((n, q, q, 4)).T
+    cols = np.empty((q, 2 * q, n), complex)
+    cols[:, 0::2] = z[0] + 1j * z[1]
+    cols[:, 1::2] = 1j * z[3] - z[2]
+    u = np.empty((2 * q, 2 * q, n), complex)
+    for j, v in zip(range(0, 2 * q, 2), cols):
+        for _ in range(2 if j else 0):
+            coef = np.einsum("kin,in->kn", u[:j], v.conj()).conj()
+            v -= np.einsum("kin,kn->in", u[:j], coef)
+        v /= np.linalg.norm(v, axis=0)
+        u[j] = v
+        u[j + 1, 0::2] = -v[1::2].conj()
+        u[j + 1, 1::2] = v[0::2].conj()
+    return u.T
+
+
+def _p_map_full_ref(rows):
+    """The ball kernel over H as it was when every factor and every row of
+    w was kept in full chi form, one row at a time: the bit-for-bit
+    reference of the even-row kernel."""
+    ys = [_chi_rows_ref(algebra._batch_last(y)) for y in rows]
+    ybar = [np.conj(y) for y in ys]
+    w = np.empty((len(ys), ys[0].shape[1], rows[0].shape[0]), complex)
+    coefs = []
+    for j, y in enumerate(ys):
+        v = y[0].copy()
+        for i in reversed(range(j)):
+            v += algebra._dot([coefs[i] * algebra._dot(v, yb)
+                               for yb in ybar[i]], ys[i])
+        w[j] = v
+        s = algebra._dot(y[0], ybar[j][0]).real
+        coefs.append(np.where(
+            s < 1e-8, -0.5 - s / 8.0,
+            (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0)
+            / np.maximum(s, 1e-300)))
+    return algebra._batch_first(_chi_rows_ref(w))
+
+
+def _build_g_full_ref(t, u, w, variant):
+    """build_g's kernel over H as it was on full (n, 2q, 2q) stacks, C
+    formed row by row and its odd rows filled: the bit-for-bit reference
+    of the even-row kernel, whose rows are this one's even rows."""
+    tt = np.repeat(t, 2)
+    ch, sh = np.cosh(tt), np.sinh(tt)
+    ub = None if u is None else algebra._batch_last(u)
+    wb = None if w is None else algebra._batch_last(w)
+    given = [x for x in (ub, wb) if x is not None]
+    c = np.empty(np.broadcast_shapes(*(x.shape for x in given)), complex)
+    m = np.empty_like(c[0])
+    for k in range(0, tt.size, 2):
+        if wb is None:
+            np.multiply(ch[k], ub[k], out=c[k])
+            continue
+        if variant == "g":
+            np.multiply(sh[k], wb[k], out=m)
+        else:
+            for i, x in enumerate(sh):
+                m[i] = x * np.conj(wb[i, k])
+        m[k] += ch[k]
+        c[k] = m if ub is None else algebra._dot(m, ub)
+    c = _chi_rows_ref(c[0::2])
+    g = np.zeros_like(c)
+    for i in range(0, tt.size, 2):
+        g[i, :i + 1] = algebra._dot(np.conj(c[:, i]), c[:, :i + 1])
+        g[i, i] = g[i, i].real
+    return algebra._batch_first(g)
+
+
 def _p_map_reference(rows):
     """The batch-first p_map the batch-last kernel replaced: the row
     product y @ prod and the rank-one update of the running square-root
@@ -61,6 +143,11 @@ def _p_map_reference(rows):
         c = (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0) / s
         prod = prod + c[:, None, None] * (_ct_ref(y) @ row)
     return w
+
+
+def _factor_full(field, y):
+    """A ball row factor (n, 1, E) in full chi form (n, 2, E) over H."""
+    return algebra._chi_full(y) if field == "h" else y
 
 
 def _g_reference(t, u, w, field, variant):
@@ -86,7 +173,8 @@ class TestHaar:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_matches_qr_reference(self, field, q):
         """The same Gaussian variates give the same matrices as QR."""
-        got = sampling._haar_batch(field, q, 2000, np.random.default_rng(12))
+        got = algebra._chi_full(
+            sampling._haar_batch(field, q, 2000, np.random.default_rng(12)))
         want = _haar_qr(field, q, 2000, np.random.default_rng(12))
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -103,7 +191,8 @@ class TestHaar:
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_quaternion_partner_columns(self, q):
         """Column 2j + 1 is the symplectic partner of column 2j, exactly."""
-        u = sampling._haar_batch("h", q, 500, np.random.default_rng(14))
+        u = algebra._chi_full(
+            sampling._haar_batch("h", q, 500, np.random.default_rng(14)))
         np.testing.assert_array_equal(u[:, 0::2, 1::2],
                                       -np.conj(u[:, 1::2, 0::2]))
         np.testing.assert_array_equal(u[:, 1::2, 1::2],
@@ -142,7 +231,7 @@ class TestHaar:
         n = 4000
         for field, q in (("r", 3), ("c", 3), ("h", 3)):
             gen = np.random.default_rng(2)
-            us = sampling._haar_batch(field, q, n, gen)
+            us = algebra._chi_full(sampling._haar_batch(field, q, n, gen))
             col = us[:, :, 0]
             s = np.sum(np.abs(col) ** 2, axis=1)
             np.testing.assert_allclose(s, np.ones(n), atol=1e-10)
@@ -212,8 +301,9 @@ class TestBatchLastKernels:
         gen = np.random.default_rng(30 + q)
         for p in (2 * q - 1, 2 * q + 1.5):
             rows = sampling._ball_rows(field, q, p, 1000, gen)
-            got = sampling._p_map_batch(rows)
-            want = _p_map_reference([np.ascontiguousarray(y) for y in rows])
+            got = algebra._chi_full(sampling._p_map_batch(rows))
+            want = _p_map_reference([np.ascontiguousarray(
+                _factor_full(field, y)) for y in rows])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
@@ -227,20 +317,57 @@ class TestBatchLastKernels:
         rows = sampling._ball_rows(field, q, 2 * q + 1.0, 1000, gen)
         w = None if variant is None else sampling._p_map_batch(rows)
         w_ref = None if variant is None else _p_map_reference(
-            [np.ascontiguousarray(y) for y in rows])
+            [np.ascontiguousarray(_factor_full(field, y)) for y in rows])
         g = algebra._build_g_embedded(t, u, w, field, variant or "g")
-        g_ref = _g_reference(t, np.ascontiguousarray(u), w_ref, field,
-                             variant or "g")
-        worked = np.tril(np.ones(g.shape[1:], bool))
-        if field == "h":
-            worked[1::2] = False  # odd rows are left to build_g
+        g_ref = _g_reference(t, np.ascontiguousarray(algebra._chi_full(u)),
+                             w_ref, field, variant or "g")
+        worked = np.tril(np.ones(g_ref.shape[1:], bool))
+        g_rows = g_ref
+        if field == "h":  # g is the even rows; the odd are left to build_g
+            worked, g_rows = worked[0::2], g_ref[:, 0::2]
         scale = np.abs(g_ref).max()
-        np.testing.assert_allclose(g[:, worked], g_ref[:, worked], rtol=0,
+        np.testing.assert_allclose(g[:, worked], g_rows[:, worked], rtol=0,
                                    atol=1e-13 * scale)
         assert np.all(g[:, ~worked] == 0.0)
         logs = algebra._log_minors_embedded(g, field)
         np.testing.assert_allclose(logs, _log_minors_reference(g_ref, field),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_quaternion_even_rows_keep_the_bits(self, q):
+        """Over H the shard keeps only even rows.  Expanded, its draws are
+        the full-row kernels' to the bit, and every kernel, given the
+        even-row or the full form of u and w, returns the even rows of
+        the full-row build_g to the bit."""
+        n, seed, shard = 300, 4, 1
+        t = np.linspace(1.3, 0.2, q)
+        u = sampling.draw_haar("h", q, seed, shard, n)
+        assert u.shape == (n, q, 2 * q)
+        u_full = algebra._chi_full(u)
+        np.testing.assert_array_equal(u_full, _haar_full_ref(
+            q, n, sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY)))
+        for p in (2 * q - 1, 2 * q + 1.5):
+            w = sampling.draw_ball("h", q, p, seed, shard, n)
+            assert w.shape == (n, q, 2 * q)
+            w_full = algebra._chi_full(w)
+
+            def stream():
+                return sampling.shard_stream(seed, shard, sampling.ROLE_BALL)
+
+            np.testing.assert_array_equal(
+                w_full, sampling._mp_batch("h", q, p, n, stream()))
+            np.testing.assert_array_equal(w_full, _p_map_full_ref(
+                sampling._ball_rows("h", q, p, n, stream())))
+            for variant in ("g", "g-tilde"):
+                for uu, ww in ((u_full, w_full), (u_full, None),
+                               (None, w_full)):
+                    want = _build_g_full_ref(t, uu, ww, variant)[:, 0::2]
+                    for even in (False, True):
+                        got = algebra._build_g_embedded(
+                            t, u if even and uu is not None else uu,
+                            w if even and ww is not None else ww, "h",
+                            variant)
+                        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     def test_draws_are_batch_last(self, field):

@@ -120,6 +120,21 @@ def test_experiments_do_not_branch_on_the_field():
             if {"d", "field"} & set(_names(test))] == []
 
 
+def test_only_algebra_forms_odd_rows():
+    """Over H the shard keeps only the even rows of each chi matrix.  The
+    conj/negate shuffle that forms an odd row, `_odd_rows`, is named in
+    algebra.py alone; every other module expands a stack with
+    `_chi_full`, so the even-row format is known in one module."""
+    def named(path):
+        tree = ast.parse(path.read_text(), str(path))
+        return _names(tree) + [alias.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom)
+                               for alias in node.names]
+
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "_odd_rows" in named(path)] == ["algebra.py"]
+
+
 def test_bessel_series_runs_on_shell_tables():
     """The series reads each shell's cached table: it calls no jack_C
     per partition, and the one permutation walk is the cached shell
