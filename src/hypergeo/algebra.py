@@ -80,17 +80,14 @@ def _chi(a):
     rows and columns into block layout.  The interleaved layout makes
     leading r x r quaternion blocks correspond to leading 2r x 2r complex
     blocks, so a single LDL* factorization yields every principal
-    minor.
+    minor.  The even rows interleave a1 and a2; `_odd_rows` forms the rest.
     """
     a = np.asarray(a, float)
-    m, n = a.shape[-3], a.shape[-2]
-    a1 = a[..., 0] + 1j * a[..., 1]
-    a2 = a[..., 2] + 1j * a[..., 3]
-    out = np.zeros(a.shape[:-3] + (2 * m, 2 * n), dtype=complex)
-    out[..., 0::2, 0::2] = a1
-    out[..., 0::2, 1::2] = a2
-    out[..., 1::2, 0::2] = -np.conj(a2)
-    out[..., 1::2, 1::2] = np.conj(a1)
+    out = np.empty(a.shape[:-3] + (2 * a.shape[-3], 2 * a.shape[-2]), complex)
+    out[..., 0::2, 0::2] = a[..., 0] + 1j * a[..., 1]
+    out[..., 0::2, 1::2] = a[..., 2] + 1j * a[..., 3]
+    rows = _batch_last(out)
+    _odd_rows(rows[0::2], out=rows[1::2])
     return out
 
 
@@ -352,6 +349,21 @@ def _check_finite(name, x):
     if bad.size:
         raise ValueError("%s must be finite, not %r" % (name, bad[0].item()))
     return x
+
+
+def _check_count(name, value, least=1):
+    """value as an int (a sequence as a list of ints), if it is a whole
+    number of at least `least`: 2.0 counts, 1.9 is not truncated, and an
+    int passes exactly, however large; a ValueError names it otherwise."""
+    many = np.ndim(value) > 0
+    for v in value if many else [value]:
+        if not (isinstance(v, (int, float, np.integer, np.floating))
+                and float(v).is_integer() and v >= least):
+            raise ValueError(
+                ("%s entries must be integers of at least %d, not %s" if many
+                 else "%s must be at least %d and whole, not %s")
+                % (name, least, v))
+    return [int(v) for v in value] if many else int(value)
 
 
 def _check_matrix(name, x, q, field):

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_batch_last, _check_finite, _chi_full, field_dim,
-                      normalize_field)
+from .algebra import (_batch_last, _check_count, _check_finite, _chi_full,
+                      field_dim, normalize_field)
 from .hyper_bc import McEstimate, _mc_pairs
 
 
@@ -54,9 +54,7 @@ def bessel_index(field, p):
 
 def partitions_of_weight(k, q):
     """Partitions of k into at most q parts, in descending lex order."""
-    if k < 0 or q < 1:
-        raise ValueError("partitions need k >= 0 and q >= 1, got k=%d, q=%d"
-                         % (k, q))
+    k, q = _check_count("k", k, least=0), _check_count("q", q)
 
     def rec(rem, cap, slots):
         if rem == 0:
@@ -236,6 +234,7 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
             raise ValueError("%s must not be NaN" % name)
     if not idx.alpha > 0:
         raise ValueError("idx.alpha must be positive, not %r" % (idx.alpha,))
+    max_degree = _check_count("max_degree", max_degree)
     q = xi.shape[0]
     shells = [1.0]
     total = 1.0

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import experiments, weyl
-from .algebra import field_dim, normalize_field
+from .algebra import _check_count, field_dim, normalize_field
 from .bessel import _shell, bessel_phi_tilde
 from .experiments import (boundedness_sweep, contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
@@ -326,8 +326,8 @@ def _cmd_contraction(args):
     lam = _vector(_parse_list(args.lam, "--lambda"), args.q, "lambda")
     t = _vector(_parse_list(args.t, "--t"), args.q, "t")
     with _config_errors():
-        n_list = experiments._increasing(experiments._counts(
-            _parse_list(args.n_list, "--n-list", int), "--n-list"),
+        n_list = experiments._increasing(_check_count(
+            "--n-list", _parse_list(args.n_list, "--n-list", int)),
             "--n-list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,

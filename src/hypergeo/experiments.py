@@ -1,12 +1,13 @@
 """Quantitative sweeps behind the limit theorems.
 
-Each Monte-Carlo experiment is one `_mc_pairs` call over its whole grid
-(common random numbers): every shard draws its Haar unitary at most
-once, and one ball sample per law, and evaluates every grid point on
-those draws, so the reported errors are paired and rerunning with the
-same seed reproduces every number bit for bit.  The jackknife band of a
-fitted rate reads the run's per-shard sums and recomputes the
-experiment's own errors with one shard left out at a time.
+Each experiment takes its grid's means from one `_mc_pairs` call (common
+random numbers): every shard draws its Haar unitary at most once, and
+one ball sample per law, and evaluates every grid point on those draws,
+so the errors are paired and a rerun with the same seed reproduces every
+number bit for bit.  Rate-p and contraction call it through `_phi_means`,
+which alone picks the exact values at q = 1 instead.  The jackknife band
+of a fitted rate recomputes the experiment's own errors from the run's
+per-shard sums with one shard left out at a time.
 """
 
 from dataclasses import dataclass
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling, weyl
-from .algebra import _check_finite, _chi_full, field_dim, normalize_field
+from .algebra import (_check_count, _check_finite, _chi_full, field_dim,
+                      normalize_field)
 from .bessel import bessel_phi_tilde
-from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_bc,
-                       rho_shift)
+from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_a,
+                       rho_bc)
 from .sampling import kappa
 
 
@@ -58,17 +60,6 @@ def _increasing(values, name):
     return values
 
 
-def _counts(values, name):
-    """values as ints, if each is a whole number of at least 1; ValueError
-    naming them otherwise."""
-    values = _check_finite(name, np.asarray(values, float).reshape(-1))
-    for v in values:
-        if not (v >= 1 and v == np.floor(v)):
-            raise ValueError("%s entries must be integers of at least 1, "
-                             "not %g" % (name, v))
-    return [int(v) for v in values]
-
-
 def _fit_slope(params, errors):
     """Least-squares slope of log error against log parameter."""
     errors = np.asarray(errors, float)
@@ -82,8 +73,11 @@ def _jackknife_slope_halfwidth(params, parts, samples, errors):
     """Two-sigma jackknife band for the fitted slope, over sample shards.
 
     parts[i] is shard i's flat value-sum array, as mc_run returns it,
-    and errors(means) maps flat means to one error per parameter.
+    or None for exact means, which have no band, and errors(means) maps
+    flat means to one error per parameter.
     """
+    if parts is None:
+        return 0.0
     sizes = sampling.shard_plan(samples)
     m = len(sizes)
     if m < 2:
@@ -102,6 +96,23 @@ def _jackknife_slope_halfwidth(params, parts, samples, errors):
     return float(2.0 * np.sqrt(var))
 
 
+def _phi_means(field, q, triples, samples, seed, workers):
+    """phi's integrand means over (p, t, nu) triples, as _mc_pairs returns
+    them; at q = 1 exact, with zero errors and shard sums None: phi by the
+    rank-one quadrature and psi (p = None) by its closed form, at
+    lam = -i(2 nu + rho), the inverse of nu = (i lam - rho)/2."""
+    if q > 1:
+        return _mc_pairs(field, q, triples, samples, seed, workers)
+    d = field_dim(field)
+    mean = np.array([
+        eval_psi(field, lam, t).value if p is None
+        else eval_phi_bc_quadrature_q1(p, lam, t[0], field)
+        for p, t, nu in triples
+        for lam in -1j * (2 * nu[0] + (rho_a(d, 1) if p is None
+                                       else rho_bc(p, d, 1)))])
+    return mean, np.zeros(mean.size), None
+
+
 def _t_tilde(t):
     return min(float(t[0]), 1.0)
 
@@ -117,8 +128,8 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
 
     Both functions are evaluated in the shifted convention, where the
     spectral exponent is i lam / 2 for every p, so the unitary draws
-    pair across the whole grid.  At q = 1 the sweep is deterministic
-    quadrature; otherwise Monte Carlo with a jackknife band on the fitted
+    pair across the whole grid.  The means come from `_phi_means`: exact
+    at q = 1, otherwise Monte Carlo with a jackknife band on the fitted
     slope.
     """
     field = normalize_field(field)
@@ -148,31 +159,23 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         * (np.exp(_envelope(lam.imag, t)) if unbounded else 1.0)
         for t in t_grid])
 
-    if q == 1:
-        diffs = np.array([
-            [abs(eval_phi_bc_quadrature_q1(
-                p, rho_shift(lam, rho_bc(p, d, 1))[0], t[0], field)
-                 - eval_psi(field, lam, t).value) for t in t_grid]
-            for p in p_list])
-        stderrs, halfwidth = [0.0] * len(p_list), 0.0
-    else:
-        # The shifted exponent (i(lam - i rho(p)) - rho(p)) / 2 = i lam / 2
-        # carries no p dependence, so one nu column serves psi and every p.
-        nu = (0.5j * lam).reshape(q, 1)
-        mean, err, parts = _mc_pairs(
-            field, q, [(p, t, nu) for p in [None] + p_list for t in t_grid],
-            samples, seed, workers)
-        err = err.reshape(-1, len(t_grid))
+    # The shifted exponent (i(lam - i rho(p)) - rho(p)) / 2 = i lam / 2
+    # carries no p dependence, so one nu column serves psi and every p.
+    nu = (0.5j * lam).reshape(q, 1)
+    mean, err, parts = _phi_means(
+        field, q, [(p, t, nu) for p in [None] + p_list for t in t_grid],
+        samples, seed, workers)
+    err = err.reshape(-1, len(t_grid))
 
-        def diffs_of(means):
-            means = means.reshape(-1, len(t_grid))
-            return np.abs(means[1:] - means[0])
+    def diffs_of(means):
+        means = means.reshape(-1, len(t_grid))
+        return np.abs(means[1:] - means[0])
 
-        diffs = diffs_of(mean)
-        stderrs = [float(np.hypot(e[k], err[0, k]))
-                   for e, k in zip(err[1:], diffs.argmax(axis=1))]
-        halfwidth = _jackknife_slope_halfwidth(
-            p_list, parts, samples, lambda means: diffs_of(means).max(axis=1))
+    diffs = diffs_of(mean)
+    stderrs = [float(np.hypot(e[k], err[0, k]))
+               for e, k in zip(err[1:], diffs.argmax(axis=1))]
+    halfwidth = _jackknife_slope_halfwidth(
+        p_list, parts, samples, lambda means: diffs_of(means).max(axis=1))
     errors = [float(e) for e in diffs.max(axis=1)]
 
     mask = scales > 0.0
@@ -193,14 +196,14 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     ValueError, as a series that did not converge is.
     """
     field = normalize_field(field)
-    d = field_dim(field)
     _check_finite("p", p)
     lam = _check_finite("lam", np.asarray(lam, float).reshape(-1))
     t = _check_finite("t", np.asarray(t, float).reshape(-1))
     if lam.size != q or t.size != q:
         raise ValueError("lam and t have %d and %d entries, expected q=%d"
                          % (lam.size, t.size, q))
-    n_list = _increasing(_counts(n_list, "n_list"), "n_list")
+    n_list = _increasing(_check_count("n_list", np.reshape(n_list, -1)),
+                         "n_list")
     if not p >= 2 * q - 1:
         raise ValueError("contraction_experiment needs p >= 2q - 1")
 
@@ -212,18 +215,11 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
                          "at lam=%s, t=%s: tail bound %.3g"
                          % (lam.tolist(), t.tolist(), series.tail_bound))
     ref = series.value
-    if q == 1:
-        phis = np.array([
-            eval_phi_bc_quadrature_q1(
-                p, rho_shift(n * lam, rho_bc(p, d, 1))[0], t[0] / n, field)
-            for n in n_list])
-        stderrs, halfwidth = [0.0] * len(n_list), 0.0
-    else:
-        pairs = [(p, t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
-        phis, err, parts = _mc_pairs(field, q, pairs, samples, seed, workers)
-        stderrs = [float(e) for e in err]
-        halfwidth = _jackknife_slope_halfwidth(
-            n_list, parts, samples, lambda means: np.abs(means - ref))
+    pairs = [(p, t / n, (0.5j * n * lam).reshape(q, 1)) for n in n_list]
+    phis, err, parts = _phi_means(field, q, pairs, samples, seed, workers)
+    stderrs = [float(e) for e in err]
+    halfwidth = _jackknife_slope_halfwidth(
+        n_list, parts, samples, lambda means: np.abs(means - ref))
     errors = np.abs(phis - ref)
     resolution = rel_tol * max(1.0, abs(ref)) + series.tail_bound
     if np.any(errors <= resolution):
@@ -256,9 +252,8 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     _check_finite("p", p)
     if not p > 2 * q - 1:
         raise ValueError("boundedness_sweep needs p > 2q - 1")
-    for name, count in (("n_lambda", n_lambda), ("n_t", n_t)):
-        if not count >= 1:
-            raise ValueError("%s must be at least 1, not %d" % (name, count))
+    n_lambda = _check_count("n_lambda", n_lambda)
+    n_t = _check_count("n_t", n_t)
     rho = rho_bc(p, d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
                               np.sort(np.abs(rho))[::-1])
@@ -320,9 +315,7 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     """
     field = normalize_field(field)
     d = field_dim(field)
-    n = int(n_exponent)
-    if n < 1:
-        raise ValueError("moment exponent n must be at least 1, not %d" % n)
+    n = _check_count("n_exponent", n_exponent)
     p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
                          "p_list")
     if not min(p_list) > 2 * q:

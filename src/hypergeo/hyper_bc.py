@@ -63,15 +63,6 @@ def rho_k(k, q):
     return k1 + 2.0 * k2 + 2.0 * k3 * (q - i)
 
 
-def rho_shift(lam, rho):
-    """Convert a rho-shifted spectral parameter to the plain convention.
-
-    Evaluating phi at rho_shift(lam, rho) gives the function written
-    phi_{lam - i rho} in the shifted convention.
-    """
-    return np.asarray(lam, complex) - 1j * np.asarray(rho, float)
-
-
 def _c_factors(lam, k, q):
     """(numerator, denominator, root label) triples of the Gamma product.
 

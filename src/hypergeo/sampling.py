@@ -31,8 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .algebra import (_batch_first, _batch_last, _check_finite, _chi_full,
-                      _chi_inv, _dot, field_dim, normalize_field)
+from .algebra import (_batch_first, _batch_last, _check_count, _check_finite,
+                      _chi_full, _chi_inv, _dot, field_dim, normalize_field)
 
 SHARD_SIZE = 8192
 
@@ -44,19 +44,19 @@ ROLE_EXPERIMENT = 3
 def shard_stream(seed, shard, role):
     """A fresh generator for one role (unitary, ball, experiment) on one
     shard, keyed by (seed, 4 shard + role); identical inputs give
-    identical draws."""
+    identical draws.  The seed must be a whole number: 1.9 is no alias
+    of 1."""
     stream_id = 4 * shard + role
     if seed < 0 or stream_id < 0:
         raise ValueError("seed and stream id must be nonnegative, not "
-                         "(%d, %d)" % (seed, stream_id))
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(stream_id))))
+                         "(%s, %d)" % (seed, stream_id))
+    return np.random.default_rng(np.random.SeedSequence(
+        (_check_count("seed", seed, least=0), stream_id)))
 
 
 def shard_plan(samples):
     """Fixed shard sizes for a sample budget, independent of workers."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = _check_count("samples", samples)
     sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
     if samples % SHARD_SIZE:
         sizes.append(samples % SHARD_SIZE)
@@ -120,6 +120,7 @@ def mc_run(shard_fn, samples, workers=1):
     invalid-value warnings are off inside, in every worker thread too.
     """
     sizes = shard_plan(samples)
+    workers = _check_count("workers", workers)
 
     def run(shard, count):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -195,9 +196,7 @@ def _haar_batch(field, q, n, gen):
 def haar_unitary(field, q, rng):
     """One Haar draw from U(q, F): O(q), U(q) or Sp(q) by the field."""
     field = normalize_field(field)
-    if q < 1:
-        raise ValueError("q must be at least 1, got %d" % q)
-    u = _chi_full(_haar_batch(field, q, 1, rng))[0]
+    u = _chi_full(_haar_batch(field, _check_count("q", q), 1, rng))[0]
     return _chi_inv(u) if field == "h" else u
 
 
@@ -304,6 +303,7 @@ def sample_mp(field, q, p, rng):
     """
     field = normalize_field(field)
     _check_finite("p", p)
+    q = _check_count("q", q)
     if not p >= 2 * q - 1:
         raise ValueError("sample_mp needs p >= 2q - 1")
     w = _mp_batch(field, q, p, 1, rng)[0]
@@ -315,6 +315,7 @@ def kappa(p, d, q):
     if d not in (1, 2, 4):
         raise ValueError("d must be 1, 2 or 4, got %r" % (d,))
     _check_finite("p", p)
+    q = _check_count("q", q)
     if not p > 2 * q - 1:
         raise ValueError("kappa needs p > 2q - 1 so every Gamma argument is positive")
     from scipy.special import gammaln

@@ -361,6 +361,70 @@ class TestInputContract:
                            % name):
             call()
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: hypergeo.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                      samples=64, seed=1.9), "seed"),
+        (lambda: hypergeo.boundedness_sweep("r", 1, 3.0, n_lambda=1, n_t=1,
+                                            samples=64, seed=1.9), "seed"),
+        (lambda: hypergeo.moment_decay_experiment("r", 1, 1.5, [9, 17],
+                                                  samples=64), "n_exponent"),
+        (lambda: hypergeo.moment_decay_experiment("r", 1, 0.5, [9, 17],
+                                                  samples=64), "n_exponent"),
+        (lambda: hypergeo.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                      samples=1.5), "samples"),
+        (lambda: hypergeo.eval_psi("c", [1, 0.5], [0.8, 0.4], samples=1.5),
+         "samples"),
+        (lambda: hypergeo.bessel_phi_tilde("r", 5, [1, 0.5], [0.7, 0.2],
+                                           mode="integral", samples=1.5),
+         "samples"),
+        (lambda: hypergeo.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                      samples=64, workers=0), "workers"),
+        (lambda: hypergeo.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                      samples=64, workers=-3), "workers"),
+        (lambda: hypergeo.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                      samples=64, workers=2.5), "workers"),
+        (lambda: hypergeo.boundedness_sweep("r", 1, 3.0, n_lambda=2.5,
+                                            samples=64), "n_lambda"),
+        (lambda: hypergeo.boundedness_sweep("r", 1, 3.0, n_t=2.5,
+                                            samples=64), "n_t"),
+        (lambda: hypergeo.sample_mp("r", 0, 3.0, np.random.default_rng(0)),
+         "q"),
+        (lambda: hypergeo.kappa(5.0, 1, 0), "q"),
+        (lambda: hypergeo.haar_unitary("r", 1.5, np.random.default_rng(0)),
+         "q"),
+        (lambda: hypergeo.bessel.partitions_of_weight(2.5, 2), "k"),
+        (lambda: hypergeo.bessel_series(hypergeo.bessel_index("r", 5),
+                                        [0.5], [0.1], max_degree=2.5),
+         "max_degree"),
+        (lambda: hypergeo.bessel_series(hypergeo.bessel_index("r", 5),
+                                        [0.5], [0.1], max_degree=-1),
+         "max_degree"),
+    ], ids=["phi-seed", "boundedness-seed", "moment-n-fraction",
+            "moment-n-half", "phi-samples", "psi-samples",
+            "integral-samples", "workers-0", "workers-negative",
+            "workers-fraction", "n-lambda", "n-t", "sample-mp-q", "kappa-q",
+            "haar-q", "partitions-k", "series-degree-fraction",
+            "series-degree-negative"])
+    def test_public_calls_reject_non_count_input(self, call, name):
+        """A count or seed that is not a whole number in range is a
+        ValueError naming it: not truncated (seed 1.9 drew seed 1's
+        numbers, moment exponent 1.5 ran as 1), not a TypeError or
+        IndexError from deep inside, and not run as given (workers=0,
+        kappa at q = 0, a series truncated at degree -1)."""
+        with pytest.raises(ValueError, match="^%s must be at least [01] and "
+                           "whole, not " % name):
+            call()
+
+    def test_integral_float_counts_run_as_ints(self):
+        """2.0 is a count: samples=1e4 raised a TypeError, and now runs
+        as 10000 does."""
+        args = ("r", 5, [1, 0.5], [0.8, 0.4])
+        assert hypergeo.eval_phi_bc(*args, samples=1e4, seed=3.0).value \
+            == hypergeo.eval_phi_bc(*args, samples=10000, seed=3).value
+        assert algebra._check_count("seed", 2 ** 70, least=0) == 2 ** 70
+        assert algebra._check_count("n", np.int64(3)) == 3
+        assert algebra._check_count("n", [1, 2.0]) == [1, 2]
+
     @pytest.mark.parametrize("field,u,w,name", [
         ("h", np.eye(2), np.zeros((2, 2, 4)), "u"),
         ("h", np.zeros((2, 2, 4)), np.zeros((2, 2)), "w"),

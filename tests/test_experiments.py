@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hypergeo import experiments as ex, sampling
+from hypergeo import (eval_phi_bc_quadrature_q1, eval_psi, experiments as ex,
+                      rho_bc, sampling)
 from hypergeo.sampling import SHARD_SIZE, shard_plan
 
 
@@ -55,6 +56,23 @@ class TestRateQuadrature:
         assert a == b
         assert a.stderrs == (0.0, 0.0, 0.0) and a.slope_halfwidth == 0.0
         assert a.slope <= -0.45
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_phi_means_are_exact_at_rank_one(self, field, monkeypatch):
+        """At q = 1 the means are the quadrature's and psi's closed form,
+        at lam = -i(2 nu + rho), with zero errors and no shard sums."""
+        monkeypatch.setattr(sampling, "mc_run", None)
+        d = {"r": 1, "c": 2, "h": 4}[field]
+        lam = np.array([1.5 + 0.3j, -0.4 + 0.0j])
+        t = np.array([0.7])
+        triples = [(None, t, 0.5j * lam.reshape(1, 2)),
+                   (5.0, t, (0.5j * lam - 0.5 * rho_bc(5.0, d, 1))
+                    .reshape(1, 2))]
+        mean, err, parts = ex._phi_means(field, 1, triples, 100, 0, 1)
+        assert parts is None and err.tolist() == [0.0] * 4
+        want = [eval_psi(field, [x], t).value for x in lam] + [
+            eval_phi_bc_quadrature_q1(5.0, x, 0.7, field) for x in lam]
+        np.testing.assert_allclose(mean, want, rtol=1e-14, atol=0.0)
 
     def test_p_list_validation(self):
         t_grid = np.linspace(0.0, 1.0, 3).reshape(-1, 1)
@@ -154,9 +172,14 @@ class TestContraction:
         assert max(pos) / min(pos) < 10.0
 
     @pytest.mark.parametrize("field", ["c", "h"])
-    def test_rank_one_quadrature_other_fields(self, field):
-        rep = ex.contraction_experiment(field, 1, 3.0, np.array([1.0]),
-                                        np.array([1.0]), [2, 4, 8, 16])
+    def test_rank_one_quadrature_other_fields(self, field, monkeypatch):
+        """No Monte Carlo, so the same report for any seed or workers."""
+        monkeypatch.setattr(sampling, "mc_run", None)
+        rep, again = (ex.contraction_experiment(
+            field, 1, 3.0, np.array([1.0]), np.array([1.0]), [2, 4, 8, 16],
+            samples=5000, seed=seed, workers=workers)
+            for seed, workers in ((0, 1), (7, 3)))
+        assert rep == again
         assert rep.stderrs == (0.0,) * 4 and rep.slope_halfwidth == 0.0
         assert rep.slope <= -0.8
 

@@ -30,12 +30,6 @@ class TestRho:
     def test_rank_one_value(self):
         np.testing.assert_allclose(hyper_bc.rho_bc(3.0, 1, 1), [1.0])
 
-    def test_rho_shift_is_imaginary_translation(self):
-        lam = np.array([1.0 + 2.0j, 0.5 + 0.0j])
-        rho = np.array([2.0, 1.0])
-        np.testing.assert_allclose(
-            hyper_bc.rho_shift(lam, rho), lam - 1j * rho)
-
 
 class TestCFunction:
     """The normalized Harish-Chandra c-function."""

@@ -428,6 +428,16 @@ class TestShardEngine:
         with pytest.raises(ValueError):
             sampling.mc_run(shard_fn, 100)
 
+    def test_seed_is_not_truncated(self):
+        """int(seed) made 1.9 draw seed 1's numbers while the estimate
+        recorded 1.9; a whole float still keys its integer's stream."""
+        draw = [sampling.shard_stream(seed, 2, sampling.ROLE_BALL)
+                .standard_normal(4) for seed in (1, 1.0, np.int64(1))]
+        assert all(np.array_equal(x, draw[0]) for x in draw)
+        with pytest.raises(ValueError, match="^seed must be at least 0 and "
+                           "whole, not 1.9$"):
+            sampling.shard_stream(1.9, 2, sampling.ROLE_BALL)
+
     def test_negative_seed_rejected(self):
         for seed, stream_id in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):

@@ -267,3 +267,47 @@ def test_package_defines_only_what_it_runs_or_exports():
                for top in tree.body
                if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
     assert [d for d in defined if d not in used] == []
+
+
+def test_rate_experiments_do_not_fork_on_rank():
+    """The exact rank-one means are chosen in one place, `_phi_means`:
+    rate-p and contraction run one path, with no if test (other than an
+    input check that raises), conditional expression or comprehension
+    filter reading q, and only `_phi_means` names the quadrature."""
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    funcs = {top.name: top for top in tree.body
+             if isinstance(top, ast.FunctionDef)}
+    for name in ("rate_p_experiment", "contraction_experiment"):
+        nodes = list(ast.walk(funcs[name]))
+        tests = [node.test for node in nodes
+                 if isinstance(node, ast.IfExp) or isinstance(node, ast.If)
+                 and not (len(node.body) == 1
+                          and isinstance(node.body[0], ast.Raise))]
+        tests += [cond for node in nodes
+                  if isinstance(node, ast.comprehension) for cond in node.ifs]
+        assert [ast.unparse(test) for test in tests
+                if "q" in _names(test)] == [], name
+    assert [name for name, func in funcs.items()
+            if "eval_phi_bc_quadrature_q1" in _names(func)] == ["_phi_means"]
+
+
+def _int_of_own_parameter(func):
+    """The parameters of func that it passes to int() itself."""
+    args = func.args
+    own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return [node.args[0].id for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "int" and node.args
+            and getattr(node.args[0], "id", None) in own]
+
+
+def test_counts_are_checked_not_truncated():
+    """int(seed) drew seed 1's numbers for seed 1.9, and int(n_exponent)
+    ran 1.5 as 1: outside the CLI's own parsing, a count or seed is
+    converted only by `algebra._check_count`, which rejects a fraction."""
+    found = [(path.name, func.name, arg)
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for func in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(func, ast.FunctionDef)
+             for arg in _int_of_own_parameter(func)]
+    assert found == [("algebra.py", "_check_count", "value")]
