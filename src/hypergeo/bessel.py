@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import (_batch_last, _check_count, _check_finite, _chi_full,
                       field_dim, normalize_field)
-from .hyper_bc import McEstimate, _mc_pairs
+from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,8 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     geometrically from the observed shell ratios.  A shell out of float
     range raises OverflowError, and an argument out of it makes the first
     shell so; numpy's warnings are off inside.  A NaN in xi, eta or the
-    index, or an idx.alpha <= 0, raises ValueError naming it.
+    index, an idx.alpha that is not positive, or a rel_tol that is not
+    positive and finite, raises ValueError naming it.
     """
     xi = np.atleast_1d(np.asarray(xi))
     eta = np.atleast_1d(np.asarray(eta))
@@ -234,6 +235,9 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
             raise ValueError("%s must not be NaN" % name)
     if not idx.alpha > 0:
         raise ValueError("idx.alpha must be positive, not %r" % (idx.alpha,))
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite, not %r"
+                         % (rel_tol,))
     max_degree = _check_count("max_degree", max_degree)
     q = xi.shape[0]
     shells = [1.0]
@@ -300,11 +304,10 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
     unitary-twisted phase exp(-i Re tr(w diag(t) u diag(lam))) over the
     ball and the unitary group and returns a McEstimate.
     """
-    field = normalize_field(field)
+    field, t = _cone(field, p if mode == "integral" else None, t)
     if mode not in ("series", "integral"):
         raise ValueError("mode must be 'series' or 'integral'")
     _check_finite("p", p)
-    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
     q = t.size
     if lam.size != q:
@@ -319,9 +322,8 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
     if np.any(lam.imag != 0.0):
         raise ValueError("integral mode needs a real lam")
     lam = lam.real
-    if p < 2 * q - 1:
-        raise ValueError("integral mode needs p >= 2q - 1")
     if np.all(t == 0.0) or np.all(lam == 0.0):
+        _check_run(samples, seed, workers)
         return McEstimate(1.0 + 0.0j, 0.0, samples, seed)
     mean, err, _ = _mc_pairs(field, q, [(p, t, lam)], samples, seed, workers,
                              _phase_columns)

@@ -8,9 +8,11 @@ significant digits, JSON keys are sorted, and nothing timestamps.
 Exit codes: 0 success, 2 configuration problems (including a count
 such as --q, --samples, --n-t, --max-degree or an --n-list entry below
 1, a --p, --eps or --rel-tol or an entry of --lambda, --t, --t-grid,
---p-list or --rho that is not finite, or a --rho, --rank, --resolution
-or --alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors
-(a named precondition failed, an input overflows or leaves the
+--p-list or --rho that is not finite, a --rel-tol that is not positive,
+or a --rho, --rank, --resolution or --alpha that weyl-scan, eps0 or
+jack-table rejects), 3 domain errors (a named precondition failed, such
+as a --t or --t-grid row outside the chamber t1 >= ... >= tq >= 0 for
+any evaluator or experiment, an input overflows or leaves the
 c-function no 10 correct digits, or an estimate is not finite), 4 a
 declared acceptance predicate failed.
 
@@ -385,8 +387,7 @@ def _cmd_weyl_scan(args):
         if args.rho is not None:
             rhos = [_parse_list(args.rho, "--rho")]
         else:
-            gen = np.random.default_rng(408122)
-            rhos = weyl._unit_rho_samples(spec, args.rho_samples, gen)
+            rhos = weyl._unit_rho_samples(spec, args.rho_samples)
         polys = [weyl.OrbitPolytope(spec, rho) for rho in rhos]
         vertices = [weyl.polytope_vertices_K(poly) for poly in polys]
     rows = []
@@ -553,6 +554,9 @@ def main(argv=None):
                 raise _ConfigError("%s must be at least 1" % (flag,))
             if spec.get("metavar") == "REAL" and not np.isfinite(value):
                 raise _ConfigError("%s must be finite, not %r" % (flag, value))
+            if flag == "--rel-tol" and not value > 0:
+                raise _ConfigError("--rel-tol must be positive, not %r"
+                                   % (value,))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

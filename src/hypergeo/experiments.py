@@ -18,8 +18,8 @@ from . import sampling, weyl
 from .algebra import (_check_count, _check_finite, _chi_full, field_dim,
                       normalize_field)
 from .bessel import bessel_phi_tilde
-from .hyper_bc import (_mc_pairs, eval_phi_bc_quadrature_q1, eval_psi, rho_a,
-                       rho_bc)
+from .hyper_bc import (_check_run, _cone, _mc_pairs, eval_phi_bc_quadrature_q1,
+                       eval_psi, rho_a, rho_bc)
 from .sampling import kappa
 
 
@@ -103,6 +103,7 @@ def _phi_means(field, q, triples, samples, seed, workers):
     lam = -i(2 nu + rho), the inverse of nu = (i lam - rho)/2."""
     if q > 1:
         return _mc_pairs(field, q, triples, samples, seed, workers)
+    _check_run(samples, seed, workers)
     d = field_dim(field)
     mean = np.array([
         eval_psi(field, lam, t).value if p is None
@@ -147,6 +148,8 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     if t_grid.shape[1] != q:
         raise ValueError("t_grid rows have %d entries, expected q=%d"
                          % (t_grid.shape[1], q))
+    for t in t_grid:
+        _cone(field, None, t)
 
     rho0 = rho_bc(p_list[0], d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
@@ -195,17 +198,13 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     rel_tol max(1, |ref|) + tail bound, carries no rate and is a
     ValueError, as a series that did not converge is.
     """
-    field = normalize_field(field)
-    _check_finite("p", p)
     lam = _check_finite("lam", np.asarray(lam, float).reshape(-1))
-    t = _check_finite("t", np.asarray(t, float).reshape(-1))
-    if lam.size != q or t.size != q:
+    if lam.size != q or np.size(t) != q:
         raise ValueError("lam and t have %d and %d entries, expected q=%d"
-                         % (lam.size, t.size, q))
+                         % (lam.size, np.size(t), q))
+    field, t = _cone(field, p, t)
     n_list = _increasing(_check_count("n_list", np.reshape(n_list, -1)),
                          "n_list")
-    if not p >= 2 * q - 1:
-        raise ValueError("contraction_experiment needs p >= 2q - 1")
 
     rel_tol = 1e-12
     series = bessel_phi_tilde(field, p, lam, t, mode="series",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling
-from .algebra import _check_finite, field_dim, normalize_field
+from .algebra import _check_count, _check_finite, field_dim, normalize_field
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,24 @@ def c_function(lam, k, q):
     return value
 
 
-def _check_chamber(t):
+def _cone(field, p, t):
+    """The field's tag and t as a float vector, if t is finite and in the
+    chamber t1 >= ... >= tq >= 0 and p, unless None, is finite and at
+    least 2q - 1; a ValueError names the fault otherwise."""
+    field = normalize_field(field)
+    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     if np.any(np.diff(t) > 1e-12) or (t.size and t[-1] < -1e-12):
         raise ValueError("t must lie in the chamber t1 >= ... >= tq >= 0")
+    if p is not None and not _check_finite("p", p) >= 2 * t.size - 1:
+        raise ValueError("p must be at least 2q - 1 = %d" % (2 * t.size - 1))
+    return field, t
+
+
+def _check_run(samples, seed, workers):
+    """mc_run's count checks, for the exact paths that draw nothing."""
+    _check_count("samples", samples)
+    _check_count("workers", workers)
+    _check_count("seed", seed, least=0)
 
 
 def _nu_matrix(lam, q, rho):
@@ -198,12 +213,12 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     psi_lam(t) = cosh(t)^(i lam); a value out of float range there
     raises OverflowError.
     """
-    field = normalize_field(field)
-    t = _check_finite("t", np.asarray(t, float).reshape(-1))
+    field, t = _cone(field, None, t)
     q = t.size
     nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
                                rho_a(field_dim(field), q))
     if q == 1:
+        _check_run(samples, seed, workers)
         with np.errstate(over="ignore", invalid="ignore"):
             val = np.cosh(t[0]) ** (2.0 * nu_mat[0])
         if not np.isfinite(val).all():
@@ -260,13 +275,8 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, workers=1):
     every random draw, which is what makes common-random-number
     comparisons work.
     """
-    field = normalize_field(field)
-    _check_finite("p", p)
-    t = _check_finite("t", np.asarray(t, float).reshape(-1))
+    field, t = _cone(field, p, t)
     q = t.size
-    _check_chamber(t)
-    if not p >= 2 * q - 1:
-        raise ValueError("eval_phi_bc needs p >= 2q - 1")
     nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
                                rho_bc(p, field_dim(field), q))
     mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
@@ -327,12 +337,9 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     mu/2; dividing the integral by c_function(mu + rho_k, k_p) fixes the
     normalization through the c-function identity itself.
     """
-    field = normalize_field(field)
+    field, t = _cone(field, p, t)
     d = field_dim(field)
-    _check_finite("p", p)
-    t = _check_finite("t", np.asarray(t, float).reshape(-1))
     q = t.size
-    _check_chamber(t)
     mu = _check_finite("mu", mu)
     if mu.shape != (q,) or np.any(mu != np.floor(mu)) or np.any(mu % 2 != 0) \
             or np.any(np.diff(mu) > 0) or np.any(mu < 0):

@@ -196,8 +196,9 @@ def lemma44_check(poly, epsilon, y):
     return hull_membership(poly, z)
 
 
-def _unit_rho_samples(spec, count, gen):
-    """Unit-norm chamber points: random interior ones plus wall pinches.
+def _unit_rho_samples(spec, count):
+    """Unit-norm chamber points: random interior ones, from one fixed
+    seed so every scan sees the same points, plus wall pinches.
 
     The pinches walk every subset of the simple walls and squeeze the
     corresponding gaps to a small delta, because the binding geometry
@@ -205,6 +206,7 @@ def _unit_rho_samples(spec, count, gen):
     and random interior points alone would miss it.
     """
     n, q = spec.dim, spec.rank
+    gen = np.random.default_rng(408122)
     out = []
     for _ in range(count):
         if spec.family == "b":
@@ -245,9 +247,8 @@ def eps0_estimate(spec, rho_samples=40, resolution=1e-3):
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be a positive finite number, "
                          "got %r" % (resolution,))
-    gen = np.random.default_rng(408122)
     scans = []
-    for rho in _unit_rho_samples(spec, rho_samples, gen):
+    for rho in _unit_rho_samples(spec, rho_samples):
         poly = OrbitPolytope(spec, rho)
         scans.append((poly, polytope_vertices_K(poly)))
 

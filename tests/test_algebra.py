@@ -415,6 +415,27 @@ class TestInputContract:
                            "whole, not " % name):
             call()
 
+    @pytest.mark.parametrize("bad", [
+        dict(samples=1.5, seed=1.9, workers=0), dict(seed=1.9),
+        dict(workers=0)], ids=["all", "seed", "workers"])
+    @pytest.mark.parametrize("call", [
+        lambda **kw: hypergeo.eval_psi("r", [1.0], [0.5], **kw),
+        lambda **kw: hypergeo.rate_p_experiment("c", 1, [2.0], [[0.5]],
+                                                [4, 8], **kw),
+        lambda **kw: hypergeo.bessel_phi_tilde("r", 5, [1.0], [0.0],
+                                               mode="integral", **kw),
+        lambda **kw: hypergeo.contraction_experiment("h", 1, 3, [1.0], [0.5],
+                                                     [2, 4], **kw),
+    ], ids=["psi-q1", "rate-p-q1", "integral-t0", "contraction-q1"])
+    def test_paths_that_draw_nothing_check_counts(self, call, bad):
+        """The exact rank-one values and the t = 0 shortcut draw nothing,
+        so mc_run never saw their counts: each returned a value, and
+        the shortcut recorded samples=1.5 and seed=1.9."""
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match="^%s must be at least [01] and "
+                           "whole, not " % name):
+            call(**bad)
+
     def test_integral_float_counts_run_as_ints(self):
         """2.0 is a count: samples=1e4 raised a TypeError, and now runs
         as 10000 does."""

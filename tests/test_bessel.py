@@ -462,6 +462,16 @@ class TestSeries:
                                  np.array(eta))
 
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        """No shell falls below a rel_tol <= 0 or NaN: the series summed
+        every shell and reported converged=False; every shell falls below
+        an infinite one, which reported converged=True after 3 shells."""
+        with pytest.raises(ValueError, match="^rel_tol must be positive and "
+                           "finite, not "):
+            bessel.bessel_series(bessel.bessel_index("r", 5.0), [0.5, 0.1],
+                                 [0.2, 0.1], rel_tol=rel_tol)
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_nonpositive_alpha_is_value_error(self, alpha):
         """alpha <= 0 is outside the Jack polynomials' domain: a ValueError

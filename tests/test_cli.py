@@ -187,6 +187,26 @@ class TestExitCodes:
                          "--seed", "1"], capsys)
         assert (code, out) == (3, "")
 
+    @pytest.mark.parametrize("argv", [
+        "rate-p --q 2 --lambda 1+0.5i,0.5 --t-grid 0.2,1.5 --p-list 8,16,32 "
+        "--samples 2000",
+        "eval-a --q 2 --lambda 1,0.5 --t 0.5,-0.2 --samples 2000",
+        "eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.2,0.5",
+        "eval-bessel-integral --q 2 --p 5 --lambda 1,0.5 --t 0.2,0.5 "
+        "--samples 2000",
+        "contraction --q 2 --p 5 --lambda 1,0.5 --t 0.5,-0.2 --n-list 2,4 "
+        "--samples 2000",
+    ], ids=["rate-p", "eval-a", "series", "integral", "contraction"])
+    def test_domain_error_chamber_everywhere(self, argv, capsys):
+        """Every command that reads a cone point checks the chamber; each
+        of these printed records or a summary, rate-p one whose scale
+        came from t-tilde = min(t1, 1) of the unordered row."""
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "", "domain error: t must lie in the chamber "
+            "t1 >= ... >= tq >= 0\n")
+
     def test_domain_error_pole(self, capsys):
         code, _ = run(["c-function", "--q", "2", "--p", "5",
                        "--lambda", "0,0"], capsys)
@@ -306,6 +326,11 @@ class TestExitCodes:
         # "pass": true after 3 shells whatever the accuracy.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
          "--rel-tol inf", "--rel-tol must be finite, not inf"),
+        # Every shell summed, then "pass": false with exit 0.
+        ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
+         "--rel-tol 0", "--rel-tol must be positive, not 0.0"),
+        ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
+         "--rel-tol -1", "--rel-tol must be positive, not -1.0"),
         # "samples": -1 in the record.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
          "--max-degree -1", "--max-degree must be at least 1"),
@@ -316,7 +341,8 @@ class TestExitCodes:
          "--lambda must be finite, not (1+infj)"),
     ], ids=["t-nan", "lambda-nan", "t-grid-nan", "contraction-lambda-nan",
             "p-list-inf", "rate-p-lambda-length", "rel-tol-inf",
-            "max-degree-neg", "lambda-inf", "lambda-inf-imaginary"])
+            "rel-tol-0", "rel-tol-negative", "max-degree-neg", "lambda-inf",
+            "lambda-inf-imaginary"])
     def test_input_list_config_error(self, argv, message, capsys):
         """A bad entry of a list flag, or a bad series flag, is a config
         error naming the flag."""

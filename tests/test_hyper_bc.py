@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hypergeo
 from hypergeo import algebra, hyper_bc, sampling
 from oracles import c_function_gamma, jacobi_2f1, jacobi_poly_normalized
 
@@ -386,3 +387,53 @@ class TestEstimateShape:
         with pytest.raises(ValueError):
             hyper_bc.eval_phi_bc("r", 5.0, np.array([1.0 + 0j]),
                                  np.array([0.5, 0.1]))
+
+
+# Every public call that takes a cone point t, at q = 2, with t in place.
+CONE_CALLS = {
+    "phi": lambda t: hypergeo.eval_phi_bc("r", 5, [1, 0.5], t, samples=64),
+    "ho-poly": lambda t: hypergeo.eval_ho_polynomial("r", 5, [4, 2], t,
+                                                     samples=64),
+    "psi": lambda t: hypergeo.eval_psi("r", [1, 0.5], t, samples=64),
+    "series": lambda t: hypergeo.bessel_phi_tilde("r", 5, [1, 0.5], t),
+    "integral": lambda t: hypergeo.bessel_phi_tilde(
+        "r", 5, [1, 0.5], t, mode="integral", samples=64),
+    "contraction": lambda t: hypergeo.contraction_experiment(
+        "r", 2, 5, [1, 0.5], t, [2, 4], samples=64),
+    "rate-p-row": lambda t: hypergeo.rate_p_experiment(
+        "r", 2, [1, 0.5], [[0.5, 0.2], t], [5, 9], samples=64),
+}
+
+
+class TestCone:
+    """One gate, hyper_bc._cone, reads t and p for every evaluator."""
+
+    @pytest.mark.parametrize("t", [[0.2, 0.5], [0.5, -0.2]],
+                             ids=["unordered", "negative"])
+    @pytest.mark.parametrize("name", list(CONE_CALLS))
+    def test_every_entry_point_rejects_t_outside_the_chamber(self, name, t,
+                                                             monkeypatch):
+        """psi, phi-tilde (both modes), contraction and a rate-p t-grid
+        row ran on an unordered or negative t, where the paper states
+        none of its functions or bounds; now each is the chamber
+        ValueError that phi already raised, before any draw."""
+        def never(*args):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(sampling, "shard_stream", never)
+        with pytest.raises(ValueError, match="^t must lie in the chamber "):
+            CONE_CALLS[name](t)
+
+    @pytest.mark.parametrize("call", [
+        lambda: hypergeo.eval_phi_bc("r", 2.5, [1, 0.5], [0.5, 0.2]),
+        lambda: hypergeo.bessel_phi_tilde("r", 2.5, [1, 0.5], [0.5, 0.2],
+                                          mode="integral"),
+        lambda: hypergeo.contraction_experiment("r", 2, 2.5, [1, 0.5],
+                                                [0.5, 0.2], [2, 4]),
+        lambda: hypergeo.eval_ho_polynomial("r", 2.5, [4, 2], [0.5, 0.2]),
+    ], ids=["phi", "integral", "contraction", "ho-poly"])
+    def test_one_message_below_the_boundary(self, call):
+        """p < 2q - 1 reads the same wherever it is checked."""
+        with pytest.raises(ValueError,
+                           match=r"^p must be at least 2q - 1 = 3$"):
+            call()

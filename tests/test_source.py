@@ -311,3 +311,55 @@ def test_counts_are_checked_not_truncated():
              if isinstance(func, ast.FunctionDef)
              for arg in _int_of_own_parameter(func)]
     assert found == [("algebra.py", "_check_count", "value")]
+
+
+# The modules whose evaluators and experiments read a cone point t.
+CONE_MODULES = ("hyper_bc.py", "bessel.py", "experiments.py")
+
+
+def _cone_reads(func):
+    """(does func call _cone, its parses of t, chamber tests and p >= 2q - 1
+    tests): a parse is a _check_finite of "t", a chamber test an np.diff
+    of t, and a boundary test a non-strict comparison with 2 * ... - 1."""
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    parses = [ast.unparse(node) for node in calls
+              if _names(node.func) == ["_check_finite"] and node.args
+              and getattr(node.args[0], "value", None) == "t"]
+    chamber = [ast.unparse(node) for node in calls
+               if getattr(node.func, "attr", None) == "diff"
+               and node.args and "t" in _names(node.args[0])]
+    boundary = [ast.unparse(node) for node in ast.walk(func)
+                if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.GtE, ast.Lt)) for op in node.ops)
+                and any(ast.unparse(side).startswith("2 * ")
+                        and ast.unparse(side).endswith(" - 1")
+                        for side in node.comparators)]
+    gated = any("_cone" in _names(node.func) for node in calls)
+    return gated, parses, chamber, boundary
+
+
+def test_one_gate_for_a_cone_point():
+    """The chamber check was added one evaluator at a time, and psi,
+    phi-tilde, contraction and rate-p's t-grid never got it.  Every
+    exported function of these modules that takes t or t_grid calls
+    hyper_bc._cone, and no other function in them parses t or tests the
+    chamber or p >= 2q - 1.  The rank-one quadrature is exempt: its t
+    broadcasts over rank-one points, and it takes every p >= 1."""
+    ungated, parses, chambers, boundaries = [], [], [], []
+    for module in CONE_MODULES:
+        tree = ast.parse((SRC / module).read_text())
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = {a.arg for a in func.args.args + func.args.kwonlyargs}
+            gated, parse, chamber, boundary = _cone_reads(func)
+            if func.name in hypergeo.__all__ and params & {"t", "t_grid"} \
+                    and func.name != "eval_phi_bc_quadrature_q1" \
+                    and not gated:
+                ungated.append(func.name)
+            parses += [func.name for _ in parse]
+            chambers += [func.name for _ in chamber]
+            boundaries += [func.name for _ in boundary]
+    assert ungated == []
+    assert parses == ["_cone", "eval_phi_bc_quadrature_q1"]
+    assert chambers == boundaries == ["_cone"]
