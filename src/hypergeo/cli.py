@@ -19,6 +19,8 @@ declared acceptance predicate failed.
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
 stderr, the truncation degree as samples, and convergence as pass.
+c-function and eval-bessel-series draw nothing, so they take no
+--samples, --seed or --workers, and their records carry seed 0.
 """
 
 import argparse
@@ -214,7 +216,7 @@ def _cmd_eval(args):
     """One record per (lambda, t) pair of the cross product."""
     field = _field_of(args)
     q = args.q
-    seed = _seed_of(args)
+    seed = _seed_of(args) if hasattr(args, "seed") else 0
     if hasattr(args, "mu"):
         lam_rows = [_vector(_parse_list(args.mu, "--mu", int), q, "mu")]
     else:
@@ -494,12 +496,12 @@ _EXPERIMENT = ("--samples", "--seed", "--workers", "--output")
 # Each subcommand's runner and flags, in help order.
 _COMMANDS = {
     "eval-bc": (_cmd_eval, _EVAL + ("--p",)),
-    "eval-bessel-series": (_cmd_eval,
-                           _EVAL + ("--p", "--max-degree", "--rel-tol")),
+    "eval-bessel-series": (_cmd_eval, ("--field", "--q", "--lambda", "--t",
+                                       "--format", "--output", "--p",
+                                       "--max-degree", "--rel-tol")),
     "eval-bessel-integral": (_cmd_eval, _EVAL + ("--p",)),
-    "c-function": (_cmd_eval, ("--field", "--q", "--lambda", "--samples",
-                               "--seed", "--workers", "--format", "--output",
-                               "--p")),
+    "c-function": (_cmd_eval, ("--field", "--q", "--lambda", "--format",
+                               "--output", "--p")),
     "eval-bc-degenerate": (_cmd_eval, _EVAL),
     "eval-a": (_cmd_eval, _EVAL),
     "eval-ho-poly": (_cmd_eval, ("--field", "--q", "--p", "--mu", "--t",

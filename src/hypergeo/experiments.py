@@ -4,10 +4,11 @@ Each experiment takes its grid's means from one `_mc_pairs` call (common
 random numbers): every shard draws its Haar unitary at most once, and
 one ball sample per law, and evaluates every grid point on those draws,
 so the errors are paired and a rerun with the same seed reproduces every
-number bit for bit.  Rate-p and contraction call it through `_phi_means`,
-which alone picks the exact values at q = 1 instead.  The jackknife band
-of a fitted rate recomputes the experiment's own errors from the run's
-per-shard sums with one shard left out at a time.
+number bit for bit.  Rate-p and contraction call it through
+`hyper_bc._phi_means`, which alone picks the exact values at q = 1
+instead, as it does for `eval_psi`.  The jackknife band of a fitted
+rate recomputes the experiment's own errors from the run's per-shard
+sums with one shard left out at a time.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,7 @@ from . import sampling, weyl
 from .algebra import (_check_count, _check_finite, _chi_full, field_dim,
                       normalize_field)
 from .bessel import bessel_phi_tilde
-from .hyper_bc import (_check_run, _cone, _mc_pairs, eval_phi_bc_quadrature_q1,
-                       eval_psi, rho_a, rho_bc)
+from .hyper_bc import _cone, _mc_pairs, _phi_means, rho_bc
 from .sampling import kappa
 
 
@@ -96,24 +96,6 @@ def _jackknife_slope_halfwidth(params, parts, samples, errors):
     return float(2.0 * np.sqrt(var))
 
 
-def _phi_means(field, q, triples, samples, seed, workers):
-    """phi's integrand means over (p, t, nu) triples, as _mc_pairs returns
-    them; at q = 1 exact, with zero errors and shard sums None: phi by the
-    rank-one quadrature and psi (p = None) by its closed form, at
-    lam = -i(2 nu + rho), the inverse of nu = (i lam - rho)/2."""
-    if q > 1:
-        return _mc_pairs(field, q, triples, samples, seed, workers)
-    _check_run(samples, seed, workers)
-    d = field_dim(field)
-    mean = np.array([
-        eval_psi(field, lam, t).value if p is None
-        else eval_phi_bc_quadrature_q1(p, lam, t[0], field)
-        for p, t, nu in triples
-        for lam in -1j * (2 * nu[0] + (rho_a(d, 1) if p is None
-                                       else rho_bc(p, d, 1)))])
-    return mean, np.zeros(mean.size), None
-
-
 def _t_tilde(t):
     return min(float(t[0]), 1.0)
 
@@ -129,10 +111,11 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
 
     Both functions are evaluated in the shifted convention, where the
     spectral exponent is i lam / 2 for every p, so the unitary draws
-    pair across the whole grid.  The means come from `_phi_means`: exact
-    at q = 1, otherwise Monte Carlo with a jackknife band on the fitted
-    slope.
+    pair across the whole grid.  The means come from
+    `hyper_bc._phi_means`: exact at q = 1, otherwise Monte Carlo with a
+    jackknife band on the fitted slope.
     """
+    q = _check_count("q", q)
     field = normalize_field(field)
     d = field_dim(field)
     lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
@@ -198,6 +181,7 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     rel_tol max(1, |ref|) + tail bound, carries no rate and is a
     ValueError, as a series that did not converge is.
     """
+    q = _check_count("q", q)
     lam = _check_finite("lam", np.asarray(lam, float).reshape(-1))
     if lam.size != q or np.size(t) != q:
         raise ValueError("lam and t have %d and %d entries, expected q=%d"
@@ -246,6 +230,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     Im(lam) = -1.5 rho sits outside the hull and must push |phi| above
     1 somewhere on the t grid.
     """
+    q = _check_count("q", q)
     field = normalize_field(field)
     d = field_dim(field)
     _check_finite("p", p)
@@ -312,6 +297,7 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     absorbs the determinant factor exactly, leaving kappa(p')/kappa(p)
     times a plain sigma_1 moment under m_{p'}.
     """
+    q = _check_count("q", q)
     field = normalize_field(field)
     d = field_dim(field)
     n = _check_count("n_exponent", n_exponent)

@@ -6,11 +6,13 @@ and a matrix-ball draw w, with spectral exponent (i lam - rho)/2.  One
 path serves every p >= 2q - 1: only the law of w changes, to the
 boundary law at p = 2q - 1.  psi, the p -> infinity limit, is phi's
 integrand on the law w = 0, where g_t(u, 0) = u* cosh^2(t) u; it
-averages over u alone, on the same Haar draws, and is exact at q = 1.
-`_mc_pairs` alone draws and reduces for every Monte-Carlo estimate;
-phi and psi share one column function, and the Bessel phase and the
-moment decay supply their own.  The module also provides the half-sum
-vectors, the normalized c-function, the deterministic rank-one
+averages over u alone, on the same Haar draws.  `_mc_pairs` alone draws
+and reduces for every Monte-Carlo estimate; phi and psi share one
+column function, and the Bessel phase and the moment decay supply their
+own.  `_phi_means` alone chooses the exact rank-one means that replace
+phi's and psi's at q = 1 (the quadrature, and cosh(t)^(i lam)), for
+eval_psi, rate-p and contraction alike.  The module also provides the
+half-sum vectors, the normalized c-function, the deterministic rank-one
 quadrature (every field, p >= 1), and the polynomial special values.
 """
 
@@ -152,12 +154,14 @@ def c_function(lam, k, q):
 
 
 def _cone(field, p, t):
-    """The field's tag and t as a float vector, if t is finite and in the
-    chamber t1 >= ... >= tq >= 0 and p, unless None, is finite and at
-    least 2q - 1; a ValueError names the fault otherwise."""
+    """The field's tag and t as a float vector, if t is finite, nonempty
+    and in the chamber t1 >= ... >= tq >= 0 and p, unless None, is finite
+    and at least 2q - 1; a ValueError names the fault otherwise."""
     field = normalize_field(field)
     t = _check_finite("t", np.asarray(t, float).reshape(-1))
-    if np.any(np.diff(t) > 1e-12) or (t.size and t[-1] < -1e-12):
+    if not t.size:
+        raise ValueError("t must have at least one entry")
+    if np.any(np.diff(t) > 1e-12) or t[-1] < -1e-12:
         raise ValueError("t must lie in the chamber t1 >= ... >= tq >= 0")
     if p is not None and not _check_finite("p", p) >= 2 * t.size - 1:
         raise ValueError("p must be at least 2q - 1 = %d" % (2 * t.size - 1))
@@ -205,7 +209,7 @@ def rho_a(d, q):
 
 
 def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
-    """Monte-Carlo value of psi_lam(t); exact at q = 1.
+    """Monte-Carlo value of psi_lam(t); exact at q = 1, by `_phi_means`.
 
     lam is a length-q complex vector (or batch of shape (..., q)) in
     the plain convention, so the power-function exponent is
@@ -217,18 +221,10 @@ def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     q = t.size
     nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
                                rho_a(field_dim(field), q))
-    if q == 1:
-        _check_run(samples, seed, workers)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = np.cosh(t[0]) ** (2.0 * nu_mat[0])
-        if not np.isfinite(val).all():
-            raise OverflowError("psi's rank-one value cosh(t)^(i lam) is out "
-                                "of float range at lam=%s, t=%s"
-                                % (np.asarray(lam).tolist(), t.tolist()))
-        return _shape_estimate(val, np.zeros(val.size), batch, 0, seed)
-    mean, err, _ = _mc_pairs(field, q, [(None, t, nu_mat)], samples, seed,
-                             workers)
-    return _shape_estimate(mean, err, batch, samples, seed)
+    mean, err, parts = _phi_means(field, q, [(None, t, nu_mat)], samples,
+                                  seed, workers)
+    return _shape_estimate(mean, err, batch,
+                           0 if parts is None else samples, seed)
 
 
 def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
@@ -256,6 +252,30 @@ def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
         return sampling.shard_moments(blocks(i, n))
 
     return sampling.mc_run(shard, samples, workers=workers)
+
+
+def _phi_means(field, q, triples, samples, seed, workers):
+    """phi's integrand means over (p, t, nu) triples, as _mc_pairs returns
+    them, and the one place that makes them exact: at q = 1, with zero
+    errors and shard sums None, psi (p = None) is cosh(t)^(2 nu) and phi
+    the rank-one quadrature at lam = -i(2 nu + rho), the inverse of
+    nu = (i lam - rho)/2."""
+    if q > 1:
+        return _mc_pairs(field, q, triples, samples, seed, workers)
+    _check_run(samples, seed, workers)
+    means = []
+    for p, t, nu in triples:
+        with np.errstate(over="ignore", invalid="ignore"):
+            means.append(np.cosh(t[0]) ** (2.0 * nu[0]) if p is None else [
+                eval_phi_bc_quadrature_q1(p, lam, t[0], field) for lam in
+                -1j * (2 * nu[0] + rho_bc(p, field_dim(field), 1))])
+        if not np.isfinite(means[-1]).all():
+            raise OverflowError("psi's rank-one value cosh(t)^(i lam) is out "
+                                "of float range at lam=%s, t=%s" % (
+                                    np.real_if_close(-2j * nu[0]).tolist(),
+                                    t.tolist()))
+    mean = np.concatenate(means)
+    return mean, np.zeros(mean.size), None
 
 
 def _shape_estimate(mean, err, batch, samples, seed):

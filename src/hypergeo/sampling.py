@@ -44,14 +44,10 @@ ROLE_EXPERIMENT = 3
 def shard_stream(seed, shard, role):
     """A fresh generator for one role (unitary, ball, experiment) on one
     shard, keyed by (seed, 4 shard + role); identical inputs give
-    identical draws.  The seed must be a whole number: 1.9 is no alias
-    of 1."""
-    stream_id = 4 * shard + role
-    if seed < 0 or stream_id < 0:
-        raise ValueError("seed and stream id must be nonnegative, not "
-                         "(%s, %d)" % (seed, stream_id))
+    identical draws.  The seed must be a whole number of at least 0: 1.9
+    is no alias of 1."""
     return np.random.default_rng(np.random.SeedSequence(
-        (_check_count("seed", seed, least=0), stream_id)))
+        (_check_count("seed", seed, least=0), 4 * shard + role)))
 
 
 def shard_plan(samples):

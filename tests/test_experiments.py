@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypergeo import (eval_phi_bc_quadrature_q1, eval_psi, experiments as ex,
-                      rho_bc, sampling)
+                      hyper_bc, rho_bc, sampling)
 from hypergeo.sampling import SHARD_SIZE, shard_plan
 
 
@@ -68,7 +68,7 @@ class TestRateQuadrature:
         triples = [(None, t, 0.5j * lam.reshape(1, 2)),
                    (5.0, t, (0.5j * lam - 0.5 * rho_bc(5.0, d, 1))
                     .reshape(1, 2))]
-        mean, err, parts = ex._phi_means(field, 1, triples, 100, 0, 1)
+        mean, err, parts = hyper_bc._phi_means(field, 1, triples, 100, 0, 1)
         assert parts is None and err.tolist() == [0.0] * 4
         want = [eval_psi(field, [x], t).value for x in lam] + [
             eval_phi_bc_quadrature_q1(5.0, x, 0.7, field) for x in lam]
@@ -97,6 +97,34 @@ def test_one_point_sweep_rejected(run, name):
     with pytest.raises(ValueError, match="^%s needs at least two entries"
                        % name):
         run()
+
+
+# Every experiment at rank q, on a small run.
+EXPERIMENTS = {
+    "rate-p": lambda q: ex.rate_p_experiment(
+        "r", q, [1.0, 0.5], [[0.8, 0.3]], [8, 16], samples=512, seed=1),
+    "contraction": lambda q: ex.contraction_experiment(
+        "r", q, 5, [1.0, 0.5], [0.8, 0.3], [1, 2], samples=512, seed=1),
+    "boundedness": lambda q: ex.boundedness_sweep(
+        "r", q, 5, n_lambda=2, n_t=2, samples=512, seed=1),
+    "moment-decay": lambda q: ex.moment_decay_experiment(
+        "r", q, 1, [9, 12], samples=512, seed=1),
+}
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 0])
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiments_check_q(name, q):
+    """q is a count: 2.0 raised a TypeError in rate-p and contraction, 0
+    an IndexError in moment decay, and 1.5 read as a vector length in
+    the boundedness sweep.  Now 2.0 runs as 2 and the rest name q."""
+    run = EXPERIMENTS[name]
+    if q == 2.0:
+        assert repr(run(q)) == repr(run(2))
+    else:
+        with pytest.raises(ValueError,
+                           match="^q must be at least 1 and whole, not "):
+            run(q)
 
 
 class TestRateMonteCarlo:

@@ -451,10 +451,11 @@ FLAG = {
 }
 SURFACE = {
     "eval-bc": _EVAL + ("--p",),
-    "eval-bessel-series": _EVAL + ("--p", "--max-degree", "--rel-tol"),
+    "eval-bessel-series": ("--field", "--q", "--lambda", "--t", "--format",
+                           "--output", "--p", "--max-degree", "--rel-tol"),
     "eval-bessel-integral": _EVAL + ("--p",),
-    "c-function": ("--field", "--q", "--lambda", "--samples", "--seed",
-                   "--workers", "--format", "--output", "--p"),
+    "c-function": ("--field", "--q", "--lambda", "--format", "--output",
+                   "--p"),
     "eval-bc-degenerate": _EVAL,
     "eval-a": _EVAL,
     "eval-ho-poly": ("--field", "--q", "--p", "--mu", "--t", "--samples",

@@ -425,6 +425,22 @@ class TestCone:
             CONE_CALLS[name](t)
 
     @pytest.mark.parametrize("call", [
+        lambda: hypergeo.eval_phi_bc("r", 3, [], []),
+        lambda: hypergeo.eval_psi("r", [], []),
+        lambda: hypergeo.eval_ho_polynomial("r", 3, [], []),
+        lambda: hypergeo.bessel_phi_tilde("r", 3, [], []),
+        lambda: hypergeo.bessel_phi_tilde("r", 3, [], [], mode="integral"),
+    ], ids=["phi", "psi", "ho-poly", "series", "integral"])
+    def test_empty_t_rejected(self, call):
+        """An empty t (with as empty a lam or mu) fell through to numpy's
+        reshape error (phi, psi), an IndexError (ho-poly), a count error
+        naming q (series) or, in integral mode, the t = 0 shortcut's value
+        1; now the gate names t."""
+        with pytest.raises(ValueError,
+                           match="^t must have at least one entry$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
         lambda: hypergeo.eval_phi_bc("r", 2.5, [1, 0.5], [0.5, 0.2]),
         lambda: hypergeo.bessel_phi_tilde("r", 2.5, [1, 0.5], [0.5, 0.2],
                                           mode="integral"),

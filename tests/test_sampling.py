@@ -439,9 +439,9 @@ class TestShardEngine:
             sampling.shard_stream(1.9, 2, sampling.ROLE_BALL)
 
     def test_negative_seed_rejected(self):
-        for seed, stream_id in ((-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match="nonnegative"):
-                sampling.shard_stream(seed, 0, stream_id)
+        with pytest.raises(ValueError,
+                           match="^seed must be at least 0 and whole, not -1$"):
+            sampling.shard_stream(-1, 0, sampling.ROLE_UNITARY)
 
     def test_shard_moments_bits(self):
         """Value sums, and sums of |v - mean|^2 about each column mean."""

@@ -269,26 +269,45 @@ def test_package_defines_only_what_it_runs_or_exports():
     assert [d for d in defined if d not in used] == []
 
 
+def _q_tests(func):
+    """The if tests (other than an input check that raises), conditional
+    expressions and comprehension filters in func that read q."""
+    nodes = list(ast.walk(func))
+    tests = [node.test for node in nodes
+             if isinstance(node, ast.IfExp) or isinstance(node, ast.If)
+             and not (len(node.body) == 1
+                      and isinstance(node.body[0], ast.Raise))]
+    tests += [cond for node in nodes
+              if isinstance(node, ast.comprehension) for cond in node.ifs]
+    return [ast.unparse(test) for test in tests if "q" in _names(test)]
+
+
+def _functions(module):
+    return {top.name: top for top in ast.parse((SRC / module).read_text()).body
+            if isinstance(top, ast.FunctionDef)}
+
+
 def test_rate_experiments_do_not_fork_on_rank():
-    """The exact rank-one means are chosen in one place, `_phi_means`:
-    rate-p and contraction run one path, with no if test (other than an
-    input check that raises), conditional expression or comprehension
-    filter reading q, and only `_phi_means` names the quadrature."""
-    tree = ast.parse((SRC / "experiments.py").read_text())
-    funcs = {top.name: top for top in tree.body
-             if isinstance(top, ast.FunctionDef)}
+    """The exact rank-one means are chosen in one place,
+    `hyper_bc._phi_means`: rate-p, contraction and eval_psi run one path,
+    with no q test, experiments.py names none of the rank-one pieces
+    (the quadrature, eval_psi, the count check of the paths that draw
+    nothing, psi's half-sum), and only `_phi_means` calls the quadrature
+    in hyper_bc.py."""
+    experiments = _functions("experiments.py")
+    hyper_bc = _functions("hyper_bc.py")
     for name in ("rate_p_experiment", "contraction_experiment"):
-        nodes = list(ast.walk(funcs[name]))
-        tests = [node.test for node in nodes
-                 if isinstance(node, ast.IfExp) or isinstance(node, ast.If)
-                 and not (len(node.body) == 1
-                          and isinstance(node.body[0], ast.Raise))]
-        tests += [cond for node in nodes
-                  if isinstance(node, ast.comprehension) for cond in node.ifs]
-        assert [ast.unparse(test) for test in tests
-                if "q" in _names(test)] == [], name
-    assert [name for name, func in funcs.items()
-            if "eval_phi_bc_quadrature_q1" in _names(func)] == ["_phi_means"]
+        assert _q_tests(experiments[name]) == [], name
+    assert _q_tests(hyper_bc["eval_psi"]) == []
+    rank_one = {"eval_phi_bc_quadrature_q1", "eval_psi", "_check_run",
+                "rho_a"}
+    assert [(name, sorted(rank_one & set(_names(func))))
+            for name, func in experiments.items()
+            if rank_one & set(_names(func))] == []
+    assert [name for name, func in hyper_bc.items()
+            if any(isinstance(node, ast.Call) and _names(node.func)
+                   == ["eval_phi_bc_quadrature_q1"]
+                   for node in ast.walk(func))] == ["_phi_means"]
 
 
 def _int_of_own_parameter(func):
@@ -317,10 +336,16 @@ def test_counts_are_checked_not_truncated():
 CONE_MODULES = ("hyper_bc.py", "bessel.py", "experiments.py")
 
 
+def _is_size_of_t(node):
+    return ast.unparse(node) in ("t.size", "np.size(t)", "len(t)", "q")
+
+
 def _cone_reads(func):
-    """(does func call _cone, its parses of t, chamber tests and p >= 2q - 1
-    tests): a parse is a _check_finite of "t", a chamber test an np.diff
-    of t, and a boundary test a non-strict comparison with 2 * ... - 1."""
+    """(does func call _cone, its parses of t, chamber tests, p >= 2q - 1
+    tests and emptiness tests): a parse is a _check_finite of "t", a
+    chamber test an np.diff of t, a boundary test a non-strict comparison
+    with 2 * ... - 1, and an emptiness test a `not` of t's size (or q) or
+    a comparison of it with 0."""
     calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
     parses = [ast.unparse(node) for node in calls
               if _names(node.func) == ["_check_finite"] and node.args
@@ -334,8 +359,14 @@ def _cone_reads(func):
                 and any(ast.unparse(side).startswith("2 * ")
                         and ast.unparse(side).endswith(" - 1")
                         for side in node.comparators)]
+    empty = [ast.unparse(node) for node in ast.walk(func)
+             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+             and _is_size_of_t(node.operand)
+             or isinstance(node, ast.Compare) and _is_size_of_t(node.left)
+             and any(getattr(side, "value", None) == 0
+                     for side in node.comparators)]
     gated = any("_cone" in _names(node.func) for node in calls)
-    return gated, parses, chamber, boundary
+    return gated, parses, chamber, boundary, empty
 
 
 def test_one_gate_for_a_cone_point():
@@ -343,16 +374,17 @@ def test_one_gate_for_a_cone_point():
     phi-tilde, contraction and rate-p's t-grid never got it.  Every
     exported function of these modules that takes t or t_grid calls
     hyper_bc._cone, and no other function in them parses t or tests the
-    chamber or p >= 2q - 1.  The rank-one quadrature is exempt: its t
-    broadcasts over rank-one points, and it takes every p >= 1."""
-    ungated, parses, chambers, boundaries = [], [], [], []
+    chamber, p >= 2q - 1 or whether t is empty.  The rank-one quadrature
+    is exempt: its t broadcasts over rank-one points, and it takes every
+    p >= 1."""
+    ungated, parses, chambers, boundaries, empties = [], [], [], [], []
     for module in CONE_MODULES:
         tree = ast.parse((SRC / module).read_text())
         for func in tree.body:
             if not isinstance(func, ast.FunctionDef):
                 continue
             params = {a.arg for a in func.args.args + func.args.kwonlyargs}
-            gated, parse, chamber, boundary = _cone_reads(func)
+            gated, parse, chamber, boundary, empty = _cone_reads(func)
             if func.name in hypergeo.__all__ and params & {"t", "t_grid"} \
                     and func.name != "eval_phi_bc_quadrature_q1" \
                     and not gated:
@@ -360,6 +392,7 @@ def test_one_gate_for_a_cone_point():
             parses += [func.name for _ in parse]
             chambers += [func.name for _ in chamber]
             boundaries += [func.name for _ in boundary]
+            empties += [func.name for _ in empty]
     assert ungated == []
     assert parses == ["_cone", "eval_phi_bc_quadrature_q1"]
-    assert chambers == boundaries == ["_cone"]
+    assert chambers == boundaries == empties == ["_cone"]
