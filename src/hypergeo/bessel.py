@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_batch_last, _check_count, _check_finite, _chi_full,
+from .algebra import (_check_count, _check_finite, _row, _worked_rows,
                       field_dim, normalize_field)
 from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs
 
@@ -282,17 +282,19 @@ def _phase_columns(field, t, lam, haar, w):
     """exp(-i Re tr(w diag(t) u diag(lam))) on one shard, as one column.
 
     The draws are read as the batch-last memory the samplers write.  Over
-    H they are expanded to their full chi images, and the 2q x 2q working
-    form doubles the real trace."""
-    tt, ll = t, lam
-    if field == "h":
-        tt, ll = np.repeat(t, 2), np.repeat(lam, 2)
-    # Each full chi image is dropped once scaled, before the next is made.
-    w = _batch_last(_chi_full(w)) * tt[:, None]
-    u = _batch_last(_chi_full(haar())) * ll[:, None]
-    tr = np.einsum("ijn,jin->n", w, u)
-    phase = tr.real if field != "h" else 0.5 * tr.real
-    return np.exp(-1j * phase)[:, None]
+    H the trace is taken of the 2q x 2q chi images, whose diagonal
+    entries 2m and 2m + 1 are conjugate, so half its real part is
+    sum_m Re (w diag(t, t) u diag(lam, lam))_(2m, 2m): that reads w's
+    even rows and u's even columns, each of whose odd-row entries is
+    formed from the even row above it (`algebra._row`).
+    """
+    step = 2 if field == "h" else 1
+    w = _worked_rows(w, step) * np.repeat(t, step)[:, None]
+    u = _worked_rows(haar(), step)
+    if step == 2:
+        u = np.stack([_row(u, k, 2)[0::2] for k in range(2 * t.size)])
+    tr = np.einsum("ijn,jin->n", w, u * lam[:, None])
+    return np.exp(-1j * tr.real)[:, None]
 
 
 def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,

@@ -128,6 +128,8 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     t_grid = _check_finite("t_grid", np.asarray(t_grid, float))
     if t_grid.ndim == 1:
         t_grid = t_grid[:, None]
+    if not len(t_grid):
+        raise ValueError("t_grid has no rows")
     if t_grid.shape[1] != q:
         raise ValueError("t_grid rows have %d entries, expected q=%d"
                          % (t_grid.shape[1], q))

@@ -4,12 +4,18 @@ Both samplers draw a whole shard at once, with the batch axis last in
 memory, so each step is one vector operation over the shard rather than
 one small factorisation per draw.  Haar draws orthonormalise the columns
 of Gaussian matrices by Gram-Schmidt.  Ball draws build their row
-factors and assemble them with `_p_map_batch`.
+factors with `_ball_rows` and assemble them with `_p_map_batch`.  Each
+row factor is a Gaussian vector g in F^q scaled by 1 / sqrt(|g|^2 + 2G)
+with G one Gamma variate: |g|^2 / 2 is itself Gamma(dq/2) and
+independent of g/|g| (the Beta-Gamma algebra), so the squared radius is
+Beta(dq/2, G's shape) and the direction uniform.  A shard of n draws
+takes n d q^2 normal variates for Haar, and n d q^2 normal and n q Gamma
+variates for the ball (n (q - 1) at the boundary p = 2q - 1).
 
-Memory layout: `_haar_batch`, `_ball_rows` (through `_row_embed`) and
-`_p_map_batch` own the shard's draws, and write them batch-last, entry
-(i, j) of every draw one contiguous length-n vector.  They hand them on
-as (n, e, e) views, or (n, 1, e) row factors, of that memory, which
+Memory layout: `_haar_batch`, `_ball_rows` and `_p_map_batch` own the
+shard's draws, and write them batch-last, entry (i, j) of every draw one
+contiguous length-n vector.  They hand them on as (n, e, e) views, or
+(n, 1, e) row factors, of that memory, which
 `algebra._build_g_embedded` reads batch-last again without a copy.
 Over H (e = 2q) the matrices are chi images of quaternion ones, and
 each odd row is a conj/negate shuffle of the even row above it, so only
@@ -196,55 +202,37 @@ def haar_unitary(field, q, rng):
     return _chi_inv(u) if field == "h" else u
 
 
-def _row_embed(field, comp):
-    """Real components (n, q, d) of row vectors -> embedded rows (n, 1, E),
-    a view of batch-last memory (1, E, n).
-
-    Over H, E = 2q and the row is the even row of the 2 x 2q chi image of
-    a quaternion row vector.
-    """
-    c = comp.T  # (d, q, n)
-    if field == "r":
-        y = np.empty((1,) + c.shape[1:])
-        y[0] = c[0]
-    elif field == "c":
-        y = np.empty((1,) + c.shape[1:], complex)
-        y[0].real, y[0].imag = c[0], c[1]
-    else:
-        q = c.shape[1]
-        y = np.empty((1, 2 * q) + c.shape[2:], complex)
-        y[0, 0::2].real, y[0, 0::2].imag = c[0], c[1]
-        y[0, 1::2].real, y[0, 1::2].imag = c[2], c[3]
-    return _batch_first(y)
-
-
-def _sphere_batch(field, q, n, gen):
-    """n uniform points on the unit sphere of F^q, embedded rows."""
-    d = field_dim(field)
-    v = gen.standard_normal((n, q * d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return _row_embed(field, v.reshape(n, q, d))
-
-
 def _ball_rows(field, q, p, n, gen):
     """Embedded row factors y_1 .. y_q of the ball parametrization.
 
     y_j = r_j theta_j with theta_j uniform on the unit sphere of F^q and
-    r_j^2 Beta distributed with shapes (dq/2, d(p-q-j+1)/2); Beta draws
-    use two Gamma variates so non-integer shapes are exact.  At the
-    boundary p = 2q-1 the last factor sits on the sphere.  Each factor is
-    an (n, 1, E) view of batch-last memory, as _row_embed returns it:
-    over H the even row of the factor's chi image.
+    r_j^2 Beta distributed with shapes (dq/2, d(p-q-j+1)/2).  Row j
+    draws a standard Gaussian g in F^q, a batch-last (d, q, n) block of
+    real components, then one Gamma variate G_j of shape d(p-q-j+1)/2.
+    |g|^2 / 2 is Gamma(dq/2) and independent of g/|g| (Lukacs 1955), so
+    y_j = g / sqrt(|g|^2 + 2 G_j) has the uniform direction and the Beta
+    radius, exact for non-integer shapes.  At the boundary p = 2q-1 the
+    last factor is g/|g|, on the sphere, and draws no Gamma variate.
+    Each factor is written straight into an (n, 1, E) view of batch-last
+    memory (1, E, n); over H it is the even row of the factor's chi
+    image, entries 2m and 2m + 1 being g_0 + i g_1 and g_2 + i g_3 of
+    coordinate m.
     """
     d = field_dim(field)
+    step = 2 if field == "h" else 1
     rows = []
     for j in range(1, q + 1):
-        theta = _sphere_batch(field, q, n, gen)
+        g = gen.standard_normal((d, q, n))
+        flat = g.reshape(d * q, n)
+        r = _dot(flat, flat)
         if j < q or p != 2 * q - 1:
-            g1 = gen.standard_gamma(0.5 * d * q, n)
-            g2 = gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
-            theta *= np.sqrt(g1 / (g1 + g2))[:, None, None]
-        rows.append(theta)
+            r += 2.0 * gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
+        np.sqrt(r, out=r)
+        y = np.empty((1, step * q, n), float if d == 1 else complex)
+        parts = (y.real, y.imag) if d > 1 else (y,)
+        for k, comp in enumerate(g):
+            np.divide(comp, r, out=parts[k % 2][0, k // 2::step])
+        rows.append(_batch_first(y))
     return rows
 
 
@@ -253,16 +241,18 @@ def _p_map_batch(rows):
 
     Row j of the result is y_j S_(j-1) ... S_1, where
     S_i = (I - y_i* y_i)^(1/2) = I + c_i y_i* y_i, since I - y*y has the
-    two eigenvalues 1 and 1 - |y|^2.  Each S_i acts on a running row v
-    as the rank-e update v += c_i (v y_i*) y_i, so no matrix product is
-    formed: every step is an (e, E, n) slab or length-n vector operation
-    on batch-last memory.  The factor index is outermost, each S_i
-    applied to every later row in turn, so each row still meets
-    S_(j-1) .. S_1 in that order.  Over H each factor is given by its
-    even row, and its chi image (e = 2) is formed once, for its own
-    update; only the even rows of w are formed.  Returns an (n, E, E)
-    view of batch-last memory, over H the (n, q, 2q) view of the even
-    rows.
+    two eigenvalues 1 and 1 - |y|^2.  With s = |y_i|^2, c_i =
+    (sqrt(1 - s) - 1) / s is written -1 / (1 + sqrt(1 - s)), which does
+    not cancel as s -> 0 and needs no series branch.  Each S_i acts on a
+    running row v as the rank-e update v += c_i (v y_i*) y_i, so no
+    matrix product is formed: every step is an (e, E, n) slab or
+    length-n vector operation on batch-last memory.  The factor index is
+    outermost, each S_i applied to every later row in turn, so each row
+    still meets S_(j-1) .. S_1 in that order.  Over H each factor is
+    given by its even row, and its chi image (e = 2) is formed once, for
+    its own update; only the even rows of w are formed.  Returns an
+    (n, E, E) view of batch-last memory, over H the (n, q, 2q) view of
+    the even rows.
     """
     chi = rows[0].shape[-1] == 2 * len(rows)  # over H, E = 2q
     w = np.empty((len(rows),) + _batch_last(rows[0]).shape[1:],
@@ -273,12 +263,7 @@ def _p_map_batch(rows):
         y = _batch_last(_chi_full(rows[i]) if chi else rows[i])  # (e, E, n)
         ybar = np.conj(y)
         s = _dot(y[0], ybar[0]).real
-        safe = np.maximum(s, 1e-300)
-        coef = np.where(
-            s < 1e-8,
-            -0.5 - s / 8.0,
-            (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0) / safe,
-        )
+        coef = -1.0 / (1.0 + np.sqrt(np.clip(1.0 - s, 0.0, None)))
         for v in w[i + 1:]:
             v += _dot([coef * _dot(v, yb) for yb in ybar], y)
     return _batch_first(w)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from hypergeo import bessel
+from hypergeo import algebra, bessel, sampling
 from oracles import bessel_0f1, partitions_brute
 
 # frozen from the 50-digit confluent series (bessel_0f1)
@@ -534,6 +534,26 @@ class TestPhiTilde:
         mc = bessel.bessel_phi_tilde("h", 5.0, lam, t, mode="integral",
                                      samples=40000, seed=3)
         assert abs(srs.value - mc.value) < 4.0 * mc.stderr
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_quaternion_phase_reads_even_rows(self, q):
+        """Over H the phase reads w's even rows and u's even columns; it
+        equals half the real trace of the full chi images, the formula
+        it replaced, on the samplers' even-row stacks."""
+        n, seed, shard = 500, 6, 2
+        t = np.linspace(1.1, 0.3, q)
+        lam = np.linspace(0.9, -0.4, q)
+        u = sampling.draw_haar("h", q, seed, shard, n)
+        for p in (2 * q - 1, 2 * q + 1.5):
+            w = sampling.draw_ball("h", q, p, seed, shard, n)
+            wf = algebra._batch_last(algebra._chi_full(w))
+            uf = algebra._batch_last(algebra._chi_full(u))
+            tr = np.einsum("ijn,jin->n", wf * np.repeat(t, 2)[:, None],
+                           uf * np.repeat(lam, 2)[:, None])
+            want = np.exp(-0.5j * tr.real)[:, None]
+            got = bessel._phase_columns("h", t, lam, lambda: u, w)
+            assert got.shape == (n, 1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_series_overflow_is_overflow_error(self):
         """lam^2 / 2 beyond float range raises OverflowError before any

@@ -83,6 +83,20 @@ class TestRateQuadrature:
             ex.rate_p_experiment("r", 1, np.array([1.0 + 0j]), t_grid,
                                  [20, 10])
 
+    @pytest.mark.parametrize("q, lam, t_grid", [
+        (1, [2.0], []),
+        (2, [2.0, 1.0], np.zeros((0, 2))),
+    ], ids=["q1-list", "q2-array"])
+    def test_empty_t_grid_rejected(self, q, lam, t_grid, monkeypatch):
+        """A t_grid with no rows failed inside numpy's concatenate; it is
+        refused, naming t_grid, before any mean is computed."""
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated an empty t_grid")
+
+        monkeypatch.setattr(ex, "_phi_means", never)
+        with pytest.raises(ValueError, match="t_grid"):
+            ex.rate_p_experiment("r", q, lam, t_grid, [4, 8])
+
 
 @pytest.mark.parametrize("run, name", [
     (lambda: ex.rate_p_experiment("r", 1, [2.0], [[0.5]], [10]), "p_list"),

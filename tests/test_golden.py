@@ -23,9 +23,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.006129713121001285,'
-         ' "value_im": -0.024224772764498036,'
-         ' "value_re": 0.6811437340183788}\n'),
+         ' "stderr": 0.006254020235442683,'
+         ' "value_im": -0.027334511714485952,'
+         ' "value_re": 0.6873740756746324}\n'),
     ),
     "eval-bc-c2": (
         ("eval-bc --field c --q 2 --p 5 --lambda 1+0.5i,0.5 --t "
@@ -33,9 +33,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.0071973473023627926,'
-         ' "value_im": -0.004971549151948012,'
-         ' "value_re": 0.3530875052302129}\n'),
+         ' "stderr": 0.011311367000758313,'
+         ' "value_im": -0.01609513577648802,'
+         ' "value_re": 0.36829980435150944}\n'),
     ),
     "eval-bc-h2": (
         ("eval-bc --field h --q 2 --p 5 --lambda 1+0.5i,0.5,2,-1i "
@@ -43,15 +43,15 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.004439068373688131,'
-         ' "value_im": 0.0005325618197589938,'
-         ' "value_re": 0.08526340926777906}\n'
+         ' "stderr": 0.007706993402332746,'
+         ' "value_im": -0.0021125719324367755,'
+         ' "value_re": 0.09512343111869527}\n'
          '{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "2+0i,0-1i", "p": 5.0, "q": 2, "t": [0.8, 0.4]},'
          ' "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.0038997157843423938,'
-         ' "value_im": 0.0015389123448164514,'
-         ' "value_re": 0.08473270242256752}\n'),
+         ' "stderr": 0.006145601768381352,'
+         ' "value_im": -0.0016484013655493875,'
+         ' "value_re": 0.09242776313327529}\n'),
     ),
     "eval-bc-r1-w2": (
         ("eval-bc --field r --q 1 --p 3 --lambda 2,1+1i --t 0.5,1.5 "
@@ -59,27 +59,27 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.004189447727644246,'
-         ' "value_im": 0.00030882461778611694,'
-         ' "value_re": 0.8055557981447752}\n'
+         ' "stderr": 0.004157360010811375,'
+         ' "value_im": 0.0029488441710264126,'
+         ' "value_re": 0.8070552868352378}\n'
          '{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [1.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.007154527109023715,'
-         ' "value_im": -0.0026631681448116584,'
-         ' "value_re": 0.0237204525606119}\n'
+         ' "stderr": 0.0070552190367206115,'
+         ' "value_im": 0.0038246396499991195,'
+         ' "value_re": 0.0292093848951559}\n'
          '{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.004712763155924848,'
-         ' "value_im": -0.08070999842144527,'
-         ' "value_re": 0.9569583207737635}\n'
+         ' "stderr": 0.004669739493392766,'
+         ' "value_im": -0.07796547017025726,'
+         ' "value_re": 0.9548022454344255}\n'
          '{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [1.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.01851812652461768,'
-         ' "value_im": -0.5424501226464762,'
-         ' "value_re": 0.5879115127187765}\n'),
+         ' "stderr": 0.01798127276824785,'
+         ' "value_im": -0.5149336689643309,'
+         ' "value_re": 0.5813073235413183}\n'),
     ),
     "eval-bc-degenerate": (
         ("eval-bc-degenerate --field c --q 2 --lambda 1,0.5 --t "
@@ -87,9 +87,9 @@ EVAL = {
         ('{"command": "eval-bc-degenerate", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "q": 2, "t": [0.7, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 3,'
-         ' "stderr": 0.0055619782731947615,'
-         ' "value_im": -0.002761281442748216,'
-         ' "value_re": 0.6395280629164516}\n'),
+         ' "stderr": 0.005602419208040195,'
+         ' "value_im": -0.0031481580855501627,'
+         ' "value_re": 0.6399263969851355}\n'),
     ),
     "eval-a-csv": (
         ("eval-a --field h --q 2 --lambda 1,0.5 --t 0.6,0.1,0,0 "
@@ -155,17 +155,15 @@ EVAL = {
          ' "value_im": -1.247481562494053e-14,'
          ' "value_re": 0.9999999999999751}\n'),
     ),
-    # The phase reducer moved onto the shared np.abs reducer, which
-    # changed the last digits of these two stderr values.
     "eval-bessel-integral": (
         ("eval-bessel-integral --field r --q 2 --p 7 --lambda 1,0.5 "
          "--t 0.8,0.3 --samples 20000 --seed 5"),
         ('{"command": "eval-bessel-integral", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0017857721586986028,'
-         ' "value_im": -0.0018312443955468577,'
-         ' "value_re": 0.9675830726549026}\n'),
+         ' "stderr": 0.0017804329545430483,'
+         ' "value_im": -0.00042439861788401987,'
+         ' "value_re": 0.9677814783169574}\n'),
     ),
     "eval-bessel-integral-boundary": (
         ("eval-bessel-integral --field c --q 2 --p 3 --lambda 1,0.5 "
@@ -173,15 +171,15 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.001928691437619563,'
-         ' "value_im": -0.003289565525893449,'
-         ' "value_re": 0.9620770060279534}\n'
+         ' "stderr": 0.0019144626777342802,'
+         ' "value_im": 0.00043739134116680377,'
+         ' "value_re": 0.9626507475715502}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [1.2, 0.1]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.002670717535371987,'
-         ' "value_im": -0.00471565794515272,'
-         ' "value_re": 0.9259174474515943}\n'),
+         ' "stderr": 0.0026592659961002436,'
+         ' "value_im": 0.0005798300595735944,'
+         ' "value_re": 0.9265882316524433}\n'),
     ),
     # The H branch of the phase, one integral over the Haar draw alone.
     "eval-bessel-integral-h2": (
@@ -190,9 +188,9 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "h",'
          ' "lambda": "1+0i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0010585752893526087,'
-         ' "value_im": -3.9157223939958867e-05,'
-         ' "value_re": 0.9887306840602009}\n'),
+         ' "stderr": 0.001061738704079536,'
+         ' "value_im": -0.00010270452054760196,'
+         ' "value_re": 0.988662838351362}\n'),
     ),
     "eval-bessel-integral-c1": (
         ("eval-bessel-integral --field c --q 1 --p 3 --lambda 1.5 "
@@ -200,9 +198,9 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.8]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0032964362151530324,'
-         ' "value_im": -0.006974534118137346,'
-         ' "value_re": 0.8846589859727793}\n'
+         ' "stderr": 0.003290479408922672,'
+         ' "value_im": -0.000555439657530782,'
+         ' "value_re": 0.8851297061312002}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.0]},'
          ' "pass": true, "samples": 20000, "seed": 5, "stderr": 0.0,'
@@ -215,9 +213,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.004538270146980975,'
-         ' "value_im": 1.5452289175469147e-05,'
-         ' "value_re": 0.7667516157574774}\n'
+         ' "stderr": 0.004542638384709642,'
+         ' "value_im": 0.0016338241415659576,'
+         ' "value_re": 0.7625317050057455}\n'
          '{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "2+0i", "p": 3.0, "q": 1, "t": [0.0]},'
          ' "pass": true, "samples": 20000, "seed": 2, "stderr": 0.0,'
@@ -225,9 +223,9 @@ EVAL = {
          '{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.5]},'
          ' "pass": true, "samples": 20000, "seed": 2,'
-         ' "stderr": 0.005750587586276564,'
-         ' "value_im": -0.03444956776729592,'
-         ' "value_re": 0.8330514470390498}\n'
+         ' "stderr": 0.005759292013917719,'
+         ' "value_im": -0.03377704056993673,'
+         ' "value_re": 0.8283656420441061}\n'
          '{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "1+1i", "p": 3.0, "q": 1, "t": [0.0]},'
          ' "pass": true, "samples": 20000, "seed": 2, "stderr": 0.0,'
@@ -239,8 +237,8 @@ EVAL = {
         ('{"command": "eval-ho-poly", "inputs": {"field": "r",'
          ' "lambda": "4+0i,2+0i", "p": 5.0, "q": 2, "t": [0.5, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.3894709769014622, "value_im": 0.0,'
-         ' "value_re": 76.47082530076769}\n'),
+         ' "stderr": 0.3852207476930076, "value_im": 0.0,'
+         ' "value_re": 76.12734743731522}\n'),
     ),
 }
 
@@ -248,9 +246,9 @@ SUMMARY = {
     "rate-p": (
         ("rate-p --field r --q 2 --lambda 1,0.5 --t-grid "
          "0.5,0.2,1,0.4 --p-list 5,9,17 --samples 16384 --seed 7"),
-        ('{"normalized_max": 0.10064907202679702, "pass": true,'
-         ' "scale": 1.5, "slope": -1.0807832338705357,'
-         ' "slope_halfwidth": 0.047050493752202716,'
+        ('{"normalized_max": 0.09931903423181145, "pass": true,'
+         ' "scale": 1.5, "slope": -1.0611346155470096,'
+         ' "slope_halfwidth": 0.0238247426623317,'
          ' "unbounded_regime": false}\n'),
     ),
     "rate-p-readme": (
@@ -263,23 +261,23 @@ SUMMARY = {
     "contraction": (
         ("contraction --field r --q 2 --p 3 --lambda 1,0.5 --t 1,0.5 "
          "--n-list 2,4,8 --samples 16384 --seed 8"),
-        ('{"normalized_max": 0.24331463886359758, "pass": true,'
-         ' "scale": 1.5, "slope": -0.9323498553691967,'
-         ' "slope_halfwidth": 0.06813126785337109,'
+        ('{"normalized_max": 0.23638595215482736, "pass": true,'
+         ' "scale": 1.5, "slope": -0.949030480357584,'
+         ' "slope_halfwidth": 0.05506435942281418,'
          ' "unbounded_regime": false}\n'),
     ),
     "boundedness": (
         ("boundedness --field r --q 2 --p 4 --n-lambda 4 --n-t 3 "
          "--samples 16384 --seed 9"),
         ('{"all_bounded": true, "all_positive": true,'
-         ' "out_of_hull_max": 12.728396006056595, "pass": true}\n'),
+         ' "out_of_hull_max": 12.624044654888014, "pass": true}\n'),
     ),
     "moment-decay": (
         ("moment-decay --field c --q 2 --n 1 --p-list 9,17,33 "
          "--samples 16384 --seed 10"),
-        ('{"normalized_max": 16.913725036319878, "pass": true,'
-         ' "scale": 1.0, "slope": -1.9669317558516695,'
-         ' "slope_halfwidth": 0.003475933794736763,'
+        ('{"normalized_max": 16.929066252749536, "pass": true,'
+         ' "scale": 1.0, "slope": -1.9638816086275885,'
+         ' "slope_halfwidth": 0.002464288011552629,'
          ' "unbounded_regime": false}\n'),
     ),
 }
@@ -358,18 +356,18 @@ STDOUT = {
          "--samples 8192 --seed 9"), 0,
         ("lambda,t,value,stderr,bounded,positive\n"
          "0-0.41165740750096891i,0,1+0i,0,True,True\n"
-         "0-0.41165740750096891i,3,0.38607413935691287+0i,"
-         "0.0047649994052632377,True,True\n"
+         "0-0.41165740750096891i,3,0.38063645191514472+0i,"
+         "0.004384311308482481,True,True\n"
          "0.10351865637760849-0.85372974945722824i,0,1+0i,0,True,\n"
          "0.10351865637760849-0.85372974945722824i,3,"
-         "0.73538139132305869+0.14303898554935845i,0.0016255087066867795,"
+         "0.734237139829374+0.14375093143020054i,0.0015991050732586216,"
          "True,\n"
          "-0.040966810223886707+0.22927212940944375i,0,1+0i,0,True,\n"
          "-0.040966810223886707+0.22927212940944375i,3,"
-         "0.3474200790846137+0.011718942367241331i,0.020471843213776195,"
+         "0.30934834038863795+0.0069698938677574436i,0.015867950639802685,"
          "True,\n"
          '{"all_bounded": true, "all_positive": true,'
-         ' "out_of_hull_max": 2.9803692450760764, "pass": true}\n'), "",
+         ' "out_of_hull_max": 2.990619368805251, "pass": true}\n'), "",
     ),
 }
 
@@ -391,8 +389,8 @@ FILES = {
          "--seed 11 --format csv"),
         {"": ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
               'eval-bc,r,2,5.0,"1+1i,0.5+0i","0.90000000000000002,'
-              '0.29999999999999999",0.68347332465344313-0.066363593760988465i,'
-              "0.019524524827129009,4000,11,True\n")},
+              '0.29999999999999999",0.68276613465230052-0.068276502793218785i,'
+              "0.019574138603171004,4000,11,True\n")},
     ),
     "eps0": (
         "eps0 --family a --rank 2 --rho-samples 2",

@@ -91,10 +91,7 @@ def _p_map_full_ref(rows):
                                for yb in ybar[i]], ys[i])
         w[j] = v
         s = algebra._dot(y[0], ybar[j][0]).real
-        coefs.append(np.where(
-            s < 1e-8, -0.5 - s / 8.0,
-            (np.sqrt(np.clip(1.0 - s, 0.0, None)) - 1.0)
-            / np.maximum(s, 1e-300)))
+        coefs.append(-1.0 / (1.0 + np.sqrt(np.clip(1.0 - s, 0.0, None))))
     return algebra._batch_first(_chi_rows_ref(w))
 
 
@@ -265,6 +262,71 @@ class TestBallSampler:
                 want = a / (a + b)
                 err = s.std(ddof=1) / np.sqrt(n)
                 assert abs(s.mean() - want) < 4.0 * err, (field, j)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", [False, True],
+                             ids=["interior", "boundary"])
+    def test_row_law(self, field, q, boundary):
+        """|y_j|^2 has the mean and variance of Beta(a, b), a = dq/2 and
+        b = d(p-q-j+1)/2, and is uncorrelated with the direction, read
+        as the share |y_j1|^2 / |y_j|^2 of the first F-coordinate; each
+        within 5 standard errors.  At the boundary p = 2q - 1 the last
+        factor is a unit vector."""
+        n = 40000
+        d = algebra.field_dim(field)
+        step = 2 if field == "h" else 1
+        p = 2 * q - 1 if boundary else 2 * q + 1.5
+        gen = np.random.default_rng(4000 + 10 * q + boundary)
+        rows = sampling._ball_rows(field, q, p, n, gen)
+        for j, y in enumerate(rows, start=1):
+            sq = np.abs(y[:, 0]) ** 2
+            s = sq.sum(axis=1)
+            a, b = 0.5 * d * q, 0.5 * d * (p - q - j + 1)
+            if b == 0.0:
+                np.testing.assert_allclose(s, 1.0, rtol=0, atol=1e-15)
+                continue
+            mean = a / (a + b)
+            var = a * b / ((a + b) ** 2 * (a + b + 1))
+            dev = s - s.mean()
+            assert abs(s.mean() - mean) <= 5.0 * np.sqrt(var / n), j
+            var_se = np.sqrt(np.var(dev ** 2) / n)
+            assert abs(np.var(s) - var) <= 5.0 * var_se, j
+            share = sq[:, :step].sum(axis=1) / s
+            cross = dev * (share - share.mean())
+            assert abs(cross.mean()) <= 5.0 * cross.std() / np.sqrt(n), j
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("p", [5.0, 6.5], ids=["boundary", "interior"])
+    def test_row_variates_pinned(self, field, p):
+        """Each row draws one (d, q, n) normal block, then one Gamma block
+        of shape d(p-q-j+1)/2, which the boundary's last row skips: the
+        rows rebuilt by hand from a fresh ball stream equal _ball_rows to
+        the bit, and both streams end at the same state."""
+        q, n = 3, 257
+        d = algebra.field_dim(field)
+        gen = sampling.shard_stream(9, 2, sampling.ROLE_BALL)
+        got = sampling._ball_rows(field, q, p, n, gen)
+        ref = sampling.shard_stream(9, 2, sampling.ROLE_BALL)
+        for j, y in enumerate(got, start=1):
+            g = ref.standard_normal((d, q, n))
+            r = g[0, 0] * g[0, 0]
+            for x in g.reshape(d * q, n)[1:]:
+                r = r + x * x
+            if j < q or p != 2 * q - 1:
+                r = r + 2.0 * ref.standard_gamma(0.5 * d * (p - q - j + 1),
+                                                  n)
+            c = g / np.sqrt(r)
+            if field == "r":
+                want = c[0]
+            elif field == "c":
+                want = c[0] + 1j * c[1]
+            else:
+                want = np.empty((2 * q, n), complex)
+                want[0::2], want[1::2] = c[0] + 1j * c[1], c[2] + 1j * c[3]
+            assert y.shape == (n, 1, want.shape[0])
+            np.testing.assert_array_equal(y[:, 0], want.T)
+        assert gen.random() == ref.random()
 
     def test_ball_constraint(self):
         gen = np.random.default_rng(4)
