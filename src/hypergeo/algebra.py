@@ -176,6 +176,18 @@ def _row(x, i, step):
     return _odd_rows(x[i // step:i // step + 1])[0]
 
 
+def _chi_even_columns(x):
+    """The even columns (2r, r, ...) of a chi-structured batch-last matrix
+    from its even rows x (r, 2r, ...): entry (2i, j) is x[i, 2j], the a1
+    of quaternion entry (i, j), and entry (2i + 1, j) is
+    -conj(x[i, 2j + 1]), the -conj(a2) of its odd row."""
+    out = np.empty((x.shape[1], len(x)) + x.shape[2:], x.dtype)
+    out[0::2] = x[:, 0::2]
+    np.conj(x[:, 1::2], out=out[1::2])
+    np.negative(out[1::2], out=out[1::2])
+    return out
+
+
 def _log_minors_embedded(m, field):
     """Logs of the principal minors of a cone point given in embedded form.
 

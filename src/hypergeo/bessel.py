@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_check_count, _check_finite, _row, _worked_rows,
-                      field_dim, normalize_field)
+from .algebra import (_check_count, _check_finite, _chi_even_columns,
+                      _worked_rows, field_dim, normalize_field)
 from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs
 
 
@@ -285,14 +285,14 @@ def _phase_columns(field, t, lam, haar, w):
     H the trace is taken of the 2q x 2q chi images, whose diagonal
     entries 2m and 2m + 1 are conjugate, so half its real part is
     sum_m Re (w diag(t, t) u diag(lam, lam))_(2m, 2m): that reads w's
-    even rows and u's even columns, each of whose odd-row entries is
-    formed from the even row above it (`algebra._row`).
+    even rows and u's even columns, which `algebra._chi_even_columns`
+    forms from u's even rows without forming its odd columns.
     """
     step = 2 if field == "h" else 1
     w = _worked_rows(w, step) * np.repeat(t, step)[:, None]
     u = _worked_rows(haar(), step)
     if step == 2:
-        u = np.stack([_row(u, k, 2)[0::2] for k in range(2 * t.size)])
+        u = _chi_even_columns(u)
     tr = np.einsum("ijn,jin->n", w, u * lam[:, None])
     return np.exp(-1j * tr.real)[:, None]
 

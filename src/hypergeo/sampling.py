@@ -2,15 +2,16 @@
 
 Both samplers draw a whole shard at once, with the batch axis last in
 memory, so each step is one vector operation over the shard rather than
-one small factorisation per draw.  Haar draws orthonormalise the columns
-of Gaussian matrices by Gram-Schmidt.  Ball draws build their row
+one small factorisation per draw.  Haar draws are built by the subgroup
+algorithm, one Householder reflection per column, from a normalised
+Gaussian vector of shrinking length.  Ball draws build their row
 factors with `_ball_rows` and assemble them with `_p_map_batch`.  Each
 row factor is a Gaussian vector g in F^q scaled by 1 / sqrt(|g|^2 + 2G)
 with G one Gamma variate: |g|^2 / 2 is itself Gamma(dq/2) and
 independent of g/|g| (the Beta-Gamma algebra), so the squared radius is
 Beta(dq/2, G's shape) and the direction uniform.  A shard of n draws
-takes n d q^2 normal variates for Haar, and n d q^2 normal and n q Gamma
-variates for the ball (n (q - 1) at the boundary p = 2q - 1).
+takes n d q (q + 1) / 2 normal variates for Haar, and n d q^2 normal and
+n q Gamma variates for the ball (n (q - 1) at the boundary p = 2q - 1).
 
 Memory layout: `_haar_batch`, `_ball_rows` and `_p_map_batch` own the
 shard's draws, and write them batch-last, entry (i, j) of every draw one
@@ -153,45 +154,66 @@ def _haar_batch(field, q, n, gen):
     of batch-last memory in the complex working form, e = q; over H the
     (n, q, 2q) view of the even rows of the chi images.
 
-    Each draw is the Gram-Schmidt orthonormalisation of the columns of a
-    Gaussian matrix, which is its QR factor Q with a positive diagonal
-    on R (Mezzadri 2007): real entries over R, complex ones of variance
-    1 over C, and over H the chi image of a quaternion Gaussian matrix.
-    The batch axis is kept last, so every step is a contiguous length-n
-    vector operation rather than one small LAPACK call per draw.  Columns
-    are orthonormalised left to right, each projected twice against the
-    ones before it ("twice is enough" for orthogonality to rounding).
-    Over H each column 2j is followed by its symplectic partner, which
-    keeps the quaternionic structure exact.  No integrand sees det u:
-    each is invariant under u -> u D for D = diag(+-1), so over R the
-    draw is left in O(q).  The full u is built; over H its even rows are
-    copied out once the Gaussians and the column buffer are released.
+    Each draw is the subgroup algorithm (Diaconis and Shahshahani 1987)
+    in Householder form (Mezzadri 2007): u = R(x_1) diag(1, R(x_2)) ...
+    diag(1, ..., 1, x_q), where x_k is a normalised Gaussian vector,
+    uniform on the unit sphere of F^(q-k+1), and x_q a unit scalar (+-1,
+    a phase or a unit quaternion).  R(x) = (I - 2 w w* / |w|^2)
+    diag(-sigma, 1, ..., 1), with sigma = x_0 / |x_0| and w = -sigma e_1
+    - x, is unitary and sends e_1 to x.  The sign makes the head of w
+    -sigma (1 + |x_0|), so |w|^2 = 2 (1 + |x_0|) >= 2 and forming w never
+    cancels.  u e_1 = x_1 is uniform on the sphere and the rest is a Haar
+    draw of its stabiliser, so u is Haar; over R det u is a random sign,
+    so the draw fills O(q).
+
+    u is built from the smallest block outward, on batch-last memory:
+    level k writes x_k into column k from row k down, and turns every
+    column b already built (zero in row k) into R(x_k) b.  With x_0 the
+    head of x_k, x' its tail and s = x'* b, row k gets -sigma s and the
+    rows below b - x' s / (1 + |x_0|): 2 sum_(m=2..q) (m-1)^2
+    multiply-adds per draw.  Over H the same formulas run on quaternion
+    entries a1 + a2 j, each the even-row pair (a1, a2) of its chi block,
+    multiplied in the order written; odd rows are never formed.  A
+    draw's d q (q + 1) / 2 normal variates are drawn in one draw-major
+    call, x_1's first, so draw i does not depend on n.
     """
-    z = gen.standard_normal((n, q, q, field_dim(field))).T  # (d, col, row, n)
+    d = field_dim(field)
     step = 2 if field == "h" else 1
-    e = step * q
-    cols = np.empty((q, e, n), dtype=float if field == "r" else complex)
-    if field == "r":
-        cols[...] = z[0]
-    elif field == "c":
-        cols[...] = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-    else:
-        cols[:, 0::2] = z[0] + 1j * z[1]
-        cols[:, 1::2] = 1j * z[3] - z[2]
-    del z
-    u = np.empty((e, e, n), dtype=cols.dtype)  # u[j] is column j
-    for j, v in zip(range(0, e, step), cols):
-        for _ in range(2 if j else 0):
-            coef = np.einsum("kin,in->kn", u[:j], v.conj()).conj()
-            v -= np.einsum("kin,kn->in", u[:j], coef)
-        v /= np.linalg.norm(v, axis=0)
-        u[j] = v
-        if field == "h":
-            u[j + 1, 0::2] = -v[1::2].conj()
-            u[j + 1, 1::2] = v[0::2].conj()
-    del cols, v
-    if field == "h":
-        u = u[:, 0::2].copy()
+    z = gen.standard_normal((n, q * (q + 1) // 2, d)).T  # (d, entry, n)
+    u = np.empty((step * q, q, n), float if d == 1 else complex)  # [col, row]
+    end = z.shape[1]
+    for k in reversed(range(q)):
+        g = z[:, end - q + k:end]  # this level's (d, q - k, n) normals
+        end -= q - k
+        comps = [row for comp in g for row in comp]
+        r = np.sqrt(_dot(comps, comps))
+        x = u[step * k:step * (k + 1), k:]  # column k from row k down
+        parts = (x.real, x.imag) if d > 1 else (x,)
+        for j, comp in enumerate(g):
+            np.divide(comp, r, out=parts[j % 2][j // 2])
+        if k == q - 1:
+            continue
+        x0 = np.sqrt(_dot(g[:, 0], g[:, 0])) / r
+        sigma = x[:, 0] / x0
+        c = 1.0 / (1.0 + x0)
+        if step == 1:
+            xt = x[0, 1:]
+            b = u[k + 1:, k + 1:]  # the built columns' rows below k
+            s = _dot(np.conj(xt)[:, None], b.swapaxes(0, 1))
+            u[k + 1:, k] = -sigma[0] * s
+            b -= (s * c)[:, None] * xt
+            continue
+        x1, x2 = x[0, 1:], x[1, 1:]
+        b1, b2 = u[2 * k + 2::2, k + 1:], u[2 * k + 3::2, k + 1:]
+        xc1, xc2 = np.conj(x1)[:, None], np.conj(x2)[:, None]
+        b1t, b2t = b1.swapaxes(0, 1), b2.swapaxes(0, 1)
+        s1 = _dot(xc1, b1t) + np.conj(_dot(xc2, b2t))
+        s2 = _dot(xc1, b2t) - np.conj(_dot(xc2, b1t))
+        u[2 * k + 2::2, k] = -(sigma[0] * s1 - sigma[1] * np.conj(s2))
+        u[2 * k + 3::2, k] = -(sigma[0] * s2 + sigma[1] * np.conj(s1))
+        t1, t2 = (s1 * c)[:, None], (s2 * c)[:, None]
+        b1 -= x1 * t1 - x2 * np.conj(t2)
+        b2 -= x1 * t2 + x2 * np.conj(t1)
     return u.T
 
 

@@ -484,6 +484,17 @@ class TestBatchLastKernels:
         for got, want in zip(*outs):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_chi_even_columns_match_rows(self, q):
+        """The even columns formed from the even rows are the stack of
+        every row's even-column entries, each odd row from `_row`, to the
+        bit; as the phase reads them, from a Haar shard's even rows."""
+        u = algebra._worked_rows(self._draws("h", q, 300, 63)[0], 2)
+        want = np.stack([algebra._row(u, k, 2)[0::2] for k in range(2 * q)])
+        got = algebra._chi_even_columns(u)
+        assert got.shape == (2 * q, q, 300)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("variant", ["g", "g-tilde"])
     def test_quaternion_pivots_pair(self, variant):
         """build_g's completed chi matrix has Cholesky pivots in equal

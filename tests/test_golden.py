@@ -23,9 +23,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "r",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.006254020235442683,'
-         ' "value_im": -0.027334511714485952,'
-         ' "value_re": 0.6873740756746324}\n'),
+         ' "stderr": 0.00625705224258764,'
+         ' "value_im": -0.027716957365150972,'
+         ' "value_re": 0.6899613797635927}\n'),
     ),
     "eval-bc-c2": (
         ("eval-bc --field c --q 2 --p 5 --lambda 1+0.5i,0.5 --t "
@@ -33,9 +33,9 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.011311367000758313,'
-         ' "value_im": -0.01609513577648802,'
-         ' "value_re": 0.36829980435150944}\n'),
+         ' "stderr": 0.010072394690730124,'
+         ' "value_im": -0.011091073321327808,'
+         ' "value_re": 0.36203044891805636}\n'),
     ),
     "eval-bc-h2": (
         ("eval-bc --field h --q 2 --p 5 --lambda 1+0.5i,0.5,2,-1i "
@@ -43,15 +43,15 @@ EVAL = {
         ('{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "1+0.5i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8,'
          ' 0.4]}, "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.007706993402332746,'
-         ' "value_im": -0.0021125719324367755,'
-         ' "value_re": 0.09512343111869527}\n'
+         ' "stderr": 0.006266722986136654,'
+         ' "value_im": -0.0001848765199691565,'
+         ' "value_re": 0.08849353596077693}\n'
          '{"command": "eval-bc", "inputs": {"field": "h",'
          ' "lambda": "2+0i,0-1i", "p": 5.0, "q": 2, "t": [0.8, 0.4]},'
          ' "pass": true, "samples": 20000, "seed": 1,'
-         ' "stderr": 0.006145601768381352,'
-         ' "value_im": -0.0016484013655493875,'
-         ' "value_re": 0.09242776313327529}\n'),
+         ' "stderr": 0.004929827170546459,'
+         ' "value_im": 0.002029442784818022,'
+         ' "value_re": 0.08679041264955177}\n'),
     ),
     "eval-bc-r1-w2": (
         ("eval-bc --field r --q 1 --p 3 --lambda 2,1+1i --t 0.5,1.5 "
@@ -87,17 +87,17 @@ EVAL = {
         ('{"command": "eval-bc-degenerate", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "q": 2, "t": [0.7, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 3,'
-         ' "stderr": 0.005602419208040195,'
-         ' "value_im": -0.0031481580855501627,'
-         ' "value_re": 0.6399263969851355}\n'),
+         ' "stderr": 0.005573810340416991,'
+         ' "value_im": -0.0019867647467520567,'
+         ' "value_re": 0.6372202682465521}\n'),
     ),
     "eval-a-csv": (
         ("eval-a --field h --q 2 --lambda 1,0.5 --t 0.6,0.1,0,0 "
          "--samples 20000 --seed 4 --format csv"),
         ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
          'eval-a,h,2,,"1+0i,0.5+0i","0.59999999999999998,'
-         '0.10000000000000001",0.97924181075696581+0.12952606550119442i,'
-         "0.0010418230081731155,20000,4,True\n"
+         '0.10000000000000001",0.98006869749466696+0.12952727373635645i,'
+         "0.0010445730035145485,20000,4,True\n"
          'eval-a,h,2,,"1+0i,0.5+0i","0,0",1+0i,0,20000,4,True\n'),
     ),
     "eval-a-r3": (
@@ -106,25 +106,25 @@ EVAL = {
         ('{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [0.9, 0.5,'
          ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.001386151095112167,'
-         ' "value_im": 0.16232785891917415,'
-         ' "value_re": 0.9677003353420441}\n'
+         ' "stderr": 0.0013679642098360627,'
+         ' "value_im": 0.16354762794266461,'
+         ' "value_re": 0.9665344179606966}\n'
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i,-0.5+0i", "q": 3, "t": [1.3e-07,'
          ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
-         ' "seed": 6, "stderr": 3.012431766147676e-17,'
-         ' "value_im": 4.736155911899652e-15, "value_re": 1.0}\n'
+         ' "seed": 6, "stderr": 2.989405086222222e-17,'
+         ' "value_im": 4.752404025865041e-15, "value_re": 1.0}\n'
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [0.9, 0.5,'
          ' 0.2]}, "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.0014037725423946279,'
-         ' "value_im": 0.3612618794082643,'
-         ' "value_re": 0.672049105813176}\n'
+         ' "stderr": 0.001391814966555339,'
+         ' "value_im": 0.36218199748055396,'
+         ' "value_re": 0.6714627877449707}\n'
          '{"command": "eval-a", "inputs": {"field": "r",'
          ' "lambda": "2+1i,1+0i,0+0.5i", "q": 3, "t": [1.3e-07,'
          ' 1e-07, 4e-08]}, "pass": true, "samples": 20000,'
-         ' "seed": 6, "stderr": 3.975366874887067e-17,'
-         ' "value_im": 1.4210171928041663e-14,'
+         ' "seed": 6, "stderr": 3.957483248502355e-17,'
+         ' "value_im": 1.4223400235380075e-14,'
          ' "value_re": 0.999999999999993}\n'),
     ),
     "eval-a-c2-w2": (
@@ -133,26 +133,26 @@ EVAL = {
         ('{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 0.0011783515536191679,'
-         ' "value_im": 0.2251924564174851,'
-         ' "value_re": 0.8807846411577479}\n'
+         ' "stderr": 0.001179126636362231,'
+         ' "value_im": 0.2252329698832612,'
+         ' "value_re": 0.8815242596415638}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "1+0.5i,0.5+0i", "q": 2, "t": [2e-07, 1e-07]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 7.875921257575514e-17,'
-         ' "value_im": 1.8672249857409494e-14,'
-         ' "value_re": 0.9999999999999937}\n'
+         ' "stderr": 7.866630910627688e-17,'
+         ' "value_im": 1.8660653577917283e-14,'
+         ' "value_re": 0.9999999999999939}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "-1+0i,0+2i", "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 0.00035853968973192555,'
-         ' "value_im": -0.12650217505067307,'
-         ' "value_re": 0.7021668129562589}\n'
+         ' "stderr": 0.00035840591659913167,'
+         ' "value_im": -0.1262753641490323,'
+         ' "value_re": 0.7022090031322058}\n'
          '{"command": "eval-a", "inputs": {"field": "c",'
          ' "lambda": "-1+0i,0+2i", "q": 2, "t": [2e-07, 1e-07]},'
          ' "pass": true, "samples": 20000, "seed": 7,'
-         ' "stderr": 3.096934313925161e-17,'
-         ' "value_im": -1.247481562494053e-14,'
+         ' "stderr": 3.0939285974910424e-17,'
+         ' "value_im": -1.24539489831927e-14,'
          ' "value_re": 0.9999999999999751}\n'),
     ),
     "eval-bessel-integral": (
@@ -161,9 +161,9 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "r",'
          ' "lambda": "1+0i,0.5+0i", "p": 7.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0017804329545430483,'
-         ' "value_im": -0.00042439861788401987,'
-         ' "value_re": 0.9677814783169574}\n'),
+         ' "stderr": 0.0017777659290462637,'
+         ' "value_im": -0.0037952774083828645,'
+         ' "value_re": 0.9678721826252881}\n'),
     ),
     "eval-bessel-integral-boundary": (
         ("eval-bessel-integral --field c --q 2 --p 3 --lambda 1,0.5 "
@@ -171,15 +171,15 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0019144626777342802,'
-         ' "value_im": 0.00043739134116680377,'
-         ' "value_re": 0.9626507475715502}\n'
+         ' "stderr": 0.0019382929726197901,'
+         ' "value_im": 0.003659208168481328,'
+         ' "value_re": 0.9616896678458361}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1+0i,0.5+0i", "p": 3.0, "q": 2, "t": [1.2, 0.1]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.0026592659961002436,'
-         ' "value_im": 0.0005798300595735944,'
-         ' "value_re": 0.9265882316524433}\n'),
+         ' "stderr": 0.0026819548394807773,'
+         ' "value_im": 0.0048350145162746865,'
+         ' "value_re": 0.9252669816946567}\n'),
     ),
     # The H branch of the phase, one integral over the Haar draw alone.
     "eval-bessel-integral-h2": (
@@ -188,9 +188,9 @@ EVAL = {
         ('{"command": "eval-bessel-integral", "inputs": {"field": "h",'
          ' "lambda": "1+0i,0.5+0i", "p": 5.0, "q": 2, "t": [0.8, 0.3]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
-         ' "stderr": 0.001061738704079536,'
-         ' "value_im": -0.00010270452054760196,'
-         ' "value_re": 0.988662838351362}\n'),
+         ' "stderr": 0.0010543135375594547,'
+         ' "value_im": -0.0018065821085762822,'
+         ' "value_re": 0.9888201027241823}\n'),
     ),
     "eval-bessel-integral-c1": (
         ("eval-bessel-integral --field c --q 1 --p 3 --lambda 1.5 "
@@ -199,7 +199,7 @@ EVAL = {
          ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.8]},'
          ' "pass": true, "samples": 20000, "seed": 5,'
          ' "stderr": 0.003290479408922672,'
-         ' "value_im": -0.000555439657530782,'
+         ' "value_im": -0.0005554396575307798,'
          ' "value_re": 0.8851297061312002}\n'
          '{"command": "eval-bessel-integral", "inputs": {"field": "c",'
          ' "lambda": "1.5+0i", "p": 3.0, "q": 1, "t": [0.0]},'
@@ -237,8 +237,8 @@ EVAL = {
         ('{"command": "eval-ho-poly", "inputs": {"field": "r",'
          ' "lambda": "4+0i,2+0i", "p": 5.0, "q": 2, "t": [0.5, 0.2]},'
          ' "pass": true, "samples": 20000, "seed": 6,'
-         ' "stderr": 0.3852207476930076, "value_im": 0.0,'
-         ' "value_re": 76.12734743731522}\n'),
+         ' "stderr": 0.38308910737770974, "value_im": 0.0,'
+         ' "value_re": 75.90878297584017}\n'),
     ),
 }
 
@@ -246,9 +246,9 @@ SUMMARY = {
     "rate-p": (
         ("rate-p --field r --q 2 --lambda 1,0.5 --t-grid "
          "0.5,0.2,1,0.4 --p-list 5,9,17 --samples 16384 --seed 7"),
-        ('{"normalized_max": 0.09931903423181145, "pass": true,'
-         ' "scale": 1.5, "slope": -1.0611346155470096,'
-         ' "slope_halfwidth": 0.0238247426623317,'
+        ('{"normalized_max": 0.09685128468728958, "pass": true,'
+         ' "scale": 1.5, "slope": -1.062753007248249,'
+         ' "slope_halfwidth": 0.02244063086138226,'
          ' "unbounded_regime": false}\n'),
     ),
     "rate-p-readme": (
@@ -261,16 +261,16 @@ SUMMARY = {
     "contraction": (
         ("contraction --field r --q 2 --p 3 --lambda 1,0.5 --t 1,0.5 "
          "--n-list 2,4,8 --samples 16384 --seed 8"),
-        ('{"normalized_max": 0.23638595215482736, "pass": true,'
-         ' "scale": 1.5, "slope": -0.949030480357584,'
-         ' "slope_halfwidth": 0.05506435942281418,'
+        ('{"normalized_max": 0.22270708494448654, "pass": true,'
+         ' "scale": 1.5, "slope": -0.979271263665049,'
+         ' "slope_halfwidth": 0.15351510090507636,'
          ' "unbounded_regime": false}\n'),
     ),
     "boundedness": (
         ("boundedness --field r --q 2 --p 4 --n-lambda 4 --n-t 3 "
          "--samples 16384 --seed 9"),
         ('{"all_bounded": true, "all_positive": true,'
-         ' "out_of_hull_max": 12.624044654888014, "pass": true}\n'),
+         ' "out_of_hull_max": 12.576771116182837, "pass": true}\n'),
     ),
     "moment-decay": (
         ("moment-decay --field c --q 2 --n 1 --p-list 9,17,33 "
@@ -389,8 +389,8 @@ FILES = {
          "--seed 11 --format csv"),
         {"": ("command,field,q,p,lambda,t,value,stderr,samples,seed,pass\n"
               'eval-bc,r,2,5.0,"1+1i,0.5+0i","0.90000000000000002,'
-              '0.29999999999999999",0.68276613465230052-0.068276502793218785i,'
-              "0.019574138603171004,4000,11,True\n")},
+              '0.29999999999999999",0.68094331778174522-0.06212902865389431i,'
+              "0.018812600798478015,4000,11,True\n")},
     ),
     "eps0": (
         "eps0 --family a --rank 2 --rho-samples 2",

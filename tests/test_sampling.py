@@ -15,8 +15,9 @@ def _ct_ref(m):
 
 
 def _haar_qr(field, q, n, gen):
-    """LAPACK QR with a positive diagonal on R: the Haar construction the
-    batch Gram-Schmidt kernel replaced, kept as its reference."""
+    """LAPACK QR of a Gaussian matrix with a positive diagonal on R (over
+    H Gram-Schmidt on the chi image, partner columns exact): a second
+    Haar construction, the control of the law test."""
     if field == "r":
         z = gen.standard_normal((n, q, q))
         u, r = np.linalg.qr(z)
@@ -56,24 +57,139 @@ def _chi_rows_ref(x):
     return full
 
 
-def _haar_full_ref(q, n, gen):
-    """The batch-last Gram-Schmidt over H as it was when every row of u
-    was kept: its (n, 2q, 2q) draws are the bit-for-bit reference of the
-    even-row ones."""
-    z = gen.standard_normal((n, q, q, 4)).T
-    cols = np.empty((q, 2 * q, n), complex)
-    cols[:, 0::2] = z[0] + 1j * z[1]
-    cols[:, 1::2] = 1j * z[3] - z[2]
-    u = np.empty((2 * q, 2 * q, n), complex)
-    for j, v in zip(range(0, 2 * q, 2), cols):
-        for _ in range(2 if j else 0):
-            coef = np.einsum("kin,in->kn", u[:j], v.conj()).conj()
-            v -= np.einsum("kin,kn->in", u[:j], coef)
-        v /= np.linalg.norm(v, axis=0)
-        u[j] = v
-        u[j + 1, 0::2] = -v[1::2].conj()
-        u[j + 1, 1::2] = v[0::2].conj()
-    return u.T
+def _unit_vectors(field, q, n, gen):
+    """x_1 .. x_q of the subgroup algorithm from one draw-major normal
+    block (n, q (q + 1) / 2, d), x_1's entries first: for each x_k the
+    list of its q - k + 1 entries, an (n,) array each or over H a pair
+    (a1, a2) of arrays, g / |g| with |g|^2 summed component-major, and
+    |x_0| as |g_0| / |g|."""
+    d = algebra.field_dim(field)
+    z = gen.standard_normal((n, q * (q + 1) // 2, d))
+    xs, off = [], 0
+    for m in range(q, 0, -1):
+        g = z[:, off:off + m]
+        off += m
+        comps = [g[:, i, c] for c in range(d) for i in range(m)]
+        r = comps[0] * comps[0]
+        for v in comps[1:]:
+            r = r + v * v
+        r = np.sqrt(r)
+        head = comps[0] * comps[0]
+        for v in comps[m::m]:
+            head = head + v * v
+        x = g / r[:, None, None]
+        if field == "r":
+            x = [x[:, i, 0] for i in range(m)]
+        elif field == "c":
+            x = [x[:, i, 0] + 1j * x[:, i, 1] for i in range(m)]
+        else:
+            x = [(x[:, i, 0] + 1j * x[:, i, 1], x[:, i, 2] + 1j * x[:, i, 3])
+                 for i in range(m)]
+        xs.append((x, np.sqrt(head) / r))
+    return xs
+
+
+def _quat_mul(a, b):
+    """The quaternion product of even-row pairs (a1, a2) (b1, b2)."""
+    return (a[0] * b[0] - a[1] * np.conj(b[1]),
+            a[0] * b[1] + a[1] * np.conj(b[0]))
+
+
+def _haar_full_ref(field, q, n, gen):
+    """The subgroup kernel written out one column and one row at a time
+    with every row kept: its (n, e, e) draws are the bit-for-bit
+    reference of _haar_batch's.  Over H a row of quaternion column c is
+    the pair (entry 2c, entry 2c + 1) of a chi row: (a1, a2) on an even
+    row and (-conj a2, conj a1), the pair of j a, on the odd row below,
+    and the odd rows run the even rows' formulas on their own pairs."""
+    xs = _unit_vectors(field, q, n, gen)
+    d = algebra.field_dim(field)
+    if field != "h":
+        u = np.empty((q, q, n), float if d == 1 else complex)  # [row, col]
+        for k in reversed(range(q)):
+            x, x0 = xs[k]
+            for i, xi in enumerate(x):
+                u[k + i, k] = xi
+            if k == q - 1:
+                continue
+            for col in range(k + 1, q):
+                s = np.conj(x[1]) * u[k + 1, col]
+                for i in range(2, len(x)):
+                    s += np.conj(x[i]) * u[k + i, col]
+                u[k, col] = -(x[0] / x0) * s
+                t = s * (1.0 / (1.0 + x0))
+                for i in range(1, len(x)):
+                    u[k + i, col] = u[k + i, col] - t * x[i]
+        return np.moveaxis(u, -1, 0)
+    u = np.empty((2 * q, 2 * q, n), complex)  # [row, col]
+
+    def pairs(x):  # the pair of each chi row: x_i, then j x_i
+        return [p for a in x for p in (a, (-np.conj(a[1]), np.conj(a[0])))]
+
+    for k in reversed(range(q)):
+        x, x0 = xs[k]
+        for r, p in enumerate(pairs(x)):
+            u[2 * k + r, 2 * k], u[2 * k + r, 2 * k + 1] = p
+        if k == q - 1:
+            continue
+        sigma = (x[0][0] / x0, x[0][1] / x0)
+        for col in range(k + 1, q):
+            b = [(u[2 * i, 2 * col], u[2 * i, 2 * col + 1])
+                 for i in range(k + 1, q)]
+            terms = [(a, h) for a in (0, 1) for h in (0, 1)]
+            sums = [np.conj(x[1][a]) * b[0][h] for a, h in terms]
+            for i in range(2, len(x)):
+                for j, (a, h) in enumerate(terms):
+                    sums[j] += np.conj(x[i][a]) * b[i - 1][h]
+            s = (sums[0] + np.conj(sums[3]), sums[1] - np.conj(sums[2]))
+            t = (s[0] * (1.0 / (1.0 + x0)), s[1] * (1.0 / (1.0 + x0)))
+            for r, p in enumerate(pairs([sigma])):
+                head = _quat_mul(p, s)
+                u[2 * k + r, 2 * col] = -head[0]
+                u[2 * k + r, 2 * col + 1] = -head[1]
+            for r, p in enumerate(pairs(x)[2:], start=2 * k + 2):
+                xt = _quat_mul(p, t)
+                u[r, 2 * col] = u[r, 2 * col] - xt[0]
+                u[r, 2 * col + 1] = u[r, 2 * col + 1] - xt[1]
+    return np.moveaxis(u, -1, 0)
+
+
+def _haar_reflector_ref(field, q, n, gen):
+    """The subgroup draw multiplied out with @ on the same variates:
+    u = R(x_1) diag(1, R(x_2)) ... diag(1, ..., 1, R(x_q)), each R(x) =
+    (I - 2 w w* / |w|^2) diag(-sigma, 1, ..., 1) with sigma = x_0 / |x_0|
+    and w = -sigma e_1 - x an explicit (n, e, e) matrix; over H the chi
+    image of the quaternion one, built with algebra._chi."""
+    d = algebra.field_dim(field)
+    step = 2 if field == "h" else 1
+    e = step * q
+    z = gen.standard_normal((n, q * (q + 1) // 2, d))
+    u = np.broadcast_to(np.eye(e, dtype=complex), (n, e, e))
+    off = 0
+    for k in range(q):
+        m = q - k
+        x = z[:, off:off + m]
+        off += m
+        x = x / np.sqrt(np.sum(x * x, axis=(1, 2)))[:, None, None]
+        sigma = x[:, 0] / np.sqrt(np.sum(x[:, 0] ** 2, axis=1))[:, None]
+        w = -x
+        w[:, 0] -= sigma
+        diag = np.zeros((n, m, m, d))
+        diag[:, 0, 0] = -sigma
+        diag[:, np.arange(1, m), np.arange(1, m), 0] = 1.0
+        if field == "h":
+            wm, dm = algebra._chi(w[:, :, None]), algebra._chi(diag)
+        elif field == "c":
+            wm, dm = (w[..., 0] + 1j * w[..., 1])[:, :, None], \
+                diag[..., 0] + 1j * diag[..., 1]
+        else:
+            wm, dm = w[..., 0][:, :, None], diag[..., 0]
+        refl = np.eye(step * m) - 2.0 * (wm @ _ct_ref(wm)) \
+            / np.sum(w * w, axis=(1, 2))[:, None, None]
+        level = np.broadcast_to(np.eye(e, dtype=complex), (n, e, e)).copy()
+        level[:, step * k:, step * k:] = refl @ dm
+        u = u @ level
+    return u.real if field == "r" else u
 
 
 def _p_map_full_ref(rows):
@@ -169,12 +285,58 @@ class TestHaar:
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_matches_qr_reference(self, field, q):
-        """The same Gaussian variates give the same matrices as QR."""
+        """The same Gaussian variates give the same matrices as the
+        product of explicit Householder reflectors, the Q of a
+        Householder QR, multiplied out with @."""
         got = algebra._chi_full(
             sampling._haar_batch(field, q, 2000, np.random.default_rng(12)))
-        want = _haar_qr(field, q, 2000, np.random.default_rng(12))
+        want = _haar_reflector_ref(field, q, 2000, np.random.default_rng(12))
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [sampling._haar_batch, _haar_qr],
+                             ids=["subgroup", "qr-control"])
+    def test_law(self, field, q, sampler):
+        """Haar moments over 40000 draws, each within 5 standard errors
+        (plus 1e-12 for rounding where a moment barely varies): every
+        complex entry of the embedded u has mean 0, E|u_ij|^2 = 1/q (over
+        H the quaternion entry's squared modulus), and E|tr u|^2 = 1 for
+        the embedded trace, the standard representation being
+        irreducible.  LAPACK QR is the control."""
+        n = 40000
+        u = algebra._chi_full(sampler(field, q, n,
+                                      np.random.default_rng(700 + q)))
+        step = 2 if field == "h" else 1
+
+        def near(vals, want, what):
+            se = vals.std(axis=0) / np.sqrt(n)
+            dev = np.abs(vals.mean(axis=0) - want)
+            assert np.all(dev <= 5.0 * se + 1e-12), (what, dev.max() / se)
+
+        for part in (u.real, u.imag):
+            near(part.reshape(n, -1), 0.0, "mean")
+        sq = np.abs(u[:, ::step]) ** 2
+        if step == 2:
+            sq = sq[:, :, 0::2] + sq[:, :, 1::2]
+        for i in range(q):
+            for j in range(q):
+                near(sq[:, i, j], 1.0 / q, ("modulus", i, j))
+        near(np.abs(np.trace(u, axis1=1, axis2=2)) ** 2, 1.0, "trace")
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_variates_pinned(self, field):
+        """A shard's unitary stream holds d q (q + 1) / 2 normals per draw,
+        drawn draw-major, x_1's first: the draws rebuilt by hand from a
+        fresh stream equal _haar_batch to the bit, and both streams end
+        at the same state."""
+        q, n = 4, 257
+        gen = sampling.shard_stream(9, 2, sampling.ROLE_UNITARY)
+        got = algebra._chi_full(sampling._haar_batch(field, q, n, gen))
+        ref = sampling.shard_stream(9, 2, sampling.ROLE_UNITARY)
+        np.testing.assert_array_equal(got, _haar_full_ref(field, q, n, ref))
+        assert gen.random() == ref.random()
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
     def test_real_draws_fill_both_components_of_o_q(self, q):
@@ -407,7 +569,8 @@ class TestBatchLastKernels:
         assert u.shape == (n, q, 2 * q)
         u_full = algebra._chi_full(u)
         np.testing.assert_array_equal(u_full, _haar_full_ref(
-            q, n, sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY)))
+            "h", q, n,
+            sampling.shard_stream(seed, shard, sampling.ROLE_UNITARY)))
         for p in (2 * q - 1, 2 * q + 1.5):
             w = sampling.draw_ball("h", q, p, seed, shard, n)
             assert w.shape == (n, q, 2 * q)

@@ -171,9 +171,10 @@ def test_shell_is_the_one_jack_table_builder():
             and _loop_depth(top) >= 3] == ["_shell"]
 
 
-# The ball sampler and the shard kernels after the draws, which run as
+# The samplers and the shard kernels after the draws, which run as
 # length-n vector operations on batch-last memory.
-VECTOR_KERNELS = (("sampling.py", "_ball_rows"),
+VECTOR_KERNELS = (("sampling.py", "_haar_batch"),
+                  ("sampling.py", "_ball_rows"),
                   ("sampling.py", "_p_map_batch"),
                   ("algebra.py", "_build_g_embedded"),
                   ("algebra.py", "_log_minors_embedded"))
