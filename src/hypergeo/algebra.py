@@ -244,9 +244,7 @@ def power_function(x, field, lam):
     minors keeps large exponents from overflowing intermediate products.
     """
     field = normalize_field(field)
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x has a non-finite entry")
+    x = _check_finite("x", x)
     lam = _check_finite("lam", np.asarray(lam, complex))
     logs = _log_minors(x, field)
     if lam.shape != logs.shape[-1:]:
@@ -386,9 +384,7 @@ def _check_matrix(name, x, q, field):
     if x.shape[x.ndim - len(shape):] != shape:
         raise ValueError("%s has shape %s, expected (..., %s)"
                          % (name, x.shape, ", ".join(map(str, shape))))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("%s has a non-finite entry" % name)
-    return x
+    return _check_finite(name, x)
 
 
 def build_g(t, u, w, field, variant="g"):
@@ -415,8 +411,4 @@ def build_g(t, u, w, field, variant="g"):
     for i in range(len(g) - 1):
         g[i, i + 1:] = np.conj(g[i + 1:, i])
     g = _batch_first(g)
-    if field == "h":
-        return _chi_inv(g)
-    if field == "r":
-        return g.real if np.iscomplexobj(g) else g
-    return g
+    return _chi_inv(g) if field == "h" else g

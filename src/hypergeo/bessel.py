@@ -60,8 +60,6 @@ def partitions_of_weight(k, q):
         if rem == 0:
             yield ()
             return
-        if slots == 0:
-            return
         lo = -(-rem // slots)
         for first in range(min(cap, rem), lo - 1, -1):
             for rest in rec(rem - first, first, slots - 1):

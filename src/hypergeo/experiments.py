@@ -137,8 +137,7 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         _cone(field, None, t)
 
     rho0 = rho_bc(p_list[0], d, q)
-    poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
-                              np.sort(np.abs(rho0))[::-1])
+    poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q), rho0)
     unbounded = not weyl.hull_membership(poly, lam.imag - rho0)
 
     norm1 = float(np.sum(np.abs(lam)))
@@ -241,8 +240,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     n_lambda = _check_count("n_lambda", n_lambda)
     n_t = _check_count("n_t", n_t)
     rho = rho_bc(p, d, q)
-    poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q),
-                              np.sort(np.abs(rho))[::-1])
+    poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q), rho)
     gen = sampling.shard_stream(seed, 0, sampling.ROLE_EXPERIMENT)
     lams = []
     for j in range(n_lambda):

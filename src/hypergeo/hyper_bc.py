@@ -120,8 +120,7 @@ def c_function(lam, k, q):
     """
     from scipy.special import loggamma
 
-    if not np.all(np.isfinite(k)):
-        raise ValueError("multiplicity must be finite, got %s" % (k,))
+    _check_finite("multiplicity", k)
     facs = _c_factors(_check_finite("lam", lam), k, q)
     ref = _c_factors(None, k, q)
     for num, _den, root in facs:
@@ -361,7 +360,7 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     d = field_dim(field)
     q = t.size
     mu = _check_finite("mu", mu)
-    if mu.shape != (q,) or np.any(mu != np.floor(mu)) or np.any(mu % 2 != 0) \
+    if mu.shape != (q,) or np.any(mu % 2 != 0) \
             or np.any(np.diff(mu) > 0) or np.any(mu < 0):
         raise ValueError("mu must be a weakly decreasing vector of even "
                          "nonnegative integers of length q")

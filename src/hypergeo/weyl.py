@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _check_count, _check_finite
+
 TOL = 1e-9  # rounding slack of every membership test
 
 
@@ -35,8 +37,7 @@ class RootSystemSpec:
         if fam not in ("a", "b"):
             raise ValueError("family must be 'a' or 'b'")
         object.__setattr__(self, "family", fam)
-        if not self.rank >= 1:
-            raise ValueError("rank must be at least 1, got %d" % self.rank)
+        object.__setattr__(self, "rank", _check_count("rank", self.rank))
 
     @property
     def dim(self):
@@ -68,6 +69,7 @@ def _check_vector(name, x, n):
     if x.shape != (n,):
         raise ValueError("%s must be a vector of %d entries, got shape %s"
                          % (name, n, x.shape))
+    _check_finite(name, x)
 
 
 def chamber_project(spec, x):
@@ -166,34 +168,38 @@ def polytope_vertices_K(poly):
     return out
 
 
+def _stretch_in_hull(poly, epsilon, y, sign):
+    """Whether (1+eps)y + sign eps rho lies in the hull; a stretch that
+    overflows has left the bounded hull."""
+    z = (1.0 + _check_finite("epsilon", epsilon)) * y \
+        + sign * epsilon * poly.rho
+    return bool(np.all(np.isfinite(z))) and hull_membership(poly, z)
+
+
 def prop65_check(poly, epsilon, y):
     """Whether the stretched point (1+eps)y - eps rho stays in the hull.
 
     y must belong to K; by convexity it is enough to verify this on the
     vertices of K, which is what the scans and eps0_estimate do.
     """
-    y = np.asarray(y, float)
+    y = _check_finite("y", np.asarray(y, float))
     if not polytope_contains(poly, y):
         raise ValueError("y must lie in K, the chamber part of co(W.rho)")
-    z = (1.0 + epsilon) * y - epsilon * poly.rho
-    return hull_membership(poly, z)
+    return _stretch_in_hull(poly, epsilon, y, -1.0)
 
 
 def lemma44_check(poly, epsilon, y):
     """Whether (1+eps)y + eps rho stays in the hull.
 
-    y must lie in co(W.rho) with -y in the closed chamber.  For family
-    b the map x -> -x is a Weyl element, so the check reduces to
-    prop65_check at -y; family a is tested directly.
+    y must lie in co(W.rho) with -y in the closed chamber.  One formula
+    serves both families; for family b, x -> -x is a Weyl element, so
+    the result equals prop65_check at -y.
     """
-    y = np.asarray(y, float)
+    y = _check_finite("y", np.asarray(y, float))
     if not (_in_chamber(poly.spec, -y) and hull_membership(poly, y)):
         raise ValueError(
             "y must lie in co(W.rho) with -y in the closed chamber")
-    if poly.spec.family == "b":
-        return prop65_check(poly, epsilon, -y)
-    z = (1.0 + epsilon) * y + epsilon * poly.rho
-    return hull_membership(poly, z)
+    return _stretch_in_hull(poly, epsilon, y, 1.0)
 
 
 def _unit_rho_samples(spec, count):

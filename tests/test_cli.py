@@ -269,7 +269,7 @@ class TestExitCodes:
         ("weyl-scan --family b --rank 2 --eps 1 --rho 1,2",
          "--rho must be weakly decreasing, got 1,2"),
         ("weyl-scan --family b --rank 0 --eps 1",
-         "--rank must be at least 1, got 0"),
+         "--rank must be at least 1 and whole, not 0"),
         ("weyl-scan --family b --rank 7 --eps 1 --rho-samples 1",
          "--rank must be at most 6 for vertex enumeration, got 7"),
         ("eps0 --family b --rank 5",
@@ -544,6 +544,13 @@ class TestJackTable:
 
 
 class TestExperimentCommands:
+    def test_ratio_ok_without_positive_entries(self):
+        """With no positive normalized error there is no ratio to test;
+        otherwise the positive ones must lie within a factor of 10."""
+        assert cli._ratio_ok([0.0, 0.0])
+        assert cli._ratio_ok([0.0, 1.0, 9.0])
+        assert not cli._ratio_ok([0.0, 1.0, 10.0])
+
     def test_rate_p_files(self, tmp_path, capsys):
         out_csv = tmp_path / "rate.csv"
         code = cli.main(["rate-p", "--q", "1", "--lambda", "2",

@@ -98,6 +98,28 @@ class TestRateQuadrature:
             ex.rate_p_experiment("r", q, lam, t_grid, [4, 8])
 
 
+class TestSweepLengths:
+    """lam and t must have q entries, checked before any mean."""
+
+    @pytest.mark.parametrize("lam, t_grid, message", [
+        ([1.0, 0.5, 2.0], [[0.5, 0.2]], "lam has 3 entries"),
+        ([1.0, 0.5], [[0.5, 0.2, 0.1]], "t_grid rows have 3 entries"),
+    ], ids=["lam", "t-grid-width"])
+    def test_rate_p(self, lam, t_grid, message, monkeypatch):
+        monkeypatch.setattr(ex, "_phi_means", None)
+        with pytest.raises(ValueError, match="^%s, expected q=2$" % message):
+            ex.rate_p_experiment("r", 2, lam, t_grid, [5, 9])
+
+    @pytest.mark.parametrize("lam, t, counts", [
+        ([1.0], [0.5, 0.2], "1 and 2"), ([1.0, 0.5], [0.5], "2 and 1"),
+    ], ids=["lam", "t"])
+    def test_contraction(self, lam, t, counts, monkeypatch):
+        monkeypatch.setattr(ex, "bessel_phi_tilde", None)
+        with pytest.raises(ValueError, match="^lam and t have %s entries, "
+                           "expected q=2$" % counts):
+            ex.contraction_experiment("r", 2, 5.0, lam, t, [2, 4])
+
+
 @pytest.mark.parametrize("run, name", [
     (lambda: ex.rate_p_experiment("r", 1, [2.0], [[0.5]], [10]), "p_list"),
     (lambda: ex.contraction_experiment("r", 1, 3.0, [1.0], [0.5], [2]),
@@ -342,6 +364,23 @@ class TestSlopeFit:
         parts = [np.array([1.0 + 0j, 0.5 + 0j])]
         got = ex._jackknife_slope_halfwidth([2, 4], parts, 100, np.abs)
         assert got == 0.0
+
+    @pytest.mark.parametrize("finite", [0, 1])
+    def test_jackknife_zero_below_two_finite_slopes(self, finite):
+        """A leave-one-out fit with a zero error has slope -inf and is
+        dropped; with fewer than two finite slopes there is no band, where
+        the spread of none would be NaN."""
+        samples = 3 * shard_plan(24000)[0]
+        calls = []
+
+        def errors(means):
+            calls.append(means)
+            return np.array([1.0, 0.5]) if len(calls) <= finite \
+                else np.zeros(2)
+
+        got = ex._jackknife_slope_halfwidth(
+            [2, 4], [np.ones(2, complex)] * 3, samples, errors)
+        assert (got, len(calls)) == (0.0, 3)
 
     def test_jackknife_positive_with_shards(self):
         gen = np.random.default_rng(6)

@@ -356,6 +356,16 @@ class TestHoPolynomial:
             hyper_bc.eval_ho_polynomial("r", 5.0, [2, 4], [0.5, 0.1])
         with pytest.raises(ValueError):
             hyper_bc.eval_ho_polynomial("r", 5.0, [-2, 0], [0.5, 0.1])
+        for mu in ([2.5, 0], [2, 0.5]):
+            with pytest.raises(ValueError, match="^mu must be a weakly"):
+                hyper_bc.eval_ho_polynomial("r", 5.0, mu, [0.5, 0.1])
+
+    def test_boundary_p_rejected(self):
+        """The cone admits p = 2q - 1, but the c-function normalization
+        needs p above it."""
+        with pytest.raises(ValueError,
+                           match=r"^eval_ho_polynomial needs p > 2q - 1$"):
+            hyper_bc.eval_ho_polynomial("r", 3.0, [2, 0], [0.5, 0.1])
 
 
 class TestEstimateShape:
@@ -382,6 +392,14 @@ class TestEstimateShape:
                                        rtol=1e-12)
             np.testing.assert_allclose(est.stderr[idx], one.stderr,
                                        rtol=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda lam: hyper_bc.eval_psi("r", lam, [0.5]),
+        lambda lam: hyper_bc.eval_phi_bc("r", 3.0, lam, [0.5], samples=64),
+    ], ids=["psi", "phi"])
+    def test_scalar_lam_at_rank_one(self, call):
+        """At q = 1 a scalar lam is the length-one vector."""
+        assert repr(call(2.0)) == repr(call([2.0]))
 
     def test_lambda_length_checked(self):
         with pytest.raises(ValueError):

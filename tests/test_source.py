@@ -123,8 +123,7 @@ def test_experiments_do_not_branch_on_the_field():
 def test_only_algebra_forms_odd_rows():
     """Over H the shard keeps only the even rows of each chi matrix.  The
     conj/negate shuffle that forms an odd row, `_odd_rows`, is named in
-    algebra.py alone; every other module expands a stack with
-    `_chi_full`, so the even-row format is known in one module."""
+    algebra.py alone: no other module imports it or reads it."""
     def named(path):
         tree = ast.parse(path.read_text(), str(path))
         return _names(tree) + [alias.name for node in ast.walk(tree)
@@ -320,6 +319,33 @@ def _int_of_own_parameter(func):
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "int" and node.args
             and getattr(node.args[0], "id", None) in own]
+
+
+def _own_finiteness_raises(func):
+    """The parameters p of func that it tests with a bare
+    `not np.all(np.isfinite(p))` or `not np.isfinite(p)` before a raise."""
+    args = func.args
+    own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return [p for node in ast.walk(func)
+            if isinstance(node, ast.If)
+            and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+            for p in own
+            if ast.unparse(node.test) in ("not np.all(np.isfinite(%s))" % p,
+                                          "not np.isfinite(%s)" % p)]
+
+
+def test_finiteness_is_checked_in_one_place():
+    """power_function, _check_matrix and c_function each wrote their own
+    finiteness test, each with its own message: a parameter's entries
+    are checked finite only by `algebra._check_finite`, which names the
+    first bad entry.  A test that also asks for a positive value is a
+    different check and is not matched."""
+    found = [(path.name, func.name, arg)
+             for path in sorted(SRC.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(func, ast.FunctionDef)
+             for arg in _own_finiteness_raises(func)]
+    assert found == []
 
 
 def test_counts_are_checked_not_truncated():

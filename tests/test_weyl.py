@@ -33,6 +33,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             weyl.RootSystemSpec("d", 3)
 
+    def test_rank_is_a_checked_count(self):
+        """2.0 ran into itertools as a float and 2.5 failed on rho's
+        shape: the rank is a whole number, stored as an int."""
+        spec = weyl.RootSystemSpec("b", 2.0)
+        assert spec.rank == 2 and type(spec.rank) is int
+        assert len(weyl.orbit(spec, [2.0, 1.0])) == 8
+        for rank in (2.5, 0):
+            with pytest.raises(ValueError, match="^rank must be at least 1 "
+                               "and whole, not %s$" % rank):
+                weyl.RootSystemSpec("b", rank)
+
 
 class TestChamberProject:
     def test_witness_reproduces_projection(self):
@@ -103,6 +114,15 @@ class TestHullMembership:
         rho = np.array([2.0, 1.0])
         poly = weyl.OrbitPolytope(spec_b(2), rho)
         assert not weyl.hull_membership(poly, 1.001 * rho)
+
+    def test_non_finite_entries_rejected(self):
+        """A NaN point compared false in every partial sum and read as
+        outside the hull."""
+        poly = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="^x must be finite, not nan$"):
+            weyl.hull_membership(poly, [np.nan, 0.0])
+        with pytest.raises(ValueError, match="^rho must be finite, not inf$"):
+            weyl.OrbitPolytope(spec_b(2), np.array([np.inf, 1.0]))
 
     def test_polytope_contains_needs_chamber(self):
         poly = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
@@ -231,8 +251,82 @@ class TestProp65:
             weyl.prop65_check(poly, 0.5, np.array([0.5, 1.0]))
 
 
+class TestStretchInputs:
+    """Both stretch predicates check epsilon, and a stretch that
+    overflows is outside the bounded hull, not an input error."""
+
+    @pytest.mark.parametrize("check,y", [(weyl.prop65_check, [1.0, 0.5]),
+                                         (weyl.lemma44_check, [-1.0, -0.5])],
+                             ids=["prop65", "lemma44"])
+    def test_non_finite_epsilon_rejected(self, check, y):
+        poly = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError,
+                           match="^epsilon must be finite, not nan$"):
+            check(poly, np.nan, np.array(y))
+
+    @pytest.mark.parametrize("check", [weyl.prop65_check,
+                                       weyl.lemma44_check])
+    @pytest.mark.parametrize("spec,rho", [(spec_a(1), [1.0, -1.0]),
+                                          (spec_b(2), [2.0, 1.0])],
+                             ids=["a", "b"])
+    def test_non_finite_y_named(self, check, spec, rho):
+        """A NaN y failed the precondition, or was named x."""
+        poly = weyl.OrbitPolytope(spec, np.array(rho))
+        with pytest.raises(ValueError, match="^y must be finite, not nan$"):
+            check(poly, 0.5, np.array([np.nan, 0.0]))
+
+    def test_overflowing_stretch_is_outside(self):
+        poly = weyl.OrbitPolytope(spec_a(1), np.array([5.0, -5.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not weyl.prop65_check(poly, 1e308, np.zeros(2))
+            assert not weyl.lemma44_check(poly, 1e308, np.array([-5.0, 5.0]))
+
+
+def _hull_ref(poly, x):
+    """Hull membership by the dual-cone partial sums, written out afresh
+    with np.sort in place of the chamber projection's argsort."""
+    b = poly.spec.family == "b"
+    cums = np.cumsum(poly.rho - np.sort(np.abs(x) if b else x)[::-1])
+    if b:
+        return bool(np.all(cums >= -weyl.TOL))
+    return bool(np.all(cums[:-1] >= -weyl.TOL)
+                and abs(cums[-1]) <= weyl.TOL)
+
+
 class TestLemma44:
     """The mirrored condition for antidominant points."""
+
+    def test_agrees_with_explicit_formula(self):
+        """One formula serves both families: lemma44_check is membership
+        of (1+eps)y + eps rho, and for family b it equals prop65_check
+        at -y, the path it once took.  The points are the vertices of K
+        and random mixtures of them, mapped to the antidominant side
+        (-v for family b, v reversed for family a), on rho with ties
+        half the time."""
+        gen = np.random.default_rng(44)
+        results = []
+        for spec in [weyl.RootSystemSpec(f, q)
+                     for f in "ab" for q in range(1, 5)]:
+            for _ in range(10):
+                rho = gen.integers(0, 4, spec.dim) \
+                    + gen.random(spec.dim) * (gen.random() < 0.5)
+                rho = np.sort(rho)[::-1]
+                if spec.family == "a":
+                    rho = rho - rho.mean()
+                poly = weyl.OrbitPolytope(spec, rho)
+                verts = np.array(weyl.polytope_vertices_K(poly))
+                wts = gen.dirichlet(np.ones(len(verts)), size=12)
+                for v in list(verts) + list(wts @ verts):
+                    y = -v if spec.family == "b" else v[::-1]
+                    for eps in (0.01, 0.1, 0.5, 1.0, 2.0):
+                        got = weyl.lemma44_check(poly, eps, y)
+                        assert got == _hull_ref(
+                            poly, (1.0 + eps) * y + eps * rho), (rho, y, eps)
+                        if spec.family == "b":
+                            assert got == weyl.prop65_check(poly, eps, -y)
+                        results.append(got)
+        assert len(results) >= 6000
+        assert 0 < sum(results) < len(results)
 
     def test_b_family_mirrors_prop65(self):
         poly = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
