@@ -1,12 +1,12 @@
 """Matrix algebra over the real, complex, and quaternion scalar fields.
 
-Conventions used throughout the package:
+`matmul` and `singular_values` take matrices in native form:
 
 - real and complex matrices are plain numpy arrays of shape (..., m, n);
 - quaternion matrices are real arrays of shape (..., m, n, 4) whose last
   axis holds the components of each entry in (1, i, j, k) order;
-- quaternion computations route through a complex embedding, under which
-  a q x q quaternion matrix becomes a 2q x 2q complex matrix.
+- quaternion computations route through the complex embedding `_chi`,
+  under which a q x q quaternion matrix becomes a 2q x 2q complex matrix.
 
 The shard kernels `_build_g_embedded` and `_log_minors_embedded` take
 (n, e, e) stacks and work batch-last: `_batch_last` views a stack as
@@ -21,7 +21,8 @@ shuffle of the even row above it (`_odd_rows`), and the LDL* pivots come
 in equal pairs.  The samplers hand on (n, q, 2q) even-row stacks, the
 kernels take either those or full (n, 2q, 2q) stacks (a stack with as
 many rows as columns is full), form an odd row only where they read it
-(`_row`), and `_build_g_embedded` returns the even rows of g.  The
+(`_row`), and `_build_g_embedded` returns the even rows of g, of which
+only the lower triangle that the log-minors read is formed.  The
 shuffle is written here alone; a caller that needs the full 2q x 2q
 form gets it from `_chi_full`.
 """
@@ -55,29 +56,10 @@ def field_dim(field):
     return FIELD_DIMS[normalize_field(field)]
 
 
-def complex_embed(a, field="h"):
-    """Complex 2q x 2p image of a quaternion matrix, in block layout.
-
-    Writes a = a1 + j a2 with complex blocks a1, a2 and returns
-    [[a1, a2], [-conj(a2), conj(a1)]].  The map is an algebra
-    homomorphism and sends adjoints to adjoints.  It is _chi with rows
-    and columns reordered even indices first, then odd.
-    """
-    if normalize_field(field) != "h":
-        raise ValueError("complex_embed is defined for quaternion matrices only")
-    a = np.asarray(a, float)
-    if a.ndim < 3 or a.shape[-1] != 4:
-        raise ValueError("quaternion matrices have shape (..., m, n, 4)")
-    c = _chi(a)
-    c = np.concatenate([c[..., 0::2, :], c[..., 1::2, :]], axis=-2)
-    return np.concatenate([c[..., 0::2], c[..., 1::2]], axis=-1)
-
-
 def _chi(a):
     """Interleaved complex embedding: entry (i, j) becomes a 2 x 2 block.
 
-    The package's one quaternion embedding; complex_embed permutes its
-    rows and columns into block layout.  The interleaved layout makes
+    The package's one quaternion embedding.  The interleaved layout makes
     leading r x r quaternion blocks correspond to leading 2r x 2r complex
     blocks, so a single LDL* factorization yields every principal
     minor.  The even rows interleave a1 and a2; `_odd_rows` forms the rest.
@@ -96,15 +78,6 @@ def _chi_inv(c):
     a1 = c[..., 0::2, 0::2]
     a2 = c[..., 0::2, 1::2]
     return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-1)
-
-
-def _embed(a, field):
-    """Complex working form: identity on R and C, interleaved chi on H."""
-    if field == "h":
-        return _chi(a)
-    if field == "c":
-        return np.asarray(a, complex)
-    return np.asarray(a, float)
 
 
 def matmul(a, b, field):
@@ -229,34 +202,13 @@ def _log_minors_embedded(m, field):
     return np.stack(logs, axis=-1)
 
 
-def _log_minors(x, field):
-    """Logs of the principal minors log Delta_1 .. log Delta_q, batched."""
-    field = normalize_field(field)
-    return _log_minors_embedded(_embed(x, field), field)
-
-
-def power_function(x, field, lam):
-    """Power function Delta_lam(x), the telescoped product of minor powers.
-
-    Equals the product over r of Delta_r(x) raised to lam_r - lam_{r+1}
-    (with lam_{q+1} = 0).  x may carry leading batch axes; lam is a
-    length-q vector of complex exponents.  Working with logarithms of the
-    minors keeps large exponents from overflowing intermediate products.
-    """
-    field = normalize_field(field)
-    x = _check_finite("x", x)
-    lam = _check_finite("lam", np.asarray(lam, complex))
-    logs = _log_minors(x, field)
-    if lam.shape != logs.shape[-1:]:
-        raise ValueError("lam must be a vector of length q")
-    return _power_from_logs(logs, lam)
-
-
 def _power_from_logs(logs, nu):
     """Power function exp(diff(logs) @ nu) from logs of principal minors.
 
-    nu is a length-q exponent vector, or a (q, m) matrix with one
-    power function per column.
+    That is the product over r of Delta_r raised to nu_r - nu_(r+1)
+    (with nu_(q+1) = 0); summing logs keeps large exponents from
+    overflowing intermediate products.  nu is a length-q exponent
+    vector, or a (q, m) matrix with one power function per column.
     """
     dlog = np.diff(logs, axis=-1, prepend=0.0)
     # Two real products written into one complex buffer, not the complex
@@ -302,7 +254,7 @@ def _build_g_embedded(t, u, w, field, variant):
     C* C, so each odd row of u or C is formed once, where it is read,
     and every entry is summed in index order.  Only what
     _log_minors_embedded reads of C* C is formed: the lower triangle of
-    its worked rows; the rest stays zero, and build_g fills it in.  The
+    its worked rows; the rest stays zero and is never filled in.  The
     diagonal is made real, so the triangle is that of an exactly
     Hermitian matrix.  Returns the worked rows of g: an (..., e, e)
     stack, or over H the (..., q, 2q) stack of its even rows.
@@ -374,41 +326,3 @@ def _check_count(name, value, least=1):
                  else "%s must be at least %d and whole, not %s")
                 % (name, least, v))
     return [int(v) for v in value] if many else int(value)
-
-
-def _check_matrix(name, x, q, field):
-    """x as a float or complex array of shape (..., q, q), or (..., q, q, 4)
-    over H, with finite entries; a ValueError names the argument."""
-    x = np.asarray(x)
-    shape = (q, q, 4) if field == "h" else (q, q)
-    if x.shape[x.ndim - len(shape):] != shape:
-        raise ValueError("%s has shape %s, expected (..., %s)"
-                         % (name, x.shape, ", ".join(map(str, shape))))
-    return _check_finite(name, x)
-
-
-def build_g(t, u, w, field, variant="g"):
-    """Argument matrix of the spherical-function integrand.
-
-    With A = diag(cosh t) + diag(sinh t) w, returns u* (A* A) u for
-    variant "g" and u* (A A*) u for variant "g-tilde".  Both lie in the
-    cone of positive definite matrices whenever sigma_1(w) < 1.  u and w
-    have shape (..., q, q), or (..., q, q, 4) over H, with q = len(t).
-    """
-    field = normalize_field(field)
-    if variant not in ("g", "g-tilde"):
-        raise ValueError("variant must be 'g' or 'g-tilde'")
-    t = _check_finite("t", np.asarray(t, float))
-    if t.ndim != 1:
-        raise ValueError("t must be a vector, got shape %s" % (t.shape,))
-    u = _check_matrix("u", u, t.size, field)
-    w = _check_matrix("w", w, t.size, field)
-    s1 = np.asarray(singular_values(w, field))[..., 0]
-    if np.any(s1 >= 1.0):
-        raise ValueError("w must have largest singular value < 1")
-    g = _batch_last(_chi_full(_build_g_embedded(
-        t, _embed(u, field), _embed(w, field), field, variant)))
-    for i in range(len(g) - 1):
-        g[i, i + 1:] = np.conj(g[i + 1:, i])
-    g = _batch_first(g)
-    return _chi_inv(g) if field == "h" else g

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .algebra import (_batch_first, _batch_last, _check_count, _check_finite,
-                      _chi_full, _chi_inv, _dot, field_dim, normalize_field)
+                      _chi_full, _dot, field_dim)
 
 SHARD_SIZE = 8192
 
@@ -217,13 +217,6 @@ def _haar_batch(field, q, n, gen):
     return u.T
 
 
-def haar_unitary(field, q, rng):
-    """One Haar draw from U(q, F): O(q), U(q) or Sp(q) by the field."""
-    field = normalize_field(field)
-    u = _chi_full(_haar_batch(field, _check_count("q", q), 1, rng))[0]
-    return _chi_inv(u) if field == "h" else u
-
-
 def _ball_rows(field, q, p, n, gen):
     """Embedded row factors y_1 .. y_q of the ball parametrization.
 
@@ -294,23 +287,6 @@ def _p_map_batch(rows):
 def _mp_batch(field, q, p, n, gen):
     """n ball draws as full (n, e, e) stacks, the chi images over H."""
     return _chi_full(_p_map_batch(_ball_rows(field, q, p, n, gen)))
-
-
-def sample_mp(field, q, p, rng):
-    """One draw from the matrix-ball law of parameter p >= 2q - 1.
-
-    For p > 2q - 1 this is the ball measure m_p.  At the boundary
-    p = 2q - 1 the first q - 1 factors follow the radial Beta laws with
-    exponents d(q-j)/2 - 1 and the last factor is uniform on the unit
-    sphere, so the ball matrix satisfies det(I - w* w) = 0 identically.
-    """
-    field = normalize_field(field)
-    _check_finite("p", p)
-    q = _check_count("q", q)
-    if not p >= 2 * q - 1:
-        raise ValueError("sample_mp needs p >= 2q - 1")
-    w = _mp_batch(field, q, p, 1, rng)[0]
-    return _chi_inv(w) if field == "h" else w
 
 
 def kappa(p, d, q):

@@ -69,7 +69,7 @@ def _check_vector(name, x, n):
     if x.shape != (n,):
         raise ValueError("%s must be a vector of %d entries, got shape %s"
                          % (name, n, x.shape))
-    _check_finite(name, x)
+    return _check_finite(name, x)
 
 
 def chamber_project(spec, x):
@@ -113,7 +113,7 @@ def hull_membership(poly, x):
 
 def polytope_contains(poly, y):
     """Whether y lies in K = co(W.rho) intersected with the closed chamber."""
-    y = np.asarray(y, float)
+    y = _check_vector("y", np.asarray(y, float), poly.spec.dim)
     return _in_chamber(poly.spec, y) and hull_membership(poly, y)
 
 
@@ -171,8 +171,9 @@ def polytope_vertices_K(poly):
 def _stretch_in_hull(poly, epsilon, y, sign):
     """Whether (1+eps)y + sign eps rho lies in the hull; a stretch that
     overflows has left the bounded hull."""
-    z = (1.0 + _check_finite("epsilon", epsilon)) * y \
-        + sign * epsilon * poly.rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (1.0 + _check_finite("epsilon", epsilon)) * y \
+            + sign * epsilon * poly.rho
     return bool(np.all(np.isfinite(z))) and hull_membership(poly, z)
 
 
@@ -182,7 +183,7 @@ def prop65_check(poly, epsilon, y):
     y must belong to K; by convexity it is enough to verify this on the
     vertices of K, which is what the scans and eps0_estimate do.
     """
-    y = _check_finite("y", np.asarray(y, float))
+    y = np.asarray(y, float)
     if not polytope_contains(poly, y):
         raise ValueError("y must lie in K, the chamber part of co(W.rho)")
     return _stretch_in_hull(poly, epsilon, y, -1.0)
@@ -195,7 +196,7 @@ def lemma44_check(poly, epsilon, y):
     serves both families; for family b, x -> -x is a Weyl element, so
     the result equals prop65_check at -y.
     """
-    y = _check_finite("y", np.asarray(y, float))
+    y = _check_vector("y", np.asarray(y, float), poly.spec.dim)
     if not (_in_chamber(poly.spec, -y) and hull_membership(poly, y)):
         raise ValueError(
             "y must lie in co(W.rho) with -y in the closed chamber")

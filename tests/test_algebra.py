@@ -39,24 +39,27 @@ def _principal_minor_ref(x, field, r):
 
 
 class TestEmbeddings:
-    """The complex embedding is an algebra homomorphism."""
+    """The chi embedding is an algebra homomorphism."""
 
     def test_block_layout(self):
+        """Entry (i, j) becomes the 2 x 2 block
+        [[a1, a2], [-conj(a2), conj(a1)]], interleaved."""
         gen = np.random.default_rng(7)
         a = random_quat(gen, 2, 3)
-        c = algebra.complex_embed(a)
+        c = algebra._chi(a)
         assert c.shape == (4, 6)
-        np.testing.assert_allclose(c[:2, :3], a[..., 0] + 1j * a[..., 1])
-        np.testing.assert_allclose(c[:2, 3:], a[..., 2] + 1j * a[..., 3])
-        np.testing.assert_allclose(c[2:, :3], -np.conj(c[:2, 3:]))
-        np.testing.assert_allclose(c[2:, 3:], np.conj(c[:2, :3]))
+        a1, a2 = a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+        np.testing.assert_array_equal(c[0::2, 0::2], a1)
+        np.testing.assert_array_equal(c[0::2, 1::2], a2)
+        np.testing.assert_array_equal(c[1::2, 0::2], -np.conj(a2))
+        np.testing.assert_array_equal(c[1::2, 1::2], np.conj(a1))
 
     def test_homomorphism_against_hamilton_product(self):
         gen = np.random.default_rng(8)
         a = random_quat(gen, 2, 3)
         b = random_quat(gen, 3, 2)
-        lhs = algebra.complex_embed(a) @ algebra.complex_embed(b)
-        rhs = algebra.complex_embed(quat_matmul(a, b))
+        lhs = algebra._chi(a) @ algebra._chi(b)
+        rhs = algebra._chi(quat_matmul(a, b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_matmul_matches_hamilton_product(self):
@@ -67,28 +70,25 @@ class TestEmbeddings:
             algebra.matmul(a, b, "h"), quat_matmul(a, b), atol=1e-12)
 
     def test_chi_is_permuted_embed(self):
+        """_chi_inv inverts chi, and chi has the spectrum of the block
+        embedding [[a1, a2], [-conj(a2), conj(a1)]], its rows and columns
+        reordered."""
         gen = np.random.default_rng(10)
         a = random_quat(gen, 3, 3)
         chi = algebra._chi(a)
         np.testing.assert_allclose(algebra._chi_inv(chi), a)
-        # same spectrum as the block embedding
+        a1, a2 = a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+        block = np.block([[a1, a2], [-np.conj(a2), np.conj(a1)]])
         s1 = np.sort(np.linalg.svd(chi, compute_uv=False))
-        s2 = np.sort(np.linalg.svd(algebra.complex_embed(a),
-                                   compute_uv=False))
+        s2 = np.sort(np.linalg.svd(block, compute_uv=False))
         np.testing.assert_allclose(s1, s2, atol=1e-10)
 
     def test_adjoint_commutes_with_embedding(self):
         gen = np.random.default_rng(11)
         a = random_quat(gen, 2, 3)
-        lhs = algebra.complex_embed(_adjoint_ref(a, "h"))
-        rhs = np.conj(algebra.complex_embed(a).T)
+        lhs = algebra._chi(_adjoint_ref(a, "h"))
+        rhs = np.conj(algebra._chi(a).T)
         np.testing.assert_allclose(lhs, rhs)
-
-    def test_embed_rejects_non_quaternion(self):
-        with pytest.raises(ValueError):
-            algebra.complex_embed(np.eye(3), "r")
-        with pytest.raises(ValueError):
-            algebra.complex_embed(np.zeros((2, 2)))
 
 
 class TestDeterminantsAndMinors:
@@ -111,7 +111,8 @@ class TestDeterminantsAndMinors:
                 if field == "c":
                     m = m + 1j * gen.standard_normal((3, 3))
                 x = _adjoint_ref(m, field) @ m + 0.5 * np.eye(3)
-            got = np.exp(algebra._log_minors(x, field))
+            got = np.exp(algebra._log_minors_embedded(
+                algebra._chi(x) if field == "h" else x, field))
             for r in (1, 2, 3):
                 if field == "h":
                     want = _det_dieudonne_ref(x[:r, :r, :], field)
@@ -121,7 +122,8 @@ class TestDeterminantsAndMinors:
 
 
 class TestPowerFunction:
-    """Delta_lam as the telescoped product of minor powers."""
+    """Delta_lam as the telescoped product of minor powers, from the
+    log-minors and _power_from_logs."""
 
     def test_matches_minor_products(self):
         gen = np.random.default_rng(14)
@@ -140,36 +142,39 @@ class TestPowerFunction:
             expo = np.append(lam, 0.0)
             want = np.prod([minors[r] ** (expo[r] - expo[r + 1])
                             for r in range(3)])
-            got = algebra.power_function(x, field, lam)
+            got = algebra._power_from_logs(algebra._log_minors_embedded(
+                algebra._chi(x) if field == "h" else x, field), lam)
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_rank_one_power(self):
-        x = np.array([[2.5]])
         lam = np.array([0.3 - 1.1j])
-        np.testing.assert_allclose(
-            algebra.power_function(x, "r", lam), 2.5 ** (0.3 - 1.1j))
+        np.testing.assert_allclose(algebra._power_from_logs(
+            algebra._log_minors_embedded(np.array([[2.5]]), "r"), lam),
+            2.5 ** (0.3 - 1.1j))
 
     def test_identity_gives_one(self):
         lam = np.array([0.9, 0.1])
-        got = algebra.power_function(np.eye(2), "r", lam)
+        got = algebra._power_from_logs(
+            algebra._log_minors_embedded(np.eye(2), "r"), lam)
         assert got == 1.0 + 0.0j
 
     def test_wrong_length_raises(self):
+        logs = algebra._log_minors_embedded(np.eye(3), "r")
         with pytest.raises(ValueError):
-            algebra.power_function(np.eye(3), "r", np.array([1.0, 2.0]))
+            algebra._power_from_logs(logs, np.array([1.0, 2.0]))
 
     def test_not_positive_definite_raises(self):
-        x = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError):
-            algebra.power_function(x, "r", np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="not positive definite"):
+            algebra._log_minors_embedded(np.diag([1.0, -1.0]), "r")
 
     def test_cone_exit_tolerance(self):
         """A squared Cholesky pivot below 1e-13 counts as leaving the
         cone, though the factorization itself succeeds."""
         lam = np.array([1.0, 0.5])
         with pytest.raises(ValueError, match="pivot below tolerance"):
-            algebra.power_function(np.diag([1.0, 1e-14]), "r", lam)
-        got = algebra.power_function(np.diag([1.0, 1e-12]), "r", lam)
+            algebra._log_minors_embedded(np.diag([1.0, 1e-14]), "r")
+        got = algebra._power_from_logs(
+            algebra._log_minors_embedded(np.diag([1.0, 1e-12]), "r"), lam)
         np.testing.assert_allclose(got, 1e-6, rtol=1e-12)
 
     def test_batched_input(self):
@@ -177,8 +182,10 @@ class TestPowerFunction:
         m = gen.standard_normal((5, 2, 2))
         x = np.swapaxes(m, -2, -1) @ m + np.eye(2)
         lam = np.array([0.5, 0.2])
-        got = algebra.power_function(x, "r", lam)
-        want = [algebra.power_function(x[i], "r", lam) for i in range(5)]
+        got = algebra._power_from_logs(
+            algebra._log_minors_embedded(x, "r"), lam)
+        want = [algebra._power_from_logs(
+            algebra._log_minors_embedded(x[i], "r"), lam) for i in range(5)]
         np.testing.assert_allclose(got, want)
 
 
@@ -194,11 +201,11 @@ class TestPowerFromLogs:
         gen = np.random.default_rng(40 + q)
         m = 0.5 * gen.standard_normal((3, 50, q, q))
         x = np.swapaxes(m, -2, -1) @ m + np.eye(q)
-        logs = algebra._log_minors(x, "r")
+        logs = algebra._log_minors_embedded(x, "r")
         nu = 0.5 * (gen.standard_normal((q, 7))
                     + 1j * gen.standard_normal((q, 7)))
         for lg in (logs[0, 0], logs[0], logs):  # none, one, two batch axes
-            for n in (nu[:, 0], nu):  # power_function's vector, or columns
+            for n in (nu[:, 0], nu):  # one exponent vector, or columns
                 got = algebra._power_from_logs(lg, n)
                 want = self._complex_product(lg, n)
                 assert np.shape(got) == want.shape
@@ -220,82 +227,51 @@ class TestPowerFromLogs:
                 sampling.mc_run(shard_fn, 100)
 
 
-class TestBuildG:
-    """The integrand argument built from (t, u, w)."""
+def _draws(field, q, n, seed):
+    """n Haar draws and n ball draws of parameter 2q + 1, as the shard
+    kernels take them."""
+    gen = np.random.default_rng(seed)
+    return (sampling._haar_batch(field, q, n, gen),
+            sampling._mp_batch(field, q, 2 * q + 1.0, n, gen))
 
-    def _uw(self, field, q, gen):
-        from hypergeo import sampling
-        u = sampling.haar_unitary(field, q, gen)
-        w = sampling.sample_mp(field, q, 2 * q + 2.0, gen)
-        return u, w
+
+class TestBuildG:
+    """The integrand argument built from (t, u, w) by _build_g_embedded."""
 
     def test_positive_definite_all_fields(self):
-        gen = np.random.default_rng(16)
         t = np.array([0.9, 0.4])
         for field in ("r", "c", "h"):
-            u, w = self._uw(field, 2, gen)
+            u, w = _draws(field, 2, 200, 16)
             for variant in ("g", "g-tilde"):
-                g = algebra.build_g(t, u, w, field, variant)
-                logs = algebra._log_minors(g, field)
+                g = algebra._build_g_embedded(t, u, w, field, variant)
+                logs = algebra._log_minors_embedded(g, field)
                 assert np.all(np.isfinite(logs))
 
     def test_variants_share_determinant(self):
-        gen = np.random.default_rng(17)
+        """det u* (A* A) u = det u* (A A*) u: the last log-minors agree."""
         t = np.array([1.1, 0.3])
         for field in ("r", "c", "h"):
-            u, w = self._uw(field, 2, gen)
-            d_g = _principal_minor_ref(
-                algebra.build_g(t, u, w, field, "g"), field, 2)
-            d_gt = _principal_minor_ref(
-                algebra.build_g(t, u, w, field, "g-tilde"), field, 2)
-            np.testing.assert_allclose(d_g, d_gt, rtol=1e-10)
+            u, w = _draws(field, 2, 200, 17)
+            d_g, d_gt = (algebra._log_minors_embedded(
+                algebra._build_g_embedded(t, u, w, field, variant),
+                field)[:, -1] for variant in ("g", "g-tilde"))
+            np.testing.assert_allclose(d_g, d_gt, rtol=0, atol=1e-10)
 
     def test_zero_t_identity_conjugation(self):
-        gen = np.random.default_rng(18)
-        u, w = self._uw("r", 2, gen)
-        g = algebra.build_g(np.zeros(2), u, w, "r")
-        np.testing.assert_allclose(g, u.T @ u, atol=1e-12)
-
-    def test_large_singular_value_rejected(self):
-        u = np.eye(2)
-        w = np.diag([1.0, 0.2])
-        with pytest.raises(ValueError):
-            algebra.build_g(np.array([0.5, 0.1]), u, w, "r")
-
-    def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError):
-            algebra.build_g(np.array([0.5]), np.eye(1), np.zeros((1, 1)),
-                            "r", "h-tilde")
-
-    def test_t_must_be_a_vector(self):
-        with pytest.raises(ValueError, match="t must be a vector"):
-            algebra.build_g(np.array([[0.5]]), np.eye(1), np.zeros((1, 1)),
-                            "r")
+        """At t = 0, A = I and g is u* u: its lower triangle, over H on
+        the even rows."""
+        for field in ("r", "c", "h"):
+            u, w = _draws(field, 2, 200, 18)
+            uf = algebra._chi_full(u)
+            want = np.tril(np.conj(np.swapaxes(uf, -2, -1)) @ uf)
+            g = algebra._build_g_embedded(np.zeros(2), u, w, field, "g")
+            np.testing.assert_allclose(
+                g, want[:, 0::2] if field == "h" else want, atol=1e-12)
 
 
 class TestInputContract:
-    """power_function, build_g and every public evaluator, experiment
-    and sampler name the argument they reject."""
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_power_function_rejects_non_finite_x(self, bad):
-        x = np.diag([1.0, bad])
-        with pytest.raises(ValueError, match="^x must be finite, not %s"
-                           % bad):
-            algebra.power_function(x, "r", np.array([1.0, 0.5]))
-
-    @pytest.mark.parametrize("field", ["r", "c", "h"])
-    def test_build_g_rejects_non_finite_w(self, field):
-        u, w = TestBuildG()._uw(field, 2, np.random.default_rng(21))
-        w = w.copy()
-        w[0, 1] = np.nan
-        with pytest.raises(ValueError, match=r"^w must be finite, not \(?nan"):
-            algebra.build_g([0.9, 0.4], u, w, field)
-
-    def test_build_g_rejects_non_finite_u(self):
-        with pytest.raises(ValueError, match="^u must be finite, not inf"):
-            algebra.build_g([0.9, 0.4], np.diag([1.0, np.inf]),
-                            np.zeros((2, 2)), "r")
+    """Every public evaluator, experiment and sampler names the argument
+    it rejects."""
 
     @pytest.mark.parametrize("call,name", [
         (lambda: hypergeo.eval_phi_bc("r", np.inf, [1, 0.5], [0.8, 0.4]),
@@ -316,8 +292,6 @@ class TestInputContract:
         (lambda: hypergeo.c_function(
             [np.nan, 1.0], hypergeo.multiplicity_bc(5.0, 1, 2), 2), "lam"),
         (lambda: hypergeo.kappa(np.inf, 1, 2), "p"),
-        (lambda: hypergeo.sample_mp("r", 2, np.nan,
-                                    np.random.default_rng(0)), "p"),
         (lambda: hypergeo.bessel_phi_tilde("r", np.nan, [1, 0.5], [0.7, 0.2]),
          "p"),
         (lambda: hypergeo.bessel_phi_tilde("r", 5, [1, 0.5], [np.nan, 0.2]),
@@ -338,17 +312,12 @@ class TestInputContract:
         (lambda: hypergeo.boundedness_sweep("r", 1, np.inf), "p"),
         (lambda: hypergeo.moment_decay_experiment("r", 1, 1, [9, np.inf]),
          "p_list"),
-        (lambda: hypergeo.power_function(np.eye(2), "r", [np.inf, 0]),
-         "lam"),
-        (lambda: hypergeo.build_g([np.nan, 0.1], np.eye(2), np.zeros((2, 2)),
-                                  "r"), "t"),
     ], ids=["phi-p", "phi-lam", "phi-t", "quadrature-p", "quadrature-lam",
             "quadrature-t", "psi-q1-t", "psi-lam", "ho-poly-p", "ho-poly-mu",
-            "c-function-lam", "kappa-p", "sample-mp-p", "series-p",
+            "c-function-lam", "kappa-p", "series-p",
             "series-t", "integral-p", "integral-lam",
             "jack-xi", "rate-p-p-list", "rate-p-t-grid", "contraction-p",
-            "contraction-t", "boundedness-p", "moment-decay-p-list",
-            "power-function-lam", "build-g-t"])
+            "contraction-t", "boundedness-p", "moment-decay-p-list"])
     def test_public_calls_reject_non_finite_input(self, call, name,
                                                   monkeypatch):
         """A NaN or infinite p, t or lam is a ValueError naming it, raised
@@ -388,11 +357,7 @@ class TestInputContract:
                                             samples=64), "n_lambda"),
         (lambda: hypergeo.boundedness_sweep("r", 1, 3.0, n_t=2.5,
                                             samples=64), "n_t"),
-        (lambda: hypergeo.sample_mp("r", 0, 3.0, np.random.default_rng(0)),
-         "q"),
         (lambda: hypergeo.kappa(5.0, 1, 0), "q"),
-        (lambda: hypergeo.haar_unitary("r", 1.5, np.random.default_rng(0)),
-         "q"),
         (lambda: hypergeo.bessel.partitions_of_weight(2.5, 2), "k"),
         (lambda: hypergeo.bessel_series(hypergeo.bessel_index("r", 5),
                                         [0.5], [0.1], max_degree=2.5),
@@ -403,9 +368,8 @@ class TestInputContract:
     ], ids=["phi-seed", "boundedness-seed", "moment-n-fraction",
             "moment-n-half", "phi-samples", "psi-samples",
             "integral-samples", "workers-0", "workers-negative",
-            "workers-fraction", "n-lambda", "n-t", "sample-mp-q", "kappa-q",
-            "haar-q", "partitions-k", "series-degree-fraction",
-            "series-degree-negative"])
+            "workers-fraction", "n-lambda", "n-t", "kappa-q", "partitions-k",
+            "series-degree-fraction", "series-degree-negative"])
     def test_public_calls_reject_non_count_input(self, call, name):
         """A count or seed that is not a whole number in range is a
         ValueError naming it: not truncated (seed 1.9 drew seed 1's
@@ -447,25 +411,9 @@ class TestInputContract:
         assert algebra._check_count("n", np.int64(3)) == 3
         assert algebra._check_count("n", [1, 2.0]) == [1, 2]
 
-    @pytest.mark.parametrize("field,u,w,name", [
-        ("h", np.eye(2), np.zeros((2, 2, 4)), "u"),
-        ("h", np.zeros((2, 2, 4)), np.zeros((2, 2)), "w"),
-        ("r", np.eye(3), np.zeros((2, 2)), "u"),
-        ("c", np.eye(2), np.zeros((1, 2)), "w"),
-    ])
-    def test_build_g_rejects_shapes_that_miss_t(self, field, u, w, name):
-        with pytest.raises(ValueError, match="^%s has shape" % name):
-            algebra.build_g([1.0, 0.5], u, w, field)
-
 
 class TestBatchLastKernels:
-    """build_g and the log-minors on batch-last memory."""
-
-    @staticmethod
-    def _draws(field, q, n, seed):
-        gen = np.random.default_rng(seed)
-        return (sampling._haar_batch(field, q, n, gen),
-                sampling._mp_batch(field, q, 2 * q + 1.0, n, gen))
+    """_build_g_embedded and the log-minors on batch-last memory."""
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     @pytest.mark.parametrize("variant", ["g", "g-tilde", None])
@@ -473,7 +421,7 @@ class TestBatchLastKernels:
         """C-contiguous (n, e, e) stacks give the bits that the samplers'
         batch-last views give."""
         t = np.array([1.1, 0.6, 0.2])
-        u, w = self._draws(field, 3, 300, 60)
+        u, w = _draws(field, 3, 300, 60)
         if variant is None:
             w = None
         outs = []
@@ -490,7 +438,7 @@ class TestBatchLastKernels:
         """The even columns formed from the even rows are the stack of
         every row's even-column entries, each odd row from `_row`, to the
         bit; as the phase reads them, from a Haar shard's even rows."""
-        u = algebra._worked_rows(self._draws("h", q, 300, 63)[0], 2)
+        u = algebra._worked_rows(_draws("h", q, 300, 63)[0], 2)
         want = np.stack([algebra._row(u, k, 2)[0::2] for k in range(2 * q)])
         got = algebra._chi_even_columns(u)
         assert got.shape == (2 * q, q, 300)
@@ -498,26 +446,35 @@ class TestBatchLastKernels:
 
     @pytest.mark.parametrize("variant", ["g", "g-tilde"])
     def test_quaternion_pivots_pair(self, variant):
-        """build_g's completed chi matrix has Cholesky pivots in equal
-        pairs, and the log-minors take one of each pair."""
-        u, w = self._draws("h", 4, 200, 61)
-        g = algebra.build_g(np.linspace(1.4, 0.2, 4),
-                            algebra._chi_inv(algebra._chi_full(u)),
-                            algebra._chi_inv(w), "h", variant)
-        piv = np.diagonal(np.linalg.cholesky(algebra._chi(g)), axis1=-2,
+        """g over H, completed from the lower triangle of its even rows,
+        has Cholesky pivots in equal pairs, and the log-minors take one
+        of each pair."""
+        u, w = _draws("h", 4, 200, 61)
+        g = algebra._build_g_embedded(np.linspace(1.4, 0.2, 4), u, w, "h",
+                                      variant)
+        low = np.tril(algebra._chi_full(g))
+        full = low + np.conj(np.swapaxes(np.tril(low, -1), -2, -1))
+        piv = np.diagonal(np.linalg.cholesky(full), axis1=-2,
                           axis2=-1).real
         np.testing.assert_allclose(piv[:, 0::2], piv[:, 1::2], rtol=1e-12)
         np.testing.assert_allclose(
-            algebra._log_minors(g, "h"),
+            algebra._log_minors_embedded(g, "h"),
             np.cumsum(np.log(piv), axis=-1)[:, 1::2], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     def test_build_g_is_exactly_hermitian(self, field):
-        u, w = TestBuildG()._uw(field, 3, np.random.default_rng(62))
+        """g is formed as the lower triangle of its worked rows, with a
+        diagonal real to the bit, so it is the triangle of an exactly
+        Hermitian matrix; nothing above the diagonal is written."""
+        u, w = _draws(field, 3, 200, 62)
+        step = 2 if field == "h" else 1
+        lower = np.tril(np.ones((3 * step, 3 * step), bool))[::step]
         t = np.array([1.0, 0.5, 0.25])
-        for g in (algebra.build_g(t, u, w, field),
-                  algebra.build_g(t, u, np.zeros_like(w), field)):
-            np.testing.assert_array_equal(g, _adjoint_ref(g, field))
+        for ww in (w, np.zeros_like(w)):
+            g = algebra._build_g_embedded(t, u, ww, field, "g")
+            assert np.all(g[:, ~lower] == 0.0)
+            assert np.all(g[:, range(3), range(0, 3 * step, step)].imag
+                          == 0.0)
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     def test_cone_exit_on_batch_last_stacks(self, field):

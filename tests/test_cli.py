@@ -493,6 +493,14 @@ class TestWeylScan:
         header = out.split("\n")[0]
         assert header == "family,rank,rho,eps,witness,pass"
 
+    def test_overflowing_stretch_stderr_is_one_line(self):
+        """A stretch that overflows fails the scan (exit 4) with its one
+        line on stderr: no numpy RuntimeWarnings with source lines."""
+        proc = run_process("weyl-scan --family a --rank 1 --eps 1e308 "
+                           "--rho 5,-5".split())
+        assert proc.returncode == 4
+        assert proc.stderr == "acceptance predicate failed: no-violations\n"
+
 
 class TestEps0Command:
     def test_b2_json(self, capsys):

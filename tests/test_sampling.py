@@ -212,7 +212,7 @@ def _p_map_full_ref(rows):
 
 
 def _build_g_full_ref(t, u, w, variant):
-    """build_g's kernel over H as it was on full (n, 2q, 2q) stacks, C
+    """_build_g_embedded over H as it was on full (n, 2q, 2q) stacks, C
     formed row by row and its odd rows filled: the bit-for-bit reference
     of the even-row kernel, whose rows are this one's even rows."""
     tt = np.repeat(t, 2)
@@ -365,25 +365,21 @@ class TestHaar:
                                         np.random.default_rng(7))
             np.testing.assert_allclose(one[0], full[0], rtol=0, atol=1e-15)
 
-    def test_rank_validated(self):
-        with pytest.raises(ValueError, match="q must be at least 1"):
-            sampling.haar_unitary("r", 0, np.random.default_rng(0))
-
     def test_unitarity(self):
         gen = np.random.default_rng(0)
         for field, q in (("r", 3), ("c", 3), ("h", 2)):
-            u = sampling.haar_unitary(field, q, gen)
-            e = algebra._embed(u, field)
+            e = algebra._chi_full(sampling._haar_batch(field, q, 100, gen))
             np.testing.assert_allclose(
-                _ct_ref(e) @ e, np.eye(e.shape[-1]), atol=1e-12)
+                _ct_ref(e) @ e, np.broadcast_to(np.eye(e.shape[-1]), e.shape),
+                atol=1e-12)
 
     def test_quaternion_structure_preserved(self):
+        """The full form of an H draw is the chi image of a quaternion
+        matrix: re-extraction and embedding round-trip."""
         gen = np.random.default_rng(1)
-        u = sampling.haar_unitary("h", 3, gen)
-        assert u.shape == (3, 3, 4)
-        # embedding and re-extraction round-trips
-        np.testing.assert_allclose(
-            algebra._chi_inv(algebra._chi(u)), u, atol=1e-14)
+        u = algebra._chi_full(sampling._haar_batch("h", 3, 100, gen))
+        assert u.shape == (100, 6, 6)
+        np.testing.assert_array_equal(algebra._chi(algebra._chi_inv(u)), u)
 
     def test_first_entry_second_moment(self):
         """E|u_11|^2 = 1/q for a Haar column."""
@@ -401,8 +397,8 @@ class TestHaar:
             assert abs(ent.mean() - 1.0 / q) < 4.0 * err
 
     def test_reproducible(self):
-        a = sampling.haar_unitary("c", 2, np.random.default_rng(5))
-        b = sampling.haar_unitary("c", 2, np.random.default_rng(5))
+        a = sampling._haar_batch("c", 2, 100, np.random.default_rng(5))
+        b = sampling._haar_batch("c", 2, 100, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
 
@@ -505,14 +501,20 @@ class TestBallSampler:
             np.testing.assert_allclose(s1, 1.0, atol=1e-8)
 
     def test_native_shapes(self):
-        w = sampling.sample_mp("h", 2, 4.0, np.random.default_rng(6))
-        assert w.shape == (2, 2, 4)
-        w = sampling.sample_mp("r", 3, 6.0, np.random.default_rng(6))
-        assert w.shape == (3, 3)
+        """Ball draws are full (n, e, e) stacks from _mp_batch and the
+        (n, q, 2q) even rows over H from _p_map_batch."""
+        gen = np.random.default_rng(6)
+        assert sampling._mp_batch("h", 2, 4.0, 5, gen).shape == (5, 4, 4)
+        assert sampling._mp_batch("r", 3, 6.0, 5, gen).shape == (5, 3, 3)
+        rows = sampling._ball_rows("h", 2, 4.0, 5, gen)
+        assert sampling._p_map_batch(rows).shape == (5, 2, 4)
 
     def test_p_range_enforced(self):
-        with pytest.raises(ValueError):
-            sampling.sample_mp("r", 2, 2.5, np.random.default_rng(0))
+        """Below p = 2q - 1 the last row's Gamma shape d(p - 2q + 1)/2 is
+        negative, and the draw is refused, not made from no ball law."""
+        for field in ("r", "c", "h"):
+            with pytest.raises(ValueError, match="shape < 0"):
+                sampling._mp_batch(field, 2, 2.9, 4, np.random.default_rng(0))
 
 
 class TestBatchLastKernels:
@@ -547,7 +549,7 @@ class TestBatchLastKernels:
                              w_ref, field, variant or "g")
         worked = np.tril(np.ones(g_ref.shape[1:], bool))
         g_rows = g_ref
-        if field == "h":  # g is the even rows; the odd are left to build_g
+        if field == "h":  # g is the even rows; the odd are never formed
             worked, g_rows = worked[0::2], g_ref[:, 0::2]
         scale = np.abs(g_ref).max()
         np.testing.assert_allclose(g[:, worked], g_rows[:, worked], rtol=0,
@@ -562,7 +564,7 @@ class TestBatchLastKernels:
         """Over H the shard keeps only even rows.  Expanded, its draws are
         the full-row kernels' to the bit, and every kernel, given the
         even-row or the full form of u and w, returns the even rows of
-        the full-row build_g to the bit."""
+        the full-row kernel's g to the bit."""
         n, seed, shard = 300, 4, 1
         t = np.linspace(1.3, 0.2, q)
         u = sampling.draw_haar("h", q, seed, shard, n)

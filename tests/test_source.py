@@ -213,6 +213,26 @@ def test_kernels_dispatch_no_per_matrix_products(module, name):
 
 
 ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
+TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+# Hooks the benchmark still lists for code already gone; the tracer reports
+# them as absent, and only a change to the benchmark may drop them.
+ABSENT_HOOKS = {("bessel", "_jack_tables")}
+
+
+def test_benchmark_hooks_resolve():
+    """Every (module, attribute) the benchmark's tracer patches names a
+    definition in the package, so a refactor that renames or deletes a
+    traced kernel cannot leave its layer silently reading 0."""
+    tree = ast.parse(TRACER.read_text(), str(TRACER))
+    spans = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["SPANS"])
+    hooks = [(entry.elts[0].id, entry.elts[1].value) for entry in spans.elts]
+    assert len(hooks) > len(ABSENT_HOOKS)
+    missing = {(module, name) for module, name in hooks
+               if not hasattr(getattr(hypergeo, module), name)}
+    assert missing == ABSENT_HOOKS
 
 
 def _origins(tree, modules):

@@ -275,11 +275,24 @@ class TestStretchInputs:
         with pytest.raises(ValueError, match="^y must be finite, not nan$"):
             check(poly, 0.5, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("check", [
+        lambda poly, y: weyl.prop65_check(poly, 0.5, y),
+        lambda poly, y: weyl.lemma44_check(poly, 0.5, y),
+        weyl.polytope_contains], ids=["prop65", "lemma44", "contains"])
+    def test_wrong_shape_y_named(self, check):
+        """A y of the wrong length was named x, from the chamber
+        projection, or failed lemma44's precondition."""
+        poly = weyl.OrbitPolytope(spec_b(2), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^y must be a vector of 2 "
+                           r"entries, got shape \(1,\)$"):
+            check(poly, [1.0])
+
     def test_overflowing_stretch_is_outside(self):
+        """No RuntimeWarning either, which the suite turns into an
+        error."""
         poly = weyl.OrbitPolytope(spec_a(1), np.array([5.0, -5.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not weyl.prop65_check(poly, 1e308, np.zeros(2))
-            assert not weyl.lemma44_check(poly, 1e308, np.array([-5.0, 5.0]))
+        assert not weyl.prop65_check(poly, 1e308, np.zeros(2))
+        assert not weyl.lemma44_check(poly, 1e308, np.array([-5.0, 5.0]))
 
 
 def _hull_ref(poly, x):
