@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import (_check_count, _check_finite, _chi_even_columns,
                       _worked_rows, field_dim, normalize_field)
-from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs
+from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs, _spectral
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,9 @@ def _phase_columns(field, t, lam, haar, w):
     u = _worked_rows(haar(), step)
     if step == 2:
         u = _chi_even_columns(u)
-    tr = np.einsum("ijn,jin->n", w, u * lam[:, None])
+    # Over H u is a fresh array, scaled in place; else it views the draw.
+    tr = np.einsum("ijn,jin->n", w,
+                   np.multiply(u, lam[:, None], out=u if step == 2 else None))
     return np.exp(-1j * tr.real)[:, None]
 
 
@@ -304,14 +306,11 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
     unitary-twisted phase exp(-i Re tr(w diag(t) u diag(lam))) over the
     ball and the unitary group and returns a McEstimate.
     """
-    field, t = _cone(field, p if mode == "integral" else None, t)
     if mode not in ("series", "integral"):
         raise ValueError("mode must be 'series' or 'integral'")
+    field, t = _cone(field, p if mode == "integral" else None, t)
     _check_finite("p", p)
-    lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
-    q = t.size
-    if lam.size != q:
-        raise ValueError("lam must have length q")
+    lam = _spectral(lam, t.size)
     if mode == "series":
         if np.all(lam.imag == 0.0):
             lam = lam.real
@@ -325,6 +324,6 @@ def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,
     if np.all(t == 0.0) or np.all(lam == 0.0):
         _check_run(samples, seed, workers)
         return McEstimate(1.0 + 0.0j, 0.0, samples, seed)
-    mean, err, _ = _mc_pairs(field, q, [(p, t, lam)], samples, seed, workers,
-                             _phase_columns)
+    mean, err, _ = _mc_pairs(field, t.size, [(p, t, lam)], samples, seed,
+                             workers, _phase_columns)
     return McEstimate(complex(mean[0]), float(err[0]), samples, seed)

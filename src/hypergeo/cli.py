@@ -5,16 +5,16 @@ CSV; experiment subcommands emit CSV rows plus a one-line JSON summary.
 Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
-Exit codes: 0 success, 2 configuration problems (including a count
-such as --q, --samples, --n-t, --max-degree or an --n-list entry below
-1, a --p, --eps or --rel-tol or an entry of --lambda, --t, --t-grid,
---p-list or --rho that is not finite, a --rel-tol that is not positive,
-or a --rho, --rank, --resolution or --alpha that weyl-scan, eps0 or
-jack-table rejects), 3 domain errors (a named precondition failed, such
-as a --t or --t-grid row outside the chamber t1 >= ... >= tq >= 0 for
-any evaluator or experiment, an input overflows or leaves the
-c-function no 10 correct digits, or an estimate is not finite), 4 a
-declared acceptance predicate failed.
+Exit codes: 0 success, 2 configuration problems (including a count such
+as --q, --samples, --n-t, --max-degree or an --n-list entry below 1 or a
+--rho-samples below 0, a --p, --eps or --rel-tol or an entry of
+--lambda, --t, --t-grid, --p-list or --rho that is not finite, a
+--rel-tol that is not positive, or a --rho, --rank, --resolution or
+--alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors (a
+named precondition failed, such as a --t or --t-grid row outside the
+chamber t1 >= ... >= tq >= 0 for any evaluator or experiment, an input
+overflows or leaves the c-function no 10 correct digits, or an estimate
+is not finite), 4 a declared acceptance predicate failed.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -49,11 +49,14 @@ class _ConfigError(Exception):
 
 @contextlib.contextmanager
 def _config_errors(prefix=""):
-    """Report a ValueError raised inside as a configuration error."""
+    """Report a ValueError raised inside as a configuration error.  The
+    argument its message names first is written as its flag: the prefix,
+    then the name with hyphens for underscores."""
     try:
         yield
     except ValueError as exc:
-        raise _ConfigError(prefix + str(exc))
+        name, space, rest = str(exc).partition(" ")
+        raise _ConfigError(prefix + name.replace("_", "-") + space + rest)
 
 
 def _finite(x):

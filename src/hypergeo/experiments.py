@@ -19,7 +19,7 @@ from . import sampling, weyl
 from .algebra import (_check_count, _check_finite, _chi_full, field_dim,
                       normalize_field)
 from .bessel import bessel_phi_tilde
-from .hyper_bc import _cone, _mc_pairs, _phi_means, rho_bc
+from .hyper_bc import _cone, _mc_pairs, _phi_means, _spectral, rho_bc
 from .sampling import kappa
 
 
@@ -118,9 +118,7 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     q = _check_count("q", q)
     field = normalize_field(field)
     d = field_dim(field)
-    lam = _check_finite("lam", np.asarray(lam, complex).reshape(-1))
-    if lam.size != q:
-        raise ValueError("lam has %d entries, expected q=%d" % (lam.size, q))
+    lam = _spectral(lam, q)
     p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
                          "p_list")
     if not min(p_list) > 2 * q - 1:
@@ -183,10 +181,9 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     ValueError, as a series that did not converge is.
     """
     q = _check_count("q", q)
-    lam = _check_finite("lam", np.asarray(lam, float).reshape(-1))
-    if lam.size != q or np.size(t) != q:
-        raise ValueError("lam and t have %d and %d entries, expected q=%d"
-                         % (lam.size, np.size(t), q))
+    lam = _spectral(np.asarray(lam, float), q).real
+    if np.size(t) != q:
+        raise ValueError("t must have q=%d entries, got %d" % (q, np.size(t)))
     field, t = _cone(field, p, t)
     n_list = _increasing(_check_count("n_list", np.reshape(n_list, -1)),
                          "n_list")

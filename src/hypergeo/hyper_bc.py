@@ -76,9 +76,7 @@ def _c_factors(lam, k, q):
     """
     k1, k2, k3 = (float(x) for x in k)
     at_rho = lam is None
-    lam = np.asarray(rho_k(k, q) if at_rho else lam, complex).reshape(-1)
-    if lam.size != q:
-        raise ValueError("lam must have length q=%d, got %d" % (q, lam.size))
+    lam = np.asarray(rho_k(k, q), complex) if at_rho else lam
     out = []
     for i in range(q):
         li = lam[i]
@@ -121,7 +119,7 @@ def c_function(lam, k, q):
     from scipy.special import loggamma
 
     _check_finite("multiplicity", k)
-    facs = _c_factors(_check_finite("lam", lam), k, q)
+    facs = _c_factors(_spectral(lam, q), k, q)
     ref = _c_factors(None, k, q)
     for num, _den, root in facs:
         if _nonpositive_integer(num):
@@ -167,22 +165,20 @@ def _cone(field, p, t):
     return field, t
 
 
+def _spectral(lam, q):
+    """lam as a complex vector, if it has q entries (a scalar is one) and
+    each is finite; a ValueError names lam otherwise."""
+    lam = np.asarray(_check_finite("lam", lam), complex).reshape(-1)
+    if lam.size != q:
+        raise ValueError("lam must have q=%d entries, got %d" % (q, lam.size))
+    return lam
+
+
 def _check_run(samples, seed, workers):
     """mc_run's count checks, for the exact paths that draw nothing."""
     _check_count("samples", samples)
     _check_count("workers", workers)
     _check_count("seed", seed, least=0)
-
-
-def _nu_matrix(lam, q, rho):
-    """Spectral exponents (i lam - rho)/2 as a (q, batch) matrix."""
-    lam = np.asarray(lam, dtype=complex)
-    if lam.shape == () and q == 1:
-        lam = lam.reshape(1)
-    if lam.shape[-1] != q:
-        raise ValueError("lam must have length q along its last axis")
-    nu = 0.5 * (1j * lam - rho)
-    return nu.reshape(-1, q).T, lam.shape[:-1]
 
 
 def _phi_columns(field, t, nu_mat, haar, w):
@@ -210,20 +206,18 @@ def rho_a(d, q):
 def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of psi_lam(t); exact at q = 1, by `_phi_means`.
 
-    lam is a length-q complex vector (or batch of shape (..., q)) in
-    the plain convention, so the power-function exponent is
-    (i lam - rho)/2 with rho = rho_a(d, q).  At q = 1, rho is 0 and
-    psi_lam(t) = cosh(t)^(i lam); a value out of float range there
-    raises OverflowError.
+    lam is a length-q complex vector in the plain convention, so the
+    power-function exponent is (i lam - rho)/2 with rho = rho_a(d, q).
+    At q = 1, rho is 0 and psi_lam(t) = cosh(t)^(i lam); a value out of
+    float range there raises OverflowError.
     """
     field, t = _cone(field, None, t)
     q = t.size
-    nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
-                               rho_a(field_dim(field), q))
-    mean, err, parts = _phi_means(field, q, [(None, t, nu_mat)], samples,
-                                  seed, workers)
-    return _shape_estimate(mean, err, batch,
-                           0 if parts is None else samples, seed)
+    nu = 0.5 * (1j * _spectral(lam, q) - rho_a(field_dim(field), q))
+    mean, err, parts = _phi_means(field, q, [(None, t, nu[:, None])],
+                                  samples, seed, workers)
+    return McEstimate(complex(mean[0]), float(err[0]),
+                      0 if parts is None else samples, seed)
 
 
 def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
@@ -277,12 +271,6 @@ def _phi_means(field, q, triples, samples, seed, workers):
     return mean, np.zeros(mean.size), None
 
 
-def _shape_estimate(mean, err, batch, samples, seed):
-    if batch == ():
-        return McEstimate(complex(mean[0]), float(err[0]), samples, seed)
-    return McEstimate(mean.reshape(batch), err.reshape(batch), samples, seed)
-
-
 def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, workers=1):
     """Monte-Carlo value of phi_lam^p(t) for p >= 2q - 1.
 
@@ -290,17 +278,15 @@ def eval_phi_bc(field, p, lam, t, samples=100000, seed=0, workers=1):
     boundary law whose last factor sits on the unit sphere; the formula
     is the same, so `eval-bc --p 2q-1` prints what `eval-bc-degenerate`
     does.  lam is a length-q complex vector in the plain spectral
-    convention, or a batch of shape (..., q); the whole batch shares
-    every random draw, which is what makes common-random-number
-    comparisons work.
+    convention.  Calls with one seed share every random draw, which is
+    what makes common-random-number comparisons work.
     """
     field, t = _cone(field, p, t)
     q = t.size
-    nu_mat, batch = _nu_matrix(_check_finite("lam", lam), q,
-                               rho_bc(p, field_dim(field), q))
-    mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
+    nu = 0.5 * (1j * _spectral(lam, q) - rho_bc(p, field_dim(field), q))
+    mean, err, _ = _mc_pairs(field, q, [(p, t, nu[:, None])], samples, seed,
                              workers)
-    return _shape_estimate(mean, err, batch, samples, seed)
+    return McEstimate(complex(mean[0]), float(err[0]), samples, seed)
 
 
 NODES = 256  # Gauss-Jacobi nodes per axis of the rank-one quadrature

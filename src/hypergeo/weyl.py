@@ -215,7 +215,7 @@ def _unit_rho_samples(spec, count):
     n, q = spec.dim, spec.rank
     gen = np.random.default_rng(408122)
     out = []
-    for _ in range(count):
+    for _ in range(_check_count("rho_samples", count, least=0)):
         if spec.family == "b":
             v = np.sort(np.abs(gen.standard_normal(n)))[::-1]
         else:

@@ -510,6 +510,19 @@ class TestEps0Command:
         rec = json.loads(out)
         assert rec == {"eps0": 1.0, "family": "b", "rank": 2}
 
+    @pytest.mark.parametrize("argv, count", [
+        ("eps0 --family b --rank 2 --rho-samples -5", -5),
+        ("weyl-scan --family a --rank 2 --eps 0.05 --rho-samples -3", -3),
+    ], ids=["eps0", "weyl-scan"])
+    def test_negative_rho_samples(self, argv, count, capsys):
+        """A negative --rho-samples scanned the wall pinches alone, with
+        exit 0 (eps0 printed 1.0); it is a config error naming the flag."""
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "config error: --rho-samples must be at least 0 and "
+            "whole, not %d\n" % count)
+
 
 class TestJackTable:
     def test_row_sum_reproduces_trace_power(self, capsys):

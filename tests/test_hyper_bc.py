@@ -79,7 +79,8 @@ class TestCFunction:
     def test_input_validation(self):
         """ValueErrors, not asserts, so they hold under python -O too."""
         k = hyper_bc.multiplicity_bc(5.0, 1, 2)
-        with pytest.raises(ValueError, match="lam must have length q=2"):
+        with pytest.raises(ValueError,
+                           match="^lam must have q=2 entries, got 1$"):
             hyper_bc.c_function(np.array([1.0 + 0j]), k, 2)
         with pytest.raises(ValueError, match="multiplicity must be finite"):
             hyper_bc.c_function(np.array([3.0, 1.0]),
@@ -245,7 +246,7 @@ class TestMonteCarloPhi:
         t = np.linspace(1.1, 0.2, q)
         p = 2 * q + 1.5
         lam = np.array([np.ones(q), np.linspace(0.3, -0.2, q) + 0.4j])
-        nu, _ = hyper_bc._nu_matrix(lam, q, hyper_bc.rho_bc(p, 1, q))
+        nu = 0.5 * (1j * lam - hyper_bc.rho_bc(p, 1, q)).T
         u = sampling.draw_haar("r", q, 11, 0, 1000)
         flipped = u.copy()
         flipped[:, :, -1] *= -1.0
@@ -317,7 +318,8 @@ class TestDegenerate:
 
     def test_t_length_checked(self):
         """q is the length of t, so a shorter t no longer matches lam."""
-        with pytest.raises(ValueError, match="lam must have length q"):
+        with pytest.raises(ValueError,
+                           match="^lam must have q=1 entries, got 2$"):
             hyper_bc.eval_phi_bc(
                 "r", 3, np.array([1.0 + 0j, 0.5 + 0j]), np.array([0.5]))
 
@@ -376,22 +378,31 @@ class TestEstimateShape:
         assert est.seed == 9
         assert est.stderr >= 0.0
 
-    def test_lambda_batch_matches_single_calls(self):
-        """A (2, 2, q) batch of lam shares one set of draws: values and
-        stderrs keep the batch shape, and each entry is what a call with
-        that lam alone gives, up to the rounding of the batched product."""
-        lams = np.array([[[1.0, 0.5], [2.0, -1j]],
-                         [[0.5j, 0.2], [1.0 + 1j, 0.0]]])
-        t = np.array([0.8, 0.3])
-        est = hyper_bc.eval_phi_bc("c", 5.0, lams, t, samples=10000, seed=6)
-        assert est.value.shape == est.stderr.shape == (2, 2)
-        for idx in np.ndindex(2, 2):
-            one = hyper_bc.eval_phi_bc("c", 5.0, lams[idx], t,
-                                       samples=10000, seed=6)
-            np.testing.assert_allclose(est.value[idx], one.value,
-                                       rtol=1e-12)
-            np.testing.assert_allclose(est.stderr[idx], one.stderr,
-                                       rtol=1e-9)
+    @pytest.mark.parametrize("call", [
+        lambda lam: hyper_bc.eval_phi_bc("c", 5.0, lam, [0.8, 0.3]),
+        lambda lam: hyper_bc.eval_psi("c", lam, [0.8, 0.3]),
+    ], ids=["phi", "psi"])
+    def test_lambda_batch_rejected(self, call):
+        """Each call takes one spectral point: a (2, q) lam is no batch."""
+        with pytest.raises(ValueError,
+                           match="^lam must have q=2 entries, got 4$"):
+            call(np.array([[1.0, 0.5], [2.0, -1j]]))
+
+    def test_calls_with_one_seed_share_their_draws(self, monkeypatch):
+        """Common random numbers: calls with one seed and different lam
+        run on the same ball and Haar draws, shard by shard."""
+        drawn = []
+        for name in ("draw_ball", "draw_haar"):
+            def spy(*args, draw=getattr(sampling, name)):
+                out = draw(*args)
+                drawn.append(out.tobytes())
+                return out
+            monkeypatch.setattr(sampling, name, spy)
+        for lam in ([1.0, 0.5], [2.0, -1j]):
+            hyper_bc.eval_phi_bc("c", 5.0, lam, [0.8, 0.3], samples=10000,
+                                 seed=6)
+        assert len(drawn) == 8  # two calls, two shards, a ball and a Haar
+        assert drawn[:4] == drawn[4:]
 
     @pytest.mark.parametrize("call", [
         lambda lam: hyper_bc.eval_psi("r", lam, [0.5]),

@@ -444,3 +444,41 @@ def test_one_gate_for_a_cone_point():
     assert ungated == []
     assert parses == ["_cone", "eval_phi_bc_quadrature_q1"]
     assert chambers == boundaries == empties == ["_cone"]
+
+
+def _spectral_reads(func):
+    """func's parses of lam (a _check_finite of "lam") and its tests of
+    lam's length (a comparison that reads lam's size, shape or len and
+    q)."""
+    nodes = list(ast.walk(func))
+    parses = [ast.unparse(node) for node in nodes
+              if isinstance(node, ast.Call)
+              and _names(node.func) == ["_check_finite"] and node.args
+              and getattr(node.args[0], "value", None) == "lam"]
+    lengths = [ast.unparse(node) for node in nodes
+               if isinstance(node, ast.Compare)
+               and {"lam", "q"} <= set(_names(node))
+               and {"size", "shape", "len"} & set(_names(node))]
+    return parses + lengths
+
+
+def test_one_gate_for_a_spectral_point():
+    """lam was parsed in six places, each with its own length message.
+    Every exported function of these modules that takes lam calls
+    hyper_bc._spectral, and no other function in them parses lam or
+    tests its length.  The rank-one quadrature is exempt: its lam
+    broadcasts over rank-one points."""
+    ungated, reads = [], []
+    for module in CONE_MODULES:
+        for name, func in _functions(module).items():
+            gated = any(isinstance(node, ast.Call)
+                        and _names(node.func) == ["_spectral"]
+                        for node in ast.walk(func))
+            if name in hypergeo.__all__ and not gated \
+                    and "lam" in {a.arg for a in func.args.args} \
+                    and name != "eval_phi_bc_quadrature_q1":
+                ungated.append(name)
+            reads += [(name, read) for read in _spectral_reads(func)]
+    assert ungated == []
+    assert [name for name, _ in reads] == [
+        "_spectral", "_spectral", "eval_phi_bc_quadrature_q1"], reads

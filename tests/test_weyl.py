@@ -381,3 +381,11 @@ class TestEps0:
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             weyl.eps0_estimate(spec_b(5), rho_samples=2)
+
+    @pytest.mark.parametrize("count", [-5, 2.5])
+    def test_rho_samples_is_a_count(self, count):
+        """A negative count scanned the wall pinches alone and printed
+        eps0 1.0; a fraction raised a TypeError from range."""
+        with pytest.raises(ValueError, match="^rho_samples must be at least "
+                           "0 and whole, not %s$" % count):
+            weyl.eps0_estimate(spec_b(2), rho_samples=count)
