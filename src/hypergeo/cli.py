@@ -389,6 +389,7 @@ def _cmd_weyl_scan(args):
     with _config_errors("--"):
         spec = weyl.RootSystemSpec(args.family, args.rank)
         weyl.check_vertex_rank(spec)  # before 2^rank wall pinches are built
+        _check_count("rho_samples", args.rho_samples, least=0)
         if args.rho is not None:
             rhos = [_parse_list(args.rho, "--rho")]
         else:

@@ -181,7 +181,10 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     ValueError, as a series that did not converge is.
     """
     q = _check_count("q", q)
-    lam = _spectral(np.asarray(lam, float), q).real
+    lam = _spectral(lam, q)
+    if np.any(lam.imag != 0.0):
+        raise ValueError("contraction needs a real lam")
+    lam = lam.real
     if np.size(t) != q:
         raise ValueError("t must have q=%d entries, got %d" % (q, np.size(t)))
     field, t = _cone(field, p, t)

@@ -226,8 +226,11 @@ def _mc_pairs(field, q, pairs, samples, seed, workers, columns=_phi_columns):
     Every triple runs columns(field, t, parameter, haar, w) on a ball
     draw w of parameter p, made once per run of equal p; p = None draws
     no ball and passes w = None, the p -> infinity law w = 0.  haar()
-    draws the shard's Haar unitary on its first call, after that run's
-    w.  Each block of values is reduced before the next is computed.
+    fetches the shard's Haar unitary on its first call, after that run's
+    w, from `sampling.draw_haar`'s memo, which draws it only when it is
+    not one of the two shards last drawn; haar() holds it for the rest
+    of the shard, even if other shards evict it from the memo meanwhile.
+    Each block of values is reduced before the next is computed.
     Returns mc_run's flat means, standard errors and per-shard sums, in
     the order of pairs, each equal bit for bit to what a call with that
     triple alone gives.

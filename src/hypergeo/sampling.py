@@ -32,8 +32,15 @@ Generator, and reduction in shard order, so results are
 byte-identical for any worker count and common random numbers work
 across evaluators that share a role.  `draw_haar`, `draw_ball` and
 `mc_run` have one caller, `hyper_bc._mc_pairs`.
+
+Haar draws are drawn once per process for the two most recent shards:
+`draw_haar` keeps a fixed two-entry memo, as much as a two-worker run
+holds in flight (8 MiB at h4), so calls with one seed share u whatever
+p, t or lam they ask for.  The memo's draws are read-only.  Ball draws
+are redrawn on every call.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -68,9 +75,25 @@ def shard_plan(samples):
 
 def draw_haar(field, q, seed, shard, count):
     """Embedded Haar draws (count, e, e) for one shard, from its unitary
-    stream; over H the (count, q, 2q) stack of their even rows."""
-    return _haar_batch(field, q, count,
-                       shard_stream(seed, shard, ROLE_UNITARY))
+    stream; over H the (count, q, 2q) stack of their even rows.
+
+    The draws are a pure function of the arguments, so the two most
+    recently drawn shards are kept, a fixed bound, and a repeated call
+    returns the same array.  It is read-only, and so is its base: a
+    caller that wrote into it would raise rather than change a later
+    call's draws.  The seed is checked before the memo is read, so 1.0
+    finds seed 1's draws and a 0-d array seed is a ValueError.
+    """
+    return _haar_memo(field, q, _check_count("seed", seed, least=0), shard,
+                      count)
+
+
+@functools.lru_cache(maxsize=2)
+def _haar_memo(field, q, seed, shard, count):
+    u = _haar_batch(field, q, count, shard_stream(seed, shard, ROLE_UNITARY))
+    u.flags.writeable = False
+    u.base.flags.writeable = False
+    return u
 
 
 def draw_ball(field, q, p, seed, shard, count):

@@ -513,10 +513,13 @@ class TestEps0Command:
     @pytest.mark.parametrize("argv, count", [
         ("eps0 --family b --rank 2 --rho-samples -5", -5),
         ("weyl-scan --family a --rank 2 --eps 0.05 --rho-samples -3", -3),
-    ], ids=["eps0", "weyl-scan"])
+        ("weyl-scan --family b --rank 2 --eps 0.5 --rho 2,1 "
+         "--rho-samples -3", -3),
+    ], ids=["eps0", "weyl-scan", "weyl-scan-rho"])
     def test_negative_rho_samples(self, argv, count, capsys):
         """A negative --rho-samples scanned the wall pinches alone, with
-        exit 0 (eps0 printed 1.0); it is a config error naming the flag."""
+        exit 0 (eps0 printed 1.0), and weyl-scan with --rho never read
+        it; it is a config error naming the flag."""
         code = cli.main(argv.split())
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (

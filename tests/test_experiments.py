@@ -266,6 +266,15 @@ class TestContraction:
                                             samples=30000, seed=3)
             assert rep.slope <= -0.8 + rep.slope_halfwidth, p
 
+    @pytest.mark.parametrize("lam", [[1 + 1j], np.array([1 + 1j])],
+                             ids=["list", "ndarray"])
+    def test_complex_lam_rejected(self, lam, monkeypatch):
+        """A complex lam raised a TypeError from float() as a list, and
+        lost its imaginary part unreported as an ndarray."""
+        monkeypatch.setattr(ex, "bessel_phi_tilde", None)
+        with pytest.raises(ValueError, match="^contraction needs a real lam$"):
+            ex.contraction_experiment("r", 1, 3.0, lam, [0.5], [2, 4])
+
     def test_p_validation(self):
         with pytest.raises(ValueError):
             ex.contraction_experiment("r", 2, 2.0, np.array([1.0, 0.5]),

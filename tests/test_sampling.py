@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hypergeo import algebra, sampling
+from hypergeo import algebra, bessel, experiments, hyper_bc, sampling
 from oracles import kappa_rejection
 
 
@@ -762,3 +762,99 @@ class TestShardEngine:
         assert len(parts) == len(sampling.shard_plan(30000))
         np.testing.assert_allclose(
             30000 * mean[0], sum(p[0] for p in parts), rtol=1e-12)
+
+
+class TestHaarMemo:
+    """draw_haar keeps the two most recent shards' draws, read-only."""
+
+    ARGS = ("c", 2, 3, 1, 100)
+
+    def test_repeated_call_shares_the_draw(self):
+        u = sampling.draw_haar(*self.ARGS)
+        assert sampling.draw_haar(*self.ARGS) is u
+        assert sampling.draw_haar("c", 2, 3.0, 1, 100) is u
+        for k, other in enumerate(("r", 3, 4, 2, 101)):
+            args = list(self.ARGS)
+            args[k] = other
+            assert sampling.draw_haar(*args) is not u, args
+
+    def test_checks_the_seed_first(self):
+        with pytest.raises(ValueError,
+                           match="^seed must be at least 0 and whole, not 3$"):
+            sampling.draw_haar("c", 2, np.array(3), 1, 100)
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_draw_keeps_its_bits(self, field):
+        u = sampling.draw_haar(field, 3, 5, 2, 200)
+        want = sampling._haar_batch(field, 3, 200, sampling.shard_stream(
+            5, 2, sampling.ROLE_UNITARY))
+        assert u.shape == want.shape and u.strides == want.strides
+        np.testing.assert_array_equal(u, want)
+
+    def test_draw_is_read_only(self):
+        u = sampling.draw_haar(*self.ARGS)
+        for x in (u, u.base, u[:, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(u, 2.0, out=u)
+
+    def test_same_seed_calls_draw_haar_once(self, monkeypatch):
+        """A grid of integral phi-tilde calls on one seed draws each of
+        its two shards' unitaries once, whatever p, lam and t."""
+        batches = []
+
+        def spy(*args, draw=sampling._haar_batch):
+            batches.append(args[:3])
+            return draw(*args)
+
+        monkeypatch.setattr(sampling, "_haar_batch", spy)
+        sampling._haar_memo.cache_clear()
+        for p in (3.0, 4.0, 7.0):
+            for x in (0.5, 1.5):
+                bessel.bessel_phi_tilde(
+                    "r", p, [x, 0.5 * x], [1.0, 0.5 * x], mode="integral",
+                    samples=2 * sampling.SHARD_SIZE, seed=13)
+        assert batches == [("r", 2, sampling.SHARD_SIZE)] * 2
+
+    def test_warm_memo_keeps_worker_invariance(self):
+        """Three shards at two workers evict each other's draws while
+        they run; the bytes match one worker's on a warm memo."""
+        run = [hyper_bc.eval_phi_bc("c", 5.0, [1.0, 0.5j], [0.8, 0.3],
+                                    samples=3 * sampling.SHARD_SIZE - 7,
+                                    seed=6, workers=workers)
+               for workers in (1, 1, 2, 2)]
+        assert len({(r.value, r.stderr) for r in run}) == 1
+
+
+COLUMNS = {
+    "phi": lambda field, q: (hyper_bc._phi_columns, np.linspace(
+        0.9, 0.2, q), 0.5 * (1j * np.linspace(1.0, -0.5, q) - 1.0)[:, None]),
+    "phase": lambda field, q: (bessel._phase_columns, np.linspace(
+        0.9, 0.2, q), np.linspace(1.0, -0.5, q)),
+    "top-moment": lambda field, q: (experiments._top_moment, None, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMNS))
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("field", ["r", "c", "h"])
+def test_column_functions_only_read_the_draws(field, q, name):
+    """The memo hands one u to every call with its key, so no column
+    function writes into u or w: each runs on read-only draws (over H
+    the phase scales only its fresh even columns of u) and gives the
+    bits it gives on writable copies."""
+    func, t, param = COLUMNS[name](field, q)
+    n, seed = 50, 8
+    u = sampling._haar_batch(field, q, n, sampling.shard_stream(
+        seed, 0, sampling.ROLE_UNITARY))
+    u.flags.writeable = False
+    for w in (sampling.draw_ball(field, q, 2 * q + 1.5, seed, 0, n),
+              None if name == "phi" else
+              sampling.draw_ball(field, q, 2 * q - 1, seed, 0, n)):
+        want = func(field, t, param, lambda: u.copy(order="K"),
+                    None if w is None else w.copy(order="K"))
+        if w is not None:
+            w.flags.writeable = False
+        got = func(field, t, param, lambda: u, w)
+        assert got.tobytes() == want.tobytes()
