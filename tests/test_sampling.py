@@ -1,5 +1,6 @@
 """Tests for the Haar and matrix-ball samplers and the shard engine."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -818,12 +819,20 @@ class TestHaarMemo:
         assert batches == [("r", 2, sampling.SHARD_SIZE)] * 2
 
     def test_warm_memo_keeps_worker_invariance(self):
-        """Three shards at two workers evict each other's draws while
-        they run; the bytes match one worker's on a warm memo."""
-        run = [hyper_bc.eval_phi_bc("c", 5.0, [1.0, 0.5j], [0.8, 0.3],
-                                    samples=3 * sampling.SHARD_SIZE - 7,
-                                    seed=6, workers=workers)
-               for workers in (1, 1, 2, 2)]
+        """Five shards on up to four threads, more than the cores, evict
+        each other's draws from the shared memo while they run, with the
+        interpreter switching threads as often as it can; the bytes
+        match one worker's, on a cold memo and on a warm one."""
+        sampling._haar_memo.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = [hyper_bc.eval_phi_bc(
+                "c", 5.0, [1.0, 0.5j], [0.8, 0.3],
+                samples=5 * sampling.SHARD_SIZE - 7, seed=6, workers=workers)
+                for workers in (4, 1, 1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
         assert len({(r.value, r.stderr) for r in run}) == 1
 
 
