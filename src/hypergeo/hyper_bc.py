@@ -178,7 +178,7 @@ def _check_run(samples, seed, workers):
     """mc_run's count checks, for the exact paths that draw nothing."""
     _check_count("samples", samples)
     _check_count("workers", workers)
-    _check_count("seed", seed, least=0)
+    sampling._check_seed(seed)
 
 
 def _phi_columns(field, t, nu_mat, haar, w):

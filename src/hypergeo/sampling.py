@@ -58,10 +58,19 @@ ROLE_EXPERIMENT = 3
 def shard_stream(seed, shard, role):
     """A fresh generator for one role (unitary, ball, experiment) on one
     shard, keyed by (seed, 4 shard + role); identical inputs give
-    identical draws.  The seed must be a whole number of at least 0: 1.9
-    is no alias of 1."""
+    identical draws."""
     return np.random.default_rng(np.random.SeedSequence(
-        (_check_count("seed", seed, least=0), 4 * shard + role)))
+        (_check_seed(seed), 4 * shard + role)))
+
+
+def _check_seed(seed):
+    """seed as an int, if it is one whole number of at least 0: 1.9 is no
+    alias of 1, and a sequence, which SeedSequence would take, is no seed;
+    a ValueError names seed otherwise."""
+    if np.ndim(seed) > 0:
+        raise ValueError("seed must be at least 0 and whole, not %s"
+                         % (seed,))
+    return _check_count("seed", seed, least=0)
 
 
 def shard_plan(samples):
@@ -82,10 +91,10 @@ def draw_haar(field, q, seed, shard, count):
     returns the same array.  It is read-only, and so is its base: a
     caller that wrote into it would raise rather than change a later
     call's draws.  The seed is checked before the memo is read, so 1.0
-    finds seed 1's draws and a 0-d array seed is a ValueError.
+    finds seed 1's draws, and a 0-d array or a sequence seed is a
+    ValueError, not an unhashable memo key.
     """
-    return _haar_memo(field, q, _check_count("seed", seed, least=0), shard,
-                      count)
+    return _haar_memo(field, q, _check_seed(seed), shard, count)
 
 
 @functools.lru_cache(maxsize=2)

@@ -671,6 +671,25 @@ class TestShardEngine:
                            match="^seed must be at least 0 and whole, not -1$"):
             sampling.shard_stream(-1, 0, sampling.ROLE_UNITARY)
 
+    def test_sequence_seed_rejected(self):
+        """SeedSequence takes a list of ints, so [3] once keyed a stream of
+        its own; a seed is one whole number, and every evaluator says so
+        with a ValueError naming seed, exact paths and the memo included."""
+        calls = [
+            lambda: sampling.shard_stream([3], 0, sampling.ROLE_BALL),
+            lambda: sampling.draw_haar("r", 2, [3], 0, 100),
+            lambda: hyper_bc.eval_psi("r", [1, 0.5], [0.5, 0.2],
+                                      samples=100, seed=[3]),
+            lambda: hyper_bc.eval_psi("r", [1], [0.5], samples=100,
+                                      seed=(3,)),
+            lambda: bessel.bessel_phi_tilde("r", 3.0, [1.0], [0.5],
+                                            mode="integral", samples=100,
+                                            seed=np.array([3]))]
+        for call in calls:
+            with pytest.raises(ValueError, match="^seed must be at least 0 "
+                               r"and whole, not [\[(]3,?[\])]$"):
+                call()
+
     def test_shard_moments_bits(self):
         """Value sums, and sums of |v - mean|^2 about each column mean."""
         gen = np.random.default_rng(8)
@@ -810,7 +829,6 @@ class TestHaarMemo:
             return draw(*args)
 
         monkeypatch.setattr(sampling, "_haar_batch", spy)
-        sampling._haar_memo.cache_clear()
         for p in (3.0, 4.0, 7.0):
             for x in (0.5, 1.5):
                 bessel.bessel_phi_tilde(
@@ -822,8 +840,8 @@ class TestHaarMemo:
         """Five shards on up to four threads, more than the cores, evict
         each other's draws from the shared memo while they run, with the
         interpreter switching threads as often as it can; the bytes
-        match one worker's, on a cold memo and on a warm one."""
-        sampling._haar_memo.cache_clear()
+        match one worker's, on a cold memo (the conftest clears it) and on
+        a warm one."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

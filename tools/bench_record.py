@@ -1,17 +1,19 @@
 """Record one checkout's benchmark as BENCH_<label>.json.
 
     python3 tools/bench_record.py --label LABEL [--root CHECKOUT]
-        [--runs 5] [--seconds 35] [--output PATH]
+        [--output PATH]
 
 Runs the checkout's own benchmark command, as BENCHMARK.json declares it
-(perfbench/run.py, unedited), on every declared workload: ``--runs``
-untraced runs at the fixed seeds 1 .. runs, then one traced run at seed
-1.  It then times the tier-1 test command in the same checkout.  The
-file holds, for each workload, the median, min and max of every
-end-to-end metric over the untraced runs (with the values themselves),
-the traced run's per-layer metrics (ms per shard for each (field, q),
-stream reuse and the rest), and the check counts of every run; and,
-once, the ``machine`` line run.py prints and the tier-1 wall time.
+(perfbench/run.py, unedited), on every declared workload for its
+``run_seconds``: five untraced runs at the fixed seeds 1 .. 5, then one
+traced run at seed 1.  Every file is recorded the same way, so any two
+compare run for run.  It then times the tier-1 test command in the same
+checkout.  The file holds, for each workload, the median, min and max
+of every end-to-end metric over the untraced runs (with the values
+themselves), the traced run's per-layer metrics (ms per shard for each
+(field, q), stream reuse and the rest), and the check counts of every
+run; and, once, the ``machine`` line run.py prints and the tier-1 wall
+time.
 Two files recorded on one machine, before and after a change, back a
 speed claim; the min-max spread shows how far one run moves alone.
 The runs are sequential, so nothing else of the record competes for the
@@ -28,6 +30,7 @@ import time
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SEEDS = [1, 2, 3, 4, 5]
 
 
 def _run_bench(root, command, workload, seed, seconds, trace):
@@ -96,30 +99,23 @@ def main(argv=None):
     ap.add_argument("--label", required=True)
     ap.add_argument("--root", default=Path(__file__).resolve().parent.parent,
                     type=Path, help="checkout to measure (default: this one)")
-    ap.add_argument("--runs", type=int, default=5,
-                    help="untraced runs per workload (default 5)")
-    ap.add_argument("--seconds", type=float,
-                    help="seconds per run (default: BENCHMARK.json's)")
     ap.add_argument("--output", type=Path,
                     help="default: BENCH_<label>.json in the current directory")
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
 
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    seeds = list(range(1, args.runs + 1))
+    seconds = bench["run_seconds"]
     workloads = {}
     machine = None
     for workload in bench["workloads"]:
         name = workload["name"]
         print("recording %s ..." % name, file=sys.stderr, flush=True)
         workloads[name], machine = record_workload(
-            root, bench["command"], name, seeds, seconds)
+            root, bench["command"], name, SEEDS, seconds)
     print("timing tier-1 ...", file=sys.stderr, flush=True)
     out = {"label": args.label, **_commit(root), "seconds": seconds,
-           "seeds": seeds, "traced_seed": seeds[0], "machine": machine,
+           "seeds": SEEDS, "traced_seed": SEEDS[0], "machine": machine,
            "workloads": workloads, "tier1": record_tier1(root)}
     path = args.output or Path("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
