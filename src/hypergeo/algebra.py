@@ -8,11 +8,11 @@
 - quaternion computations route through the complex embedding `_chi`,
   under which a q x q quaternion matrix becomes a 2q x 2q complex matrix.
 
-The shard kernels `_build_g_embedded` and `_log_minors_embedded` take
-(n, e, e) stacks and work batch-last: `_batch_last` views a stack as
-(e, e, n), whose entry (i, j) is one length-n vector, contiguous for the
-samplers' draws, and every step is a loop of vector multiply-adds over
-such entries (`_dot`), with no per-matrix BLAS or LAPACK call.
+The shard kernels `_build_g_embedded`, `_log_minors_embedded` and
+`_phase_trace` take (n, e, e) stacks and work batch-last: `_batch_last`
+views a stack as (e, e, n), whose entry (i, j) is one length-n vector,
+contiguous for the samplers' draws, and every step is a vector
+operation over such entries, with no per-matrix BLAS or LAPACK call.
 
 Over H (e = 2q) the shard keeps only the even rows of every chi matrix:
 chi maps the quaternion entry (a1, a2) to the block
@@ -22,9 +22,9 @@ in equal pairs.  The samplers hand on (n, q, 2q) even-row stacks, the
 kernels take either those or full (n, 2q, 2q) stacks (a stack with as
 many rows as columns is full), form an odd row only where they read it
 (`_row`), and `_build_g_embedded` returns the even rows of g, of which
-only the lower triangle that the log-minors read is formed.  The
-shuffle is written here alone; a caller that needs the full 2q x 2q
-form gets it from `_chi_full`.
+only the lower triangle that the log-minors read is formed.  Only the
+samplers share this layout; a caller that needs the full 2q x 2q form
+gets it from `_chi_full`.
 """
 
 import numpy as np
@@ -149,18 +149,6 @@ def _row(x, i, step):
     return _odd_rows(x[i // step:i // step + 1])[0]
 
 
-def _chi_even_columns(x):
-    """The even columns (2r, r, ...) of a chi-structured batch-last matrix
-    from its even rows x (r, 2r, ...): entry (2i, j) is x[i, 2j], the a1
-    of quaternion entry (i, j), and entry (2i + 1, j) is
-    -conj(x[i, 2j + 1]), the -conj(a2) of its odd row."""
-    out = np.empty((x.shape[1], len(x)) + x.shape[2:], x.dtype)
-    out[0::2] = x[:, 0::2]
-    np.conj(x[:, 1::2], out=out[1::2])
-    np.negative(out[1::2], out=out[1::2])
-    return out
-
-
 def _log_minors_embedded(m, field):
     """Logs of the principal minors of a cone point given in embedded form.
 
@@ -220,6 +208,25 @@ def _power_from_logs(logs, nu):
     np.matmul(dlog, nu.real, out=out.real)
     np.matmul(dlog, nu.imag, out=out.imag)
     return np.exp(out, out=out)[()]
+
+
+def _phase_trace(w, t, u, lam, field):
+    """Re tr(w diag(t) u diag(lam)) of each draw in a shard, the Bessel
+    phase.  Over H it is half that of the chi images: the sum of their
+    entries (2m, 2m), from w's even rows and u's even columns; entry
+    (2i + 1, j) of those is -conj(a2) of u's quaternion entry (i, j)."""
+    step = 2 if field == "h" else 1
+    w = _worked_rows(w, step) * np.repeat(t, step)[:, None]
+    u = _worked_rows(u, step)
+    if step == 2:  # u's even columns, a fresh array that lam scales in place
+        cols = np.empty((u.shape[1], len(u)) + u.shape[2:], u.dtype)
+        cols[0::2] = u[:, 0::2]
+        np.conj(u[:, 1::2], out=cols[1::2])
+        np.negative(cols[1::2], out=cols[1::2])
+        u = np.multiply(cols, lam[:, None], out=cols)
+    else:
+        u = u * lam[:, None]
+    return np.einsum("ijn,jin->n", w, u).real
 
 
 def singular_values(a, field):

@@ -13,7 +13,7 @@ the monomial basis, the exponent rows of every distinct permutation of
 each partition, and the values C(1^q).  A shell's monomials at a point
 are then one power table, one gather, one product and one sum per
 partition, and its C values one product with K.  Integral mode averages
-a phase column with `hyper_bc._mc_pairs`, on phi's draws.
+exp(-i `algebra._phase_trace`) with `hyper_bc._mc_pairs`, on phi's draws.
 """
 
 import itertools
@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_check_count, _check_finite, _chi_even_columns,
-                      _worked_rows, field_dim, normalize_field)
+from .algebra import (_check_count, _check_finite, _phase_trace, field_dim,
+                      normalize_field)
 from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs, _spectral
 
 
@@ -277,24 +277,8 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
 
 
 def _phase_columns(field, t, lam, haar, w):
-    """exp(-i Re tr(w diag(t) u diag(lam))) on one shard, as one column.
-
-    The draws are read as the batch-last memory the samplers write.  Over
-    H the trace is taken of the 2q x 2q chi images, whose diagonal
-    entries 2m and 2m + 1 are conjugate, so half its real part is
-    sum_m Re (w diag(t, t) u diag(lam, lam))_(2m, 2m): that reads w's
-    even rows and u's even columns, which `algebra._chi_even_columns`
-    forms from u's even rows without forming its odd columns.
-    """
-    step = 2 if field == "h" else 1
-    w = _worked_rows(w, step) * np.repeat(t, step)[:, None]
-    u = _worked_rows(haar(), step)
-    if step == 2:
-        u = _chi_even_columns(u)
-    # Over H u is a fresh array, scaled in place; else it views the draw.
-    tr = np.einsum("ijn,jin->n", w,
-                   np.multiply(u, lam[:, None], out=u if step == 2 else None))
-    return np.exp(-1j * tr.real)[:, None]
+    """exp(-i `algebra._phase_trace`) of one shard's draws, as one column."""
+    return np.exp(-1j * _phase_trace(w, t, haar(), lam, field))[:, None]
 
 
 def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,

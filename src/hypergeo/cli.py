@@ -6,8 +6,8 @@ Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
 Exit codes: 0 success, 2 configuration problems (including a count such
-as --q, --samples, --n-t, --max-degree or an --n-list entry below 1 or a
---rho-samples below 0, a --p, --eps or --rel-tol or an entry of
+as --q, --n-t, --max-degree or an --n-list entry below 1, a --samples
+below 2 or a --rho-samples below 0, a --p, --eps or --rel-tol or an entry of
 --lambda, --t, --t-grid, --p-list or --rho that is not finite, a
 --rel-tol that is not positive, or a --rho, --rank, --resolution or
 --alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors (a
@@ -556,8 +556,9 @@ def main(argv=None):
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is None:
                 continue
-            if spec.get("metavar") == "COUNT" and value < 1:
-                raise _ConfigError("%s must be at least 1" % (flag,))
+            least = 2 if flag == "--samples" else 1  # one draw, no stderr
+            if spec.get("metavar") == "COUNT" and value < least:
+                raise _ConfigError("%s must be at least %d" % (flag, least))
             if spec.get("metavar") == "REAL" and not np.isfinite(value):
                 raise _ConfigError("%s must be finite, not %r" % (flag, value))
             if flag == "--rel-tol" and not value > 0:

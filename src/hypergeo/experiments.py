@@ -121,8 +121,7 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
     lam = _spectral(lam, q)
     p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
                          "p_list")
-    if not min(p_list) > 2 * q - 1:
-        raise ValueError("rate_p_experiment needs min(p_list) > 2q - 1")
+    sampling._check_interior("p_list", p_list, q)
     t_grid = _check_finite("t_grid", np.asarray(t_grid, float))
     if t_grid.ndim == 1:
         t_grid = t_grid[:, None]
@@ -234,9 +233,7 @@ def boundedness_sweep(field, q, p, n_lambda=12, n_t=7, samples=100000,
     q = _check_count("q", q)
     field = normalize_field(field)
     d = field_dim(field)
-    _check_finite("p", p)
-    if not p > 2 * q - 1:
-        raise ValueError("boundedness_sweep needs p > 2q - 1")
+    sampling._check_interior("p", p, q)
     n_lambda = _check_count("n_lambda", n_lambda)
     n_t = _check_count("n_t", n_t)
     rho = rho_bc(p, d, q)
@@ -303,13 +300,8 @@ def moment_decay_experiment(field, q, n_exponent, p_list, samples=100000,
     n = _check_count("n_exponent", n_exponent)
     p_list = _increasing([float(p) for p in _check_finite("p_list", p_list)],
                          "p_list")
-    if not min(p_list) > 2 * q:
-        raise ValueError("moment_decay_experiment needs min(p_list) > 2q")
-    shift = 4.0 * n / d
-    if not min(p_list) - shift > 2 * q - 1:
-        raise ValueError("p too small for the importance shift")
-
-    shifted = [p - shift for p in p_list]
+    shifted = [p - 4.0 * n / d for p in p_list]
+    sampling._check_interior("p_list - 4n/d", shifted, q)
     mean, err, parts = _mc_pairs(field, q, [(pp, None, 2 * n)
                                             for pp in shifted],
                                  samples, seed, workers, _top_moment)

@@ -49,20 +49,20 @@ class PoleError(ValueError):
 
 def multiplicity_bc(p, d, q):
     """Multiplicity triple (k1, k2, k3) of the p-series."""
-    return (0.5 * d * (p - q), 0.5 * (d - 1), 0.5 * d)
+    return (0.5 * d * (p - _check_count("q", q)), 0.5 * (d - 1), 0.5 * d)
 
 
 def rho_bc(p, d, q):
     """Half-sum vector rho_i = d(p + q + 2 - 2i)/2 - 1."""
-    i = np.arange(1, q + 1)
-    return 0.5 * d * (p + q + 2 - 2 * i) - 1.0
+    q = _check_count("q", q)
+    return 0.5 * d * (p + q + 2 - 2 * np.arange(1, q + 1)) - 1.0
 
 
 def rho_k(k, q):
     """Half-sum vector for a general multiplicity triple."""
     k1, k2, k3 = k
-    i = np.arange(1, q + 1)
-    return k1 + 2.0 * k2 + 2.0 * k3 * (q - i)
+    q = _check_count("q", q)
+    return k1 + 2.0 * k2 + 2.0 * k3 * (q - np.arange(1, q + 1))
 
 
 def _c_factors(lam, k, q):
@@ -78,7 +78,7 @@ def _c_factors(lam, k, q):
     at_rho = lam is None
     lam = np.asarray(rho_k(k, q), complex) if at_rho else lam
     out = []
-    for i in range(q):
+    for i in range(lam.size):
         li = lam[i]
         if k1 != 0.0:
             out.append((li, li + k1, "2e_%d" % (i + 1,)))
@@ -87,7 +87,7 @@ def _c_factors(lam, k, q):
                 (0.5 * li + 0.5 * k1, 0.5 * li + 0.5 * k1 + k2, "4e_%d" % (i + 1,))
             )
         if k3 != 0.0:
-            for j in range(i + 1, q):
+            for j in range(i + 1, lam.size):
                 lj = lam[j]
                 half = complex(k3 * (j - i)) if at_rho else 0.5 * (li - lj)
                 out.append((half, half + k3, "2e_%d-2e_%d" % (i + 1, j + 1)))
@@ -166,8 +166,9 @@ def _cone(field, p, t):
 
 
 def _spectral(lam, q):
-    """lam as a complex vector, if it has q entries (a scalar is one) and
-    each is finite; a ValueError names lam otherwise."""
+    """lam as a complex vector, if q is a count and lam has q entries (a
+    scalar is one), each finite; a ValueError names q or lam otherwise."""
+    q = _check_count("q", q)
     lam = np.asarray(_check_finite("lam", lam), complex).reshape(-1)
     if lam.size != q:
         raise ValueError("lam must have q=%d entries, got %d" % (q, lam.size))
@@ -176,7 +177,7 @@ def _spectral(lam, q):
 
 def _check_run(samples, seed, workers):
     """mc_run's count checks, for the exact paths that draw nothing."""
-    _check_count("samples", samples)
+    sampling._check_samples(samples)
     _check_count("workers", workers)
     sampling._check_seed(seed)
 
@@ -199,8 +200,8 @@ def _phi_columns(field, t, nu_mat, haar, w):
 
 def rho_a(d, q):
     """Half-sum vector rho_i = d(q + 1 - 2i)/2 of the type-A family."""
-    i = np.arange(1, q + 1)
-    return 0.5 * d * (q + 1 - 2 * i)
+    q = _check_count("q", q)
+    return 0.5 * d * (q + 1 - 2 * np.arange(1, q + 1))
 
 
 def eval_psi(field, lam, t, samples=100000, seed=0, workers=1):
@@ -353,8 +354,7 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
             or np.any(np.diff(mu) > 0) or np.any(mu < 0):
         raise ValueError("mu must be a weakly decreasing vector of even "
                          "nonnegative integers of length q")
-    if not p > 2 * q - 1:
-        raise ValueError("eval_ho_polynomial needs p > 2q - 1")
+    sampling._check_interior("p", p, q)
     k = multiplicity_bc(p, d, q)
     norm = c_function(mu + rho_k(k, q), k, q)
     nu_mat = 0.5 * mu.astype(complex).reshape(q, 1)

@@ -18,12 +18,10 @@ shard's draws, and write them batch-last, entry (i, j) of every draw one
 contiguous length-n vector.  They hand them on as (n, e, e) views, or
 (n, 1, e) row factors, of that memory, which
 `algebra._build_g_embedded` reads batch-last again without a copy.
-Over H (e = 2q) the matrices are chi images of quaternion ones, and
-each odd row is a conj/negate shuffle of the even row above it, so only
-the even rows are kept: Haar and ball draws are (n, q, 2q) stacks and
-each row factor is its even row.  The algebra kernels form an odd row
-where they read it; a caller that needs the full chi form, as
-`_p_map_batch` does for each factor, gets it from `algebra._chi_full`.
+Over H (e = 2q) only the even rows of the chi images are kept, in the
+layout that `algebra` documents: Haar and ball draws are (n, q, 2q)
+stacks and each row factor is its even row; `_p_map_batch` gets each
+factor's full chi form from `algebra._chi_full`.
 
 Also home of the deterministic shard layout behind every Monte-Carlo
 estimate in the package: a fixed shard size, one random stream per
@@ -71,6 +69,14 @@ def _check_seed(seed):
         raise ValueError("seed must be at least 0 and whole, not %s"
                          % (seed,))
     return _check_count("seed", seed, least=0)
+
+
+def _check_samples(samples):
+    """samples as an int, if at least 2: one draw has no standard error."""
+    samples = _check_count("samples", samples)
+    if samples < 2:
+        raise ValueError("samples must be at least 2 for a stderr, not 1")
+    return samples
 
 
 def shard_plan(samples):
@@ -154,7 +160,7 @@ def mc_run(shard_fn, samples, workers=1):
     is then the only report of an overflow: numpy's overflow and
     invalid-value warnings are off inside, in every worker thread too.
     """
-    sizes = shard_plan(samples)
+    sizes = shard_plan(_check_samples(samples))
     workers = _check_count("workers", workers)
 
     def run(shard, count):
@@ -249,6 +255,15 @@ def _haar_batch(field, q, n, gen):
     return u.T
 
 
+def _check_interior(name, p, q):
+    """Raise a ValueError naming p unless it is finite and above 2q - 1."""
+    p = _check_finite(name, p)
+    low = p[~(p > 2 * q - 1)]
+    if low.size:
+        raise ValueError("%s must be above 2q - 1 = %d, not %s"
+                         % (name, 2 * q - 1, low[0].item()))
+
+
 def _ball_rows(field, q, p, n, gen):
     """Embedded row factors y_1 .. y_q of the ball parametrization.
 
@@ -325,10 +340,8 @@ def kappa(p, d, q):
     """Total mass of the unnormalized ball density, in closed Gamma form."""
     if d not in (1, 2, 4):
         raise ValueError("d must be 1, 2 or 4, got %r" % (d,))
-    _check_finite("p", p)
     q = _check_count("q", q)
-    if not p > 2 * q - 1:
-        raise ValueError("kappa needs p > 2q - 1 so every Gamma argument is positive")
+    _check_interior("p", p, q)
     from scipy.special import gammaln
 
     out = 0.5 * d * q * q * np.log(np.pi)

@@ -358,6 +358,13 @@ class TestInputContract:
         (lambda: hypergeo.boundedness_sweep("r", 1, 3.0, n_t=2.5,
                                             samples=64), "n_t"),
         (lambda: hypergeo.kappa(5.0, 1, 0), "q"),
+        (lambda: hypergeo.c_function([1.0, 0.5],
+                                     hypergeo.multiplicity_bc(5, 1, 2), 2.5),
+         "q"),
+        (lambda: hypergeo.rho_a(2, 1.5), "q"),
+        (lambda: hypergeo.rho_bc(5, 1, 1.5), "q"),
+        (lambda: hypergeo.rho_k((1, 0, 0.5), 1.5), "q"),
+        (lambda: hypergeo.multiplicity_bc(5, 1, 1.5), "q"),
         (lambda: hypergeo.bessel.partitions_of_weight(2.5, 2), "k"),
         (lambda: hypergeo.bessel_series(hypergeo.bessel_index("r", 5),
                                         [0.5], [0.1], max_degree=2.5),
@@ -368,14 +375,17 @@ class TestInputContract:
     ], ids=["phi-seed", "boundedness-seed", "moment-n-fraction",
             "moment-n-half", "phi-samples", "psi-samples",
             "integral-samples", "workers-0", "workers-negative",
-            "workers-fraction", "n-lambda", "n-t", "kappa-q", "partitions-k",
+            "workers-fraction", "n-lambda", "n-t", "kappa-q", "c-function-q",
+            "rho-a-q", "rho-bc-q", "rho-k-q", "multiplicity-q", "partitions-k",
             "series-degree-fraction", "series-degree-negative"])
     def test_public_calls_reject_non_count_input(self, call, name):
         """A count or seed that is not a whole number in range is a
         ValueError naming it: not truncated (seed 1.9 drew seed 1's
         numbers, moment exponent 1.5 ran as 1), not a TypeError or
         IndexError from deep inside, and not run as given (workers=0,
-        kappa at q = 0, a series truncated at degree -1)."""
+        kappa at q = 0, a series truncated at degree -1, a half-sum
+        vector at q = 1.5, or c_function's "lam must have q=2 entries" at
+        q = 2.5)."""
         with pytest.raises(ValueError, match="^%s must be at least [01] and "
                            "whole, not " % name):
             call()
@@ -410,6 +420,14 @@ class TestInputContract:
         assert algebra._check_count("seed", 2 ** 70, least=0) == 2 ** 70
         assert algebra._check_count("n", np.int64(3)) == 3
         assert algebra._check_count("n", [1, 2.0]) == [1, 2]
+        k = (1.0, 0.0, 0.5)  # c_function at q = 1.0 raised a TypeError
+        assert hypergeo.c_function([1.0], k, 1.0) \
+            == hypergeo.c_function([1.0], k, 1)
+        for rho in (lambda q: hypergeo.rho_a(2, q),
+                    lambda q: hypergeo.rho_bc(5, 1, q),
+                    lambda q: hypergeo.rho_k(k, q),
+                    lambda q: hypergeo.multiplicity_bc(5, 1, q)):
+            assert np.array_equal(rho(1.0), rho(1))
 
 
 class TestBatchLastKernels:
@@ -435,14 +453,36 @@ class TestBatchLastKernels:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_chi_even_columns_match_rows(self, q):
-        """The even columns formed from the even rows are the stack of
-        every row's even-column entries, each odd row from `_row`, to the
-        bit; as the phase reads them, from a Haar shard's even rows."""
-        u = algebra._worked_rows(_draws("h", q, 300, 63)[0], 2)
-        want = np.stack([algebra._row(u, k, 2)[0::2] for k in range(2 * q)])
-        got = algebra._chi_even_columns(u)
-        assert got.shape == (2 * q, q, 300)
-        np.testing.assert_array_equal(got, want)
+        """Over H the phase kernel forms u's even columns from its even
+        rows: its trace equals, to the bit, the same trace over the stack
+        of every row's even-column entries, each odd row from `_row`, on
+        a Haar shard's even rows."""
+        u, w = _draws("h", q, 300, 63)
+        t, lam = np.linspace(1.1, 0.3, q), np.linspace(0.9, -0.4, q)
+        rows = algebra._worked_rows(u, 2)
+        cols = np.stack([algebra._row(rows, k, 2)[0::2]
+                         for k in range(2 * q)])
+        assert cols.shape == (2 * q, q, 300)
+        wt = algebra._worked_rows(w, 2) * np.repeat(t, 2)[:, None]
+        want = np.einsum("ijn,jin->n", wt, cols * lam[:, None]).real
+        np.testing.assert_array_equal(
+            algebra._phase_trace(w, t, u, lam, "h"), want)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", ["r", "c"])
+    def test_phase_trace_matches_matrix_products(self, field, q):
+        """Over R and C the phase kernel is Re tr(w diag(t) u diag(lam)) of
+        each draw, here by `@` products, on the samplers' stacks under
+        the ball law and the boundary law."""
+        n, seed, shard = 500, 6, 2
+        t, lam = np.linspace(1.1, 0.3, q), np.linspace(0.9, -0.4, q)
+        u = sampling.draw_haar(field, q, seed, shard, n)
+        for p in (2 * q - 1, 2 * q + 1.5):
+            w = sampling.draw_ball(field, q, p, seed, shard, n)
+            want = np.trace((w * t) @ (u * lam), axis1=-2, axis2=-1).real
+            got = algebra._phase_trace(w, t, u, lam, field)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("variant", ["g", "g-tilde"])
     def test_quaternion_pivots_pair(self, variant):

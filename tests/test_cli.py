@@ -295,12 +295,18 @@ class TestExitCodes:
          "--p must be finite, not inf"),
         ("weyl-scan --family b --rank 2 --eps nan --rho 2,1",
          "--eps must be finite, not nan"),
+        # One sample printed "stderr": 0.0 beside "pass": true, and rate-p
+        # a slope halfwidth of 0.
+        ("eval-bc --q 2 --p 5 --lambda 1,0.5 --t 0.8,0.4 --samples 1 "
+         "--seed 1", "--samples must be at least 2"),
+        ("rate-p --q 2 --lambda 1,0.5 --t-grid 0.8,0.4 --p-list 10,20 "
+         "--samples 1 --seed 1", "--samples must be at least 2"),
     ], ids=["seed", "p-list", "lambda-length", "n-list", "n-list-0",
             "n-list-negative", "moment-n", "n-list-one", "p-list-one",
             "moment-p-list-one", "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
             "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg",
             "q-0", "q-0-rate-p", "q-neg", "p-inf", "p-inf-boundedness",
-            "eps-nan"])
+            "eps-nan", "samples-1", "samples-1-rate-p"])
     def test_input_error_under_optimize(self, argv, message):
         """Bad arguments are config errors naming them, also under -O."""
         proc = run_process(argv.split(), optimize=True)

@@ -1,5 +1,6 @@
 """Tests for the BC spherical-function evaluators and the c-function."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -366,7 +367,7 @@ class TestHoPolynomial:
         """The cone admits p = 2q - 1, but the c-function normalization
         needs p above it."""
         with pytest.raises(ValueError,
-                           match=r"^eval_ho_polynomial needs p > 2q - 1$"):
+                           match=r"^p must be above 2q - 1 = 3, not 3.0$"):
             hyper_bc.eval_ho_polynomial("r", 3.0, [2, 0], [0.5, 0.1])
 
 
@@ -481,4 +482,27 @@ class TestCone:
         """p < 2q - 1 reads the same wherever it is checked."""
         with pytest.raises(ValueError,
                            match=r"^p must be at least 2q - 1 = 3$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hypergeo.eval_ho_polynomial("r", 3, [4, 2], [0.5, 0.2]),
+         "p must be above 2q - 1 = 3, not 3"),
+        (lambda: hypergeo.boundedness_sweep("r", 2, 3.0, samples=64),
+         "p must be above 2q - 1 = 3, not 3.0"),
+        (lambda: hypergeo.rate_p_experiment("r", 2, [1, 0.5], [[0.5, 0.2]],
+                                            [3, 9], samples=64),
+         "p_list must be above 2q - 1 = 3, not 3.0"),
+        (lambda: hypergeo.moment_decay_experiment("r", 1, 2, [8, 12],
+                                                  samples=64),
+         "p_list - 4n/d must be above 2q - 1 = 1, not 0.0"),
+        (lambda: hypergeo.kappa(3.0, 1, 2),
+         "p must be above 2q - 1 = 3, not 3.0"),
+        (lambda: hypergeo.kappa(np.inf, 1, 2), "p must be finite, not inf"),
+    ], ids=["ho-poly", "boundedness", "rate-p", "moment-decay", "kappa",
+            "kappa-inf"])
+    def test_one_message_at_the_open_bound(self, call, message):
+        """p > 2q - 1, where the ball law has a density, was checked in six
+        places with five messages; `sampling._check_interior` now names
+        the parameter, the bound and the value for all of them."""
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             call()

@@ -690,6 +690,24 @@ class TestShardEngine:
                                r"and whole, not [\[(]3,?[\])]$"):
                 call()
 
+    def test_one_sample_rejected(self):
+        """One draw has no spread, so its standard error read 0: eval-bc
+        printed "stderr": 0.0 beside "pass": true.  An estimate needs two
+        samples, in mc_run and on the exact paths that draw nothing."""
+        calls = [
+            lambda: sampling.mc_run(lambda i, n: sampling.shard_moments(
+                [np.ones((n, 1))]), 1),
+            lambda: hyper_bc._check_run(1, 0, 1),
+            lambda: hyper_bc.eval_phi_bc("r", 5, [1, 0.5], [0.8, 0.4],
+                                         samples=1),
+            lambda: hyper_bc.eval_psi("r", [1.0], [0.5], samples=1.0),
+            lambda: bessel.bessel_phi_tilde("r", 5, [1.0], [0.0],
+                                            mode="integral", samples=1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^samples must be at least "
+                               "2 for a stderr, not 1$"):
+                call()
+
     def test_shard_moments_bits(self):
         """Value sums, and sums of |v - mean|^2 about each column mean."""
         gen = np.random.default_rng(8)

@@ -109,15 +109,20 @@ def _names(node):
 
 def test_experiments_do_not_branch_on_the_field():
     """Every evaluator takes the field as an argument, so no if test,
-    conditional expression or comprehension filter in experiments.py
-    reads d or field: a per-field fork does not grow back."""
-    tree = ast.parse((SRC / "experiments.py").read_text())
-    tests = [node.test for node in ast.walk(tree)
-             if isinstance(node, (ast.If, ast.IfExp, ast.While))]
-    tests += [cond for node in ast.walk(tree)
-              if isinstance(node, ast.comprehension) for cond in node.ifs]
-    assert [ast.unparse(test) for test in tests
-            if {"d", "field"} & set(_names(test))] == []
+    conditional expression or comprehension filter in experiments.py,
+    bessel.py or hyper_bc.py reads d or field: a per-field fork does not
+    grow back, and the quaternion layout that the Bessel phase once
+    branched on stays with the samplers and the kernels in algebra."""
+    found = []
+    for module in ("experiments.py", "bessel.py", "hyper_bc.py"):
+        tree = ast.parse((SRC / module).read_text())
+        tests = [node.test for node in ast.walk(tree)
+                 if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+        tests += [cond for node in ast.walk(tree)
+                  if isinstance(node, ast.comprehension) for cond in node.ifs]
+        found += [(module, ast.unparse(test)) for test in tests
+                  if {"d", "field"} & set(_names(test))]
+    assert found == []
 
 
 def test_only_algebra_forms_odd_rows():
@@ -176,7 +181,8 @@ VECTOR_KERNELS = (("sampling.py", "_haar_batch"),
                   ("sampling.py", "_ball_rows"),
                   ("sampling.py", "_p_map_batch"),
                   ("algebra.py", "_build_g_embedded"),
-                  ("algebra.py", "_log_minors_embedded"))
+                  ("algebra.py", "_log_minors_embedded"),
+                  ("algebra.py", "_phase_trace"))
 
 
 def _per_matrix_calls(func):
@@ -444,6 +450,31 @@ def test_one_gate_for_a_cone_point():
     assert ungated == []
     assert parses == ["_cone", "eval_phi_bc_quadrature_q1"]
     assert chambers == boundaries == empties == ["_cone"]
+
+
+def _is_interior_bound(node):
+    """An order comparison with 2 * ... - 1 on either side."""
+    return isinstance(node, ast.Compare) \
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                for op in node.ops) \
+        and any(ast.unparse(side).startswith("2 * ")
+                and ast.unparse(side).endswith(" - 1")
+                for side in [node.left] + node.comparators)
+
+
+def test_one_gate_for_the_open_bound():
+    """p > 2q - 1, where the ball law has a density, was tested by hand in
+    eval_ho_polynomial, boundedness_sweep, rate_p_experiment,
+    moment_decay_experiment and kappa, with five messages.  An order
+    comparison with 2q - 1 now appears only in `hyper_bc._cone`, the
+    closed bound of the boundary law, and `sampling._check_interior`, the
+    open one; the samplers' choice of law by `!=` is no bound."""
+    found = [(module, func.name)
+             for module in CONE_MODULES + ("sampling.py",)
+             for func in _functions(module).values()
+             for node in ast.walk(func) if _is_interior_bound(node)]
+    assert found == [("hyper_bc.py", "_cone"),
+                     ("sampling.py", "_check_interior")]
 
 
 def _spectral_reads(func):

@@ -7,13 +7,17 @@ Runs the checkout's own benchmark command, as BENCHMARK.json declares it
 (perfbench/run.py, unedited), on every declared workload for its
 ``run_seconds``: five untraced runs at the fixed seeds 1 .. 5, then one
 traced run at seed 1.  Every file is recorded the same way, so any two
-compare run for run.  It then times the tier-1 test command in the same
-checkout.  The file holds, for each workload, the median, min and max
-of every end-to-end metric over the untraced runs (with the values
-themselves), the traced run's per-layer metrics (ms per shard for each
-(field, q), stream reuse and the rest), and the check counts of every
-run; and, once, the ``machine`` line run.py prints and the tier-1 wall
-time.
+compare run for run.  It then times, in the same checkout, the tier-1
+test command once, and five times each the slowest acceptance checks by
+pytest node id and a fixed list of CLI commands (the README examples
+and one multi-point eval-bessel-integral command).  The file holds, for
+each workload, the median, min and max of every end-to-end metric over
+the untraced runs (with the values themselves), the traced run's
+per-layer metrics (ms per shard for each (field, q), stream reuse and
+the rest), and the check counts of every run; and, once, the
+``machine`` line run.py prints, the tier-1 wall time, and the median,
+min and max wall time and the exit codes of each timed check and
+command.
 Two files recorded on one machine, before and after a change, back a
 speed claim; the min-max spread shows how far one run moves alone.
 The runs are sequential, so nothing else of the record competes for the
@@ -31,6 +35,21 @@ from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 SEEDS = [1, 2, 3, 4, 5]
+RUNS = 5  # timed runs of each slow check and CLI command
+
+SLOW_TESTS = ["tests/test_acceptance.py::test_06_bessel_duality",
+              "tests/test_acceptance.py::test_03_rate_in_p",
+              "tests/test_acceptance.py::test_07_weyl_polytope_suite"]
+
+# The README's examples, then 3 lambda rows x 3 t rows of the phase
+# integral, each point one Monte-Carlo call on the same draws.
+CLI = ["eval-bc --field c --q 2 --p 5 --lambda 1+0.5i,0.5 --t 0.8,0.4 "
+       "--samples 200000 --seed 1",
+       "rate-p --q 1 --lambda 2 --t-grid 0:2:9 --p-list 10,20,40,80,160,320",
+       "weyl-scan --family b --rank 3 --eps 1 --rho 2,1.9,0.1",
+       "jack-table --weight 3 --rank 2",
+       "eval-bessel-integral --field r --q 2 --p 3 --lambda 1,0.5,2,1,0.5,0.25"
+       " --t 0.9,0.4,0.6,0.3,1.2,0.2 --samples 100000 --seed 1"]
 
 
 def _run_bench(root, command, workload, seed, seconds, trace):
@@ -70,13 +89,30 @@ def record_workload(root, command, workload, seeds, seconds):
             "checks": checks}, machine
 
 
+def _env(root):
+    """The environment that runs the checkout's own package."""
+    src = str(Path(root) / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def record_timed(root, argv):
+    """Median, min and max wall time of RUNS runs of one command in the
+    checkout, with each run's exit code (weyl-scan's example exits 4)."""
+    times, codes = [], []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable] + argv, cwd=root,
+                             env=_env(root), capture_output=True)
+        times.append(time.perf_counter() - start)
+        codes.append(out.returncode)
+    return dict(_spread(times), exit_codes=codes)
+
+
 def record_tier1(root):
     """Wall time and pytest's summary line of the tier-1 command."""
-    src = str(Path(root) / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    out = subprocess.run([sys.executable] + TIER1, cwd=root, env=env,
+    out = subprocess.run([sys.executable] + TIER1, cwd=root, env=_env(root),
                          capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = out.stdout.splitlines()
@@ -113,10 +149,16 @@ def main(argv=None):
         print("recording %s ..." % name, file=sys.stderr, flush=True)
         workloads[name], machine = record_workload(
             root, bench["command"], name, SEEDS, seconds)
-    print("timing tier-1 ...", file=sys.stderr, flush=True)
+    print("timing tier-1, slow checks and CLI ...", file=sys.stderr,
+          flush=True)
     out = {"label": args.label, **_commit(root), "seconds": seconds,
            "seeds": SEEDS, "traced_seed": SEEDS[0], "machine": machine,
-           "workloads": workloads, "tier1": record_tier1(root)}
+           "workloads": workloads, "tier1": record_tier1(root),
+           "slow_tests": {node: record_timed(root, ["-m", "pytest", "-q",
+                                                    node])
+                          for node in SLOW_TESTS},
+           "cli": {cmd: record_timed(root, ["-m", "hypergeo.cli"]
+                                     + cmd.split()) for cmd in CLI}}
     path = args.output or Path("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print("wrote %s" % path, file=sys.stderr)
