@@ -278,7 +278,7 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
 
 def _phase_columns(field, t, lam, haar, w):
     """exp(-i `algebra._phase_trace`) of one shard's draws, as one column."""
-    return np.exp(-1j * _phase_trace(w, t, haar(), lam, field))[:, None]
+    return np.exp(-1j * _phase_trace(w, t, haar, lam, field))[:, None]
 
 
 def bessel_phi_tilde(field, p, lam, t, mode="series", samples=100000,

@@ -256,8 +256,7 @@ def _haar_batch(field, q, n, gen):
 
 
 def _check_interior(name, p, q):
-    """Raise a ValueError naming p unless it is finite and above 2q - 1,
-    where the ball law has a density; `hyper_bc._cone` admits 2q - 1."""
+    """A ValueError names p unless finite and above 2q - 1 (ball density)."""
     p = _check_finite(name, p)
     low = p[~(p > 2 * q - 1)]
     if low.size:

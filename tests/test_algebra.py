@@ -466,7 +466,7 @@ class TestBatchLastKernels:
         wt = algebra._worked_rows(w, 2) * np.repeat(t, 2)[:, None]
         want = np.einsum("ijn,jin->n", wt, cols * lam[:, None]).real
         np.testing.assert_array_equal(
-            algebra._phase_trace(w, t, u, lam, "h"), want)
+            algebra._phase_trace(w, t, lambda: u, lam, "h"), want)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("field", ["r", "c"])
@@ -480,7 +480,7 @@ class TestBatchLastKernels:
         for p in (2 * q - 1, 2 * q + 1.5):
             w = sampling.draw_ball(field, q, p, seed, shard, n)
             want = np.trace((w * t) @ (u * lam), axis1=-2, axis2=-1).real
-            got = algebra._phase_trace(w, t, u, lam, field)
+            got = algebra._phase_trace(w, t, lambda: u, lam, field)
             assert got.shape == (n,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
