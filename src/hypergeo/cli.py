@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, weyl
+from . import experiments, sampling, weyl
 from .algebra import _check_count, field_dim, normalize_field
 from .bessel import _shell, bessel_phi_tilde
 from .experiments import (boundedness_sweep, contraction_experiment,
@@ -266,6 +266,9 @@ def _cmd_eval(args):
 _NON_FINITE_CAUSE = {
     "slope": " because an error is 0: a log-log fit needs every error "
              "positive",
+    "slope_halfwidth": " because the jackknife band needs 2 Monte-Carlo "
+                       "shards, so --samples above %d, and 2 finite "
+                       "leave-one-out slopes" % sampling.SHARD_SIZE,
 }
 
 

@@ -73,15 +73,16 @@ def _jackknife_slope_halfwidth(params, parts, samples, errors):
     """Two-sigma jackknife band for the fitted slope, over sample shards.
 
     parts[i] is shard i's flat value-sum array, as mc_run returns it,
-    or None for exact means, which have no band, and errors(means) maps
-    flat means to one error per parameter.
+    or None for exact means, whose band is 0, and errors(means) maps
+    flat means to one error per parameter.  A run of under 2 shards, or
+    under 2 finite leave-one-out slopes, has no band: NaN.
     """
     if parts is None:
         return 0.0
     sizes = sampling.shard_plan(samples)
     m = len(sizes)
     if m < 2:
-        return 0.0
+        return float("nan")
     tot = sum(parts)
     slopes = []
     for i in range(m):
@@ -89,7 +90,7 @@ def _jackknife_slope_halfwidth(params, parts, samples, errors):
         if np.isfinite(s):
             slopes.append(s)
     if len(slopes) < 2:
-        return 0.0
+        return float("nan")
     slopes = np.asarray(slopes)
     var = (len(slopes) - 1) / len(slopes) * np.sum(
         (slopes - slopes.mean()) ** 2)

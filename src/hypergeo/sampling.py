@@ -13,10 +13,10 @@ Beta(dq/2, G's shape) and the direction uniform.  A shard of n draws
 takes n d q (q + 1) / 2 normal variates for Haar, and n d q^2 normal and
 n q Gamma variates for the ball (n (q - 1) at the boundary p = 2q - 1).
 
-Memory layout: `_haar_batch`, `_ball_rows` and `_p_map_batch` own the
-shard's draws, and write them batch-last, entry (i, j) of every draw one
-contiguous length-n vector.  They hand them on as (n, e, e) views, or
-(n, 1, e) row factors, of that memory, which
+Memory layout: `_haar_batch` and `_ball_rows` each write a shard's
+draws into one batch-last array, entry (i, j) of every draw one
+contiguous length-n vector, and `_p_map_batch` turns the ball's into w
+in place.  The draws go on as (n, e, e) views of that memory, which
 `algebra._build_g_embedded` reads batch-last again without a copy.
 Over H (e = 2q) only the even rows of the chi images are kept, in the
 layout that `algebra` documents: Haar and ball draws are (n, q, 2q)
@@ -275,14 +275,15 @@ def _ball_rows(field, q, p, n, gen):
     y_j = g / sqrt(|g|^2 + 2 G_j) has the uniform direction and the Beta
     radius, exact for non-integer shapes.  At the boundary p = 2q-1 the
     last factor is g/|g|, on the sphere, and draws no Gamma variate.
-    Each factor is written straight into an (n, 1, E) view of batch-last
-    memory (1, E, n); over H it is the even row of the factor's chi
-    image, entries 2m and 2m + 1 being g_0 + i g_1 and g_2 + i g_3 of
-    coordinate m.
+    Factor j is slot j of one batch-last array (q, 1, E, n), returned as
+    its (q, n, 1, E) view, whose entries are the (n, 1, E) factors; over
+    H the even row of the factor's chi image, entries 2m and 2m + 1
+    being g_0 + i g_1 and g_2 + i g_3 of coordinate m.
     """
     d = field_dim(field)
     step = 2 if field == "h" else 1
-    rows = []
+    y = np.empty((q, 1, step * q, n), float if d == 1 else complex)
+    parts = (y.real, y.imag) if d > 1 else (y,)
     for j in range(1, q + 1):
         g = gen.standard_normal((d, q, n))
         flat = g.reshape(d * q, n)
@@ -290,16 +291,13 @@ def _ball_rows(field, q, p, n, gen):
         if j < q or p != 2 * q - 1:
             r += 2.0 * gen.standard_gamma(0.5 * d * (p - q - j + 1), n)
         np.sqrt(r, out=r)
-        y = np.empty((1, step * q, n), float if d == 1 else complex)
-        parts = (y.real, y.imag) if d > 1 else (y,)
         for k, comp in enumerate(g):
-            np.divide(comp, r, out=parts[k % 2][0, k // 2::step])
-        rows.append(_batch_first(y))
-    return rows
+            np.divide(comp, r, out=parts[k % 2][j - 1, 0, k // 2::step])
+    return np.moveaxis(y, -1, 1)
 
 
 def _p_map_batch(rows):
-    """Assemble ball matrices from embedded row factors (n, 1, E).
+    """Turn the row factors (q, n, 1, E) into ball matrices, in place.
 
     Row j of the result is y_j S_(j-1) ... S_1, where
     S_i = (I - y_i* y_i)^(1/2) = I + c_i y_i* y_i, since I - y*y has the
@@ -309,18 +307,15 @@ def _p_map_batch(rows):
     running row v as the rank-e update v += c_i (v y_i*) y_i, so no
     matrix product is formed: every step is an (e, E, n) slab or
     length-n vector operation on batch-last memory.  The factor index is
-    outermost, each S_i applied to every later row in turn, so each row
-    still meets S_(j-1) .. S_1 in that order.  Over H each factor is
-    given by its even row, and its chi image (e = 2) is formed once, for
-    its own update; only the even rows of w are formed.  Returns an
-    (n, E, E) view of batch-last memory, over H the (n, q, 2q) view of
-    the even rows.
+    outermost, last first, each S_i applied to every later row in turn,
+    so each row still meets S_(j-1) .. S_1 in that order, and factor i
+    is read from its own row, which no earlier step touched.  Over H
+    each factor is its even row, its chi image (e = 2) formed once for
+    its own update, and only w's even rows are formed.  Returns w, the
+    (n, E, E) view of the rows' memory; over H its (n, q, 2q) even rows.
     """
-    chi = rows[0].shape[-1] == 2 * len(rows)  # over H, E = 2q
-    w = np.empty((len(rows),) + _batch_last(rows[0]).shape[1:],
-                 rows[0].dtype)
-    for v, y in zip(w, rows):
-        v[...] = _batch_last(y)[0]
+    chi = rows.shape[-1] == 2 * len(rows)  # over H, E = 2q
+    w = np.moveaxis(rows[:, :, 0], 1, -1)  # (q, E, n), factor j in row j
     for i in reversed(range(len(rows) - 1)):
         y = _batch_last(_chi_full(rows[i]) if chi else rows[i])  # (e, E, n)
         ybar = np.conj(y)

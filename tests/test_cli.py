@@ -15,6 +15,10 @@ from hypergeo import cli
 RECORD_KEYS = {"command", "inputs", "value_re", "value_im", "stderr",
                "samples", "seed", "pass"}
 
+_NO_BAND = ("summary field slope_halfwidth is nan because the jackknife "
+            "band needs 2 Monte-Carlo shards, so --samples above 8192, and "
+            "2 finite leave-one-out slopes")
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -462,6 +466,14 @@ class TestExitCodes:
          "the contraction error 1.11e-16 at n=1 is at or below the series "
          "reference's resolution 1e-12 (rel_tol max(1, |ref|) + tail "
          "bound), so it carries no rate"),
+        # One shard, so no jackknife band: "slope_halfwidth": 0.0 and
+        # "pass": true beside slopes of -1.090, -1.798 and -0.954.
+        ("rate-p --q 2 --lambda 1,0.5 --t-grid 0.8,0.4 --p-list 10,20 "
+         "--samples 4096 --seed 1", _NO_BAND),
+        ("moment-decay --q 2 --n 1 --p-list 16,32 --samples 4096 --seed 1",
+         _NO_BAND),
+        ("contraction --q 2 --p 5 --lambda 1,0.5 --t 0.8,0.4 --n-list 2,4 "
+         "--samples 4096 --seed 1", _NO_BAND),
     ], ids=["overflow", "overflow-workers-2", "slope", "c-function-lambda",
             "jack-alpha", "jack-alpha-weight-2", "ho-poly-p",
             "c-function-p-1e17", "c-function-p-1e18", "series-lambda",
@@ -469,7 +481,8 @@ class TestExitCodes:
             "psi-lambda-imaginary", "c-function-cancel-1e12",
             "c-function-cancel-1e300", "contraction-series",
             "contraction-quadrature", "rate-p-quadrature",
-            "contraction-rounding"])
+            "contraction-rounding", "rate-p-one-shard",
+            "moment-decay-one-shard", "contraction-one-shard"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())

@@ -370,16 +370,18 @@ class TestSlopeFit:
         errors = [p ** -1.5 for p in params]
         np.testing.assert_allclose(ex._fit_slope(params, errors), -1.5)
 
-    def test_jackknife_zero_for_single_shard(self):
+    def test_jackknife_nan_for_single_shard(self):
+        """One Monte-Carlo shard has no band: NaN, not an exact mean's 0."""
         parts = [np.array([1.0 + 0j, 0.5 + 0j])]
         got = ex._jackknife_slope_halfwidth([2, 4], parts, 100, np.abs)
-        assert got == 0.0
+        assert np.isnan(got)
+        assert ex._jackknife_slope_halfwidth([2, 4], None, 100, np.abs) == 0.0
 
     @pytest.mark.parametrize("finite", [0, 1])
-    def test_jackknife_zero_below_two_finite_slopes(self, finite):
+    def test_jackknife_nan_below_two_finite_slopes(self, finite):
         """A leave-one-out fit with a zero error has slope -inf and is
-        dropped; with fewer than two finite slopes there is no band, where
-        the spread of none would be NaN."""
+        dropped; with fewer than two finite slopes there is no band, and
+        the halfwidth is NaN, not the 0 of an exact slope."""
         samples = 3 * shard_plan(24000)[0]
         calls = []
 
@@ -390,7 +392,7 @@ class TestSlopeFit:
 
         got = ex._jackknife_slope_halfwidth(
             [2, 4], [np.ones(2, complex)] * 3, samples, errors)
-        assert (got, len(calls)) == (0.0, 3)
+        assert np.isnan(got) and len(calls) == 3
 
     def test_jackknife_positive_with_shards(self):
         gen = np.random.default_rng(6)

@@ -528,9 +528,9 @@ class TestBatchLastKernels:
         gen = np.random.default_rng(30 + q)
         for p in (2 * q - 1, 2 * q + 1.5):
             rows = sampling._ball_rows(field, q, p, 1000, gen)
-            got = algebra._chi_full(sampling._p_map_batch(rows))
             want = _p_map_reference([np.ascontiguousarray(
                 _factor_full(field, y)) for y in rows])
+            got = algebra._chi_full(sampling._p_map_batch(rows))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
@@ -542,9 +542,9 @@ class TestBatchLastKernels:
         t = np.linspace(1.2, 0.3, q)
         u = sampling._haar_batch(field, q, 1000, gen)
         rows = sampling._ball_rows(field, q, 2 * q + 1.0, 1000, gen)
-        w = None if variant is None else sampling._p_map_batch(rows)
         w_ref = None if variant is None else _p_map_reference(
             [np.ascontiguousarray(_factor_full(field, y)) for y in rows])
+        w = None if variant is None else sampling._p_map_batch(rows)
         g = algebra._build_g_embedded(t, u, w, field, variant or "g")
         g_ref = _g_reference(t, np.ascontiguousarray(algebra._chi_full(u)),
                              w_ref, field, variant or "g")
@@ -599,21 +599,29 @@ class TestBatchLastKernels:
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     def test_draws_are_batch_last(self, field):
-        """Draws are (n, e, e) views whose batch axis has unit stride."""
+        """Draws are (n, e, e) views, and the ball rows one (q, n, 1, E)
+        array, whose batch axis has unit stride."""
         gen = np.random.default_rng(50)
-        draws = [sampling._haar_batch(field, 3, 64, gen),
-                 sampling._mp_batch(field, 3, 6.0, 64, gen)]
-        draws += sampling._ball_rows(field, 3, 6.0, 64, gen)
-        for x in draws:
+        rows = sampling._ball_rows(field, 3, 6.0, 64, gen)
+        assert rows.strides[1] == rows.itemsize
+        for x in (sampling._haar_batch(field, 3, 64, gen),
+                  sampling._mp_batch(field, 3, 6.0, 64, gen)):
             assert x.strides[0] == x.itemsize
 
     @pytest.mark.parametrize("field", ["r", "c", "h"])
     def test_p_map_batch_first_rows_same_bits(self, field):
         rows = sampling._ball_rows(field, 3, 6.0, 300,
                                    np.random.default_rng(51))
-        np.testing.assert_array_equal(
-            sampling._p_map_batch(rows),
-            sampling._p_map_batch([np.ascontiguousarray(y) for y in rows]))
+        first = np.ascontiguousarray(rows)
+        np.testing.assert_array_equal(sampling._p_map_batch(first),
+                                      sampling._p_map_batch(rows))
+
+    @pytest.mark.parametrize("field", ["r", "c", "h"])
+    def test_p_map_turns_the_rows_into_w(self, field):
+        """w is made in the row factors' own memory: no second array."""
+        rows = sampling._ball_rows(field, 3, 6.0, 64,
+                                   np.random.default_rng(52))
+        assert np.shares_memory(sampling._p_map_batch(rows), rows)
 
 
 class TestKappa:

@@ -218,6 +218,17 @@ def test_kernels_dispatch_no_per_matrix_products(module, name):
                  and node.func.id in funcs and node.func.id not in seen]
 
 
+def test_p_map_allocates_no_second_w():
+    """`_p_map_batch` turns the ball rows' one array into w in place: it
+    allocates or copies no second w array."""
+    func = _functions("sampling.py")["_p_map_batch"]
+    called = [ast.unparse(node.func) for node in ast.walk(func)
+              if isinstance(node, ast.Call)]
+    assert [name for name in called
+            if name in ("np.empty", "np.zeros", "np.empty_like")
+            or name.endswith(".copy")] == []
+
+
 ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 

@@ -122,10 +122,15 @@ def record_tier1(root):
 
 
 def _commit(root):
-    """HEAD of the checkout, and whether its tracked files differ."""
+    """HEAD of the checkout, and whether its tracked files differ; a
+    ValueError holds git's message if a git call fails, as it does
+    outside a git work tree, whose empty output would read as clean."""
     def git(*args):
-        return subprocess.run(["git", "-C", str(root), *args],
-                              capture_output=True, text=True).stdout.strip()
+        proc = subprocess.run(["git", "-C", str(root), *args],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            raise ValueError(proc.stderr.strip())
+        return proc.stdout.strip()
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
@@ -140,6 +145,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
+    try:
+        commit = _commit(root)
+    except ValueError as exc:
+        ap.error("--root %s has no git commit to record: %s" % (root, exc))
     bench = json.loads((root / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     workloads = {}
@@ -151,7 +160,7 @@ def main(argv=None):
             root, bench["command"], name, SEEDS, seconds)
     print("timing tier-1, slow checks and CLI ...", file=sys.stderr,
           flush=True)
-    out = {"label": args.label, **_commit(root), "seconds": seconds,
+    out = {"label": args.label, **commit, "seconds": seconds,
            "seeds": SEEDS, "traced_seed": SEEDS[0], "machine": machine,
            "workloads": workloads, "tier1": record_tier1(root),
            "slow_tests": {node: record_timed(root, ["-m", "pytest", "-q",
