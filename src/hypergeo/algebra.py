@@ -321,6 +321,15 @@ def _check_finite(name, x):
     return x
 
 
+def _check_positive(name, x):
+    """x as a float, if positive and finite; a ValueError names it
+    otherwise."""
+    x = float(x)
+    if not 0 < x < np.inf:
+        raise ValueError("%s must be positive and finite, not %r" % (name, x))
+    return x
+
+
 def _check_count(name, value, least=1):
     """value as an int (a sequence as a list of ints), if it is a whole
     number of at least `least`: 2.0 counts, 1.9 is not truncated, and an

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_check_count, _check_finite, _phase_trace, field_dim,
-                      normalize_field)
+from .algebra import (_check_count, _check_finite, _check_positive,
+                      _phase_trace, field_dim, normalize_field)
 from .hyper_bc import McEstimate, _check_run, _cone, _mc_pairs, _spectral
 
 
@@ -188,9 +188,7 @@ def jack_C(m, alpha, xi):
         raise ValueError("m=%s is not a partition: its parts must be weakly "
                          "decreasing non-negative integers" % (given,))
     m = tuple(int(x) for x in given if x)
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be positive and finite, not %r" % alpha)
+    alpha = _check_positive("alpha", alpha)
     xi = _check_finite("xi", xi)
     q = xi.shape[0]
     if len(m) > q:
@@ -219,23 +217,19 @@ def bessel_series(idx, xi, eta, max_degree=30, rel_tol=1e-12):
     the running total.  The tail bound extrapolates the last shell
     geometrically from the observed shell ratios.  A shell out of float
     range raises OverflowError, and an argument out of it makes the first
-    shell so; numpy's warnings are off inside.  A NaN in xi, eta or the
-    index, an idx.alpha that is not positive, or a rel_tol that is not
-    positive and finite, raises ValueError naming it.
+    shell so; numpy's warnings are off inside.  A NaN in xi, eta or
+    idx.mu, or an idx.alpha or rel_tol that is not positive and finite,
+    raises ValueError naming it.
     """
     xi = np.atleast_1d(np.asarray(xi))
     eta = np.atleast_1d(np.asarray(eta))
     if xi.shape != eta.shape or xi.ndim != 1:
         raise ValueError("xi and eta must be vectors of a common length")
-    for name, x in (("xi", xi), ("eta", eta), ("idx.mu", idx.mu),
-                    ("idx.alpha", idx.alpha)):
+    for name, x in (("xi", xi), ("eta", eta), ("idx.mu", idx.mu)):
         if np.any(np.isnan(x)):
             raise ValueError("%s must not be NaN" % name)
-    if not idx.alpha > 0:
-        raise ValueError("idx.alpha must be positive, not %r" % (idx.alpha,))
-    if not 0 < rel_tol < math.inf:
-        raise ValueError("rel_tol must be positive and finite, not %r"
-                         % (rel_tol,))
+    _check_positive("idx.alpha", idx.alpha)
+    _check_positive("rel_tol", rel_tol)
     max_degree = _check_count("max_degree", max_degree)
     q = xi.shape[0]
     shells = [1.0]

@@ -5,16 +5,22 @@ CSV; experiment subcommands emit CSV rows plus a one-line JSON summary.
 Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
-Exit codes: 0 success, 2 configuration problems (including a count such
-as --q, --n-t, --max-degree or an --n-list entry below 1, a --samples
-below 2 or a --rho-samples below 0, a --p, --eps or --rel-tol or an entry of
---lambda, --t, --t-grid, --p-list or --rho that is not finite, a
---rel-tol that is not positive, or a --rho, --rank, --resolution or
---alpha that weyl-scan, eps0 or jack-table rejects), 3 domain errors (a
-named precondition failed, such as a --t or --t-grid row outside the
-chamber t1 >= ... >= tq >= 0 for any evaluator or experiment, an input
-overflows or leaves the c-function no 10 correct digits, or an estimate
-is not finite), 4 a declared acceptance predicate failed.
+Exit codes: 0 success, 2 configuration problems, 3 domain errors, 4 a
+declared acceptance predicate failed.  A flag that fails its library
+gate exits 2 with a message naming it: a count such as --q, --n-t,
+--max-degree or an --n-list entry below 1, a --samples below 2, a
+--rho-samples or --seed below 0, a --p, --eps or an entry of --lambda,
+--t, --t-grid, --p-list or --rho that is not finite, a --rel-tol,
+--resolution or --alpha that is not positive and finite, a --lambda or
+contraction --t of other than q entries, a --mu other than q weakly
+decreasing even nonnegative integers, a --p-list or --n-list of fewer
+than two entries or not increasing, or a --rho or --rank that weyl-scan
+or eps0 rejects.  So do a list that does not parse or chunk by q, a
+HYPERGEO_SEED that is no integer of at least 0, and a jack-table
+--weight or --rank beyond its tables.  A domain error is a named
+precondition that failed: a --t or --t-grid row outside the chamber
+t1 >= ... >= tq >= 0, an input that overflows or leaves the c-function
+no 10 correct digits, or an estimate that is not finite.
 
 Record fields for the Monte-Carlo evaluators are value, stderr, and
 samples; for the Bessel series the same slots carry the tail bound as
@@ -34,13 +40,16 @@ import sys
 
 import numpy as np
 
-from . import experiments, sampling, weyl
-from .algebra import _check_count, field_dim, normalize_field
+from . import sampling, weyl
+from .algebra import (_check_count, _check_finite, _check_positive,
+                      field_dim, normalize_field)
 from .bessel import _shell, bessel_phi_tilde
-from .experiments import (boundedness_sweep, contraction_experiment,
+from .experiments import (_increasing, boundedness_sweep,
+                          contraction_experiment,
                           moment_decay_experiment, rate_p_experiment)
-from .hyper_bc import (c_function, eval_phi_bc, eval_ho_polynomial,
-                       eval_psi, multiplicity_bc)
+from .hyper_bc import (_check_length, _check_mu, _spectral, c_function,
+                       eval_phi_bc, eval_ho_polynomial, eval_psi,
+                       multiplicity_bc)
 
 
 class _ConfigError(Exception):
@@ -48,15 +57,14 @@ class _ConfigError(Exception):
 
 
 @contextlib.contextmanager
-def _config_errors(prefix=""):
-    """Report a ValueError raised inside as a configuration error.  The
-    argument its message names first is written as its flag: the prefix,
-    then the name with hyphens for underscores."""
+def _config_errors():
+    """Report a ValueError raised inside as a configuration error; the
+    argument name a gate's message starts with is written as its flag."""
     try:
         yield
     except ValueError as exc:
         name, space, rest = str(exc).partition(" ")
-        raise _ConfigError(prefix + name.replace("_", "-") + space + rest)
+        raise _ConfigError(_FLAG_OF.get(name, name) + space + rest)
 
 
 def _finite(x):
@@ -84,8 +92,7 @@ def _complex(text):
 
 def _parse_list(s, flag, entry=float):
     """The finite entries of flag, a comma list; reals may also be given
-    as a start:stop:count grid.  A NaN entry would pass every range
-    check, since it compares false."""
+    as a start:stop:count grid."""
     s = str(s).strip()
     try:
         if entry is float and ":" in s:
@@ -95,10 +102,8 @@ def _parse_list(s, flag, entry=float):
             values = np.array([entry(x) for x in s.split(",")])
     except (ValueError, TypeError):
         raise _ConfigError("cannot parse %s %r" % (flag, s))
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise _ConfigError("%s must be finite, not %r" % (flag, bad[0].item()))
-    return values
+    with _config_errors():
+        return _check_finite(flag, values)
 
 
 def _chunk(values, q, label):
@@ -110,40 +115,18 @@ def _chunk(values, q, label):
     return values.reshape(-1, q)
 
 
-def _field_of(args):
-    with _config_errors():
-        return normalize_field(args.field)
-
-
 def _seed_of(args):
-    """--seed, else HYPERGEO_SEED, else 0; a nonnegative integer."""
+    """--seed, else HYPERGEO_SEED, else 0, if `sampling._check_seed` takes
+    it; a config error names the source."""
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        source = "HYPERGEO_SEED"
-        text = os.environ.get(source, "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise _ConfigError("%s must be an integer, not %r"
-                               % (source, text))
-    if seed < 0:
-        raise _ConfigError("%s must be nonnegative, not %d" % (source, seed))
-    return seed
-
-
-def _vector(values, q, label):
-    """values, if there are exactly q of them."""
-    if len(values) != q:
-        raise _ConfigError("%s has %d entries, expected q=%d"
-                           % (label, len(values), q))
-    return values
-
-
-def _increasing(values, flag):
-    """values, if they strictly increase."""
-    with _config_errors():
-        return experiments._increasing(values, flag)
+        with _config_errors():
+            return sampling._check_seed(args.seed)
+    text = os.environ.get("HYPERGEO_SEED", "0")
+    try:
+        return sampling._check_seed(int(text))
+    except ValueError:
+        raise _ConfigError("HYPERGEO_SEED must be an integer of at least 0, "
+                           "not %r" % text)
 
 
 def _json_line(obj):
@@ -217,14 +200,15 @@ _RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
 
 def _cmd_eval(args):
     """One record per (lambda, t) pair of the cross product."""
-    field = _field_of(args)
     q = args.q
     seed = _seed_of(args) if hasattr(args, "seed") else 0
-    if hasattr(args, "mu"):
-        lam_rows = [_vector(_parse_list(args.mu, "--mu", int), q, "mu")]
-    else:
-        lam_rows = _chunk(_parse_list(args.lam, "--lambda", _complex), q,
-                          "lambda")
+    with _config_errors():
+        field = normalize_field(args.field)
+        if hasattr(args, "mu"):
+            lam_rows = [_check_mu(_parse_list(args.mu, "--mu", int), q)]
+        else:
+            lam_rows = _chunk(_parse_list(args.lam, "--lambda", _complex), q,
+                              "lambda")
     t_rows = _chunk(_parse_list(args.t, "--t"), q, "t") if hasattr(args, "t") \
         else [None]
     evaluate = _EVALUATORS[args.command]
@@ -315,12 +299,13 @@ def _emit_rate(args, cols, report, checks):
 
 
 def _cmd_rate_p(args):
-    field = _field_of(args)
     seed = _seed_of(args)
-    lam = _vector(_parse_list(args.lam, "--lambda", _complex), args.q,
-                  "lambda")
-    t_grid = _chunk(_parse_list(args.t_grid, "--t-grid"), args.q, "t-grid")
-    p_list = _increasing(_parse_list(args.p_list, "--p-list"), "--p-list")
+    with _config_errors():
+        field = normalize_field(args.field)
+        lam = _spectral(_parse_list(args.lam, "--lambda", _complex), args.q)
+        t_grid = _chunk(_parse_list(args.t_grid, "--t-grid"), args.q,
+                        "t-grid")
+        p_list = _increasing(_parse_list(args.p_list, "--p-list"), "p_list")
     report = rate_p_experiment(field, args.q, lam, t_grid, p_list,
                                samples=args.samples, seed=seed,
                                workers=args.workers)
@@ -331,14 +316,13 @@ def _cmd_rate_p(args):
 
 
 def _cmd_contraction(args):
-    field = _field_of(args)
     seed = _seed_of(args)
-    lam = _vector(_parse_list(args.lam, "--lambda"), args.q, "lambda")
-    t = _vector(_parse_list(args.t, "--t"), args.q, "t")
     with _config_errors():
-        n_list = experiments._increasing(_check_count(
-            "--n-list", _parse_list(args.n_list, "--n-list", int)),
-            "--n-list")
+        field = normalize_field(args.field)
+        lam = _spectral(_parse_list(args.lam, "--lambda"), args.q)
+        t = _check_length("t", _parse_list(args.t, "--t"), args.q)
+        n_list = _increasing(_check_count(
+            "n_list", _parse_list(args.n_list, "--n-list", int)), "n_list")
     report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
                                     samples=args.samples, seed=seed,
                                     workers=args.workers)
@@ -349,9 +333,10 @@ def _cmd_contraction(args):
 
 
 def _cmd_moment_decay(args):
-    field = _field_of(args)
     seed = _seed_of(args)
-    p_list = _increasing(_parse_list(args.p_list, "--p-list"), "--p-list")
+    with _config_errors():
+        field = normalize_field(args.field)
+        p_list = _increasing(_parse_list(args.p_list, "--p-list"), "p_list")
     report = moment_decay_experiment(field, args.q, args.n, p_list,
                                      samples=args.samples, seed=seed,
                                      workers=args.workers)
@@ -363,8 +348,9 @@ def _cmd_moment_decay(args):
 
 
 def _cmd_boundedness(args):
-    field = _field_of(args)
     seed = _seed_of(args)
+    with _config_errors():
+        field = normalize_field(args.field)
     report = boundedness_sweep(field, args.q, args.p,
                                n_lambda=args.n_lambda, n_t=args.n_t,
                                samples=args.samples, seed=seed,
@@ -386,10 +372,8 @@ def _cmd_boundedness(args):
                             checks)
 
 
-# The weyl module names the bad argument first in its ValueError
-# messages, and each argument has the flag of the same name.
 def _cmd_weyl_scan(args):
-    with _config_errors("--"):
+    with _config_errors():
         spec = weyl.RootSystemSpec(args.family, args.rank)
         weyl.check_vertex_rank(spec)  # before 2^rank wall pinches are built
         _check_count("rho_samples", args.rho_samples, least=0)
@@ -421,7 +405,7 @@ def _cmd_weyl_scan(args):
 
 
 def _cmd_eps0(args):
-    with _config_errors("--"):
+    with _config_errors():
         spec = weyl.RootSystemSpec(args.family, args.rank)
         value = weyl.eps0_estimate(spec, rho_samples=args.rho_samples,
                                    resolution=args.resolution)
@@ -435,10 +419,8 @@ def _cmd_jack_table(args):
         raise _ConfigError("weight must lie in 0..30")
     if args.rank > 6 or args.rank < 1:
         raise _ConfigError("rank must lie in 1..6")
-    alpha = float(args.alpha)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise _ConfigError("alpha must be positive and finite, not %r"
-                           % alpha)
+    with _config_errors():
+        alpha = _check_positive("alpha", args.alpha)
     try:
         shell = _shell(args.weight, alpha, args.rank)
     except OverflowError:
@@ -456,8 +438,7 @@ def _cmd_jack_table(args):
     return 0
 
 
-# Each flag's argparse keywords.  A COUNT must be at least 1 and a REAL
-# finite, which main checks for every subcommand.
+# Each flag's argparse keywords.
 _FLAGS = {
     "--field": dict(default="r",
                     help="scalar field: r, c, or h (default r)"),
@@ -530,6 +511,16 @@ _COMMANDS = {
                                      "--output")),
 }
 
+# Each flag by the argument name that a library gate's message starts with.
+_FLAG_OF = {spec.get("dest", flag[2:].replace("-", "_")): flag
+            for flag, spec in _FLAGS.items()}
+
+# The library gate that main runs on a typed flag's value, by flag or
+# else by metavar: a COUNT is a whole number of at least 1, a REAL finite.
+_GATES = {"--samples": lambda name, value: sampling._check_samples(value),
+          "--rel-tol": _check_positive, "COUNT": _check_count,
+          "REAL": _check_finite}
+
 # Defaults that differ from the flag table's.
 _OWN_DEFAULTS = {"weyl-scan": {"rho_samples": 20}}
 
@@ -555,18 +546,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        for flag, spec in _FLAGS.items():
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is None:
-                continue
-            least = 2 if flag == "--samples" else 1  # one draw, no stderr
-            if spec.get("metavar") == "COUNT" and value < least:
-                raise _ConfigError("%s must be at least %d" % (flag, least))
-            if spec.get("metavar") == "REAL" and not np.isfinite(value):
-                raise _ConfigError("%s must be finite, not %r" % (flag, value))
-            if flag == "--rel-tol" and not value > 0:
-                raise _ConfigError("--rel-tol must be positive, not %r"
-                                   % (value,))
+        with _config_errors():
+            for name, flag in _FLAG_OF.items():
+                kind = _FLAGS[flag].get("metavar")
+                gate = _GATES.get(flag, _GATES.get(kind))
+                if gate and getattr(args, name, None) is not None:
+                    gate(name, getattr(args, name))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

@@ -19,7 +19,8 @@ from . import sampling, weyl
 from .algebra import (_check_count, _check_finite, _chi_full, field_dim,
                       normalize_field)
 from .bessel import bessel_phi_tilde
-from .hyper_bc import _cone, _mc_pairs, _phi_means, _spectral, rho_bc
+from .hyper_bc import (_check_length, _cone, _mc_pairs, _phi_means,
+                       _spectral, rho_bc)
 from .sampling import kappa
 
 
@@ -185,8 +186,7 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if np.any(lam.imag != 0.0):
         raise ValueError("contraction needs a real lam")
     lam = lam.real
-    if np.size(t) != q:
-        raise ValueError("t must have q=%d entries, got %d" % (q, np.size(t)))
+    _check_length("t", t, q)
     field, t = _cone(field, p, t)
     n_list = _increasing(_check_count("n_list", np.reshape(n_list, -1)),
                          "n_list")

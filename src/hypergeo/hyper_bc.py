@@ -169,10 +169,29 @@ def _spectral(lam, q):
     """lam as a complex vector, if q is a count and lam has q entries (a
     scalar is one), each finite; a ValueError names q or lam otherwise."""
     q = _check_count("q", q)
-    lam = np.asarray(_check_finite("lam", lam), complex).reshape(-1)
-    if lam.size != q:
-        raise ValueError("lam must have q=%d entries, got %d" % (q, lam.size))
-    return lam
+    return _check_length("lam", np.asarray(_check_finite("lam", lam),
+                                           complex).reshape(-1), q)
+
+
+def _check_length(name, x, q):
+    """x, if it has q entries (a scalar is one); a ValueError names it
+    otherwise."""
+    if np.size(x) != q:
+        raise ValueError("%s must have q=%d entries, got %d"
+                         % (name, q, np.size(x)))
+    return x
+
+
+def _check_mu(mu, q):
+    """mu as an array, if it is a weakly decreasing vector of q even
+    nonnegative integers; a ValueError names mu otherwise."""
+    mu = _check_finite("mu", mu)
+    if mu.shape != (q,) or np.any(mu % 2 != 0) \
+            or np.any(np.diff(mu) > 0) or np.any(mu < 0):
+        raise ValueError("mu must be a weakly decreasing vector of even "
+                         "nonnegative integers of length q=%d, not %s"
+                         % (q, mu.tolist()))
+    return mu
 
 
 def _check_run(samples, seed, workers):
@@ -340,7 +359,8 @@ def eval_phi_bc_quadrature_q1(p, lam, t, field="r"):
 
 
 def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
-    """Polynomial special value at the even dominant weight mu.
+    """Polynomial special value at the even dominant weight mu; exact at
+    q = 1, by `_phi_means`.
 
     The spectral point lam = -i(mu + rho) makes the integrand exponent
     mu/2; dividing the integral by c_function(mu + rho_k, k_p) fixes the
@@ -349,16 +369,12 @@ def eval_ho_polynomial(field, p, mu, t, samples=100000, seed=0, workers=1):
     field, t = _cone(field, p, t)
     d = field_dim(field)
     q = t.size
-    mu = _check_finite("mu", mu)
-    if mu.shape != (q,) or np.any(mu % 2 != 0) \
-            or np.any(np.diff(mu) > 0) or np.any(mu < 0):
-        raise ValueError("mu must be a weakly decreasing vector of even "
-                         "nonnegative integers of length q")
+    mu = _check_mu(mu, q)
     sampling._check_interior("p", p, q)
     k = multiplicity_bc(p, d, q)
     norm = c_function(mu + rho_k(k, q), k, q)
     nu_mat = 0.5 * mu.astype(complex).reshape(q, 1)
-    mean, err, _ = _mc_pairs(field, q, [(p, t, nu_mat)], samples, seed,
-                             workers)
+    mean, err, parts = _phi_means(field, q, [(p, t, nu_mat)], samples, seed,
+                                  workers)
     return McEstimate(complex(mean[0]) / norm, float(err[0]) / abs(norm),
-                      samples, seed)
+                      0 if parts is None else samples, seed)

@@ -72,11 +72,9 @@ def _check_seed(seed):
 
 
 def _check_samples(samples):
-    """samples as an int, if at least 2: one draw has no standard error."""
-    samples = _check_count("samples", samples)
-    if samples < 2:
-        raise ValueError("samples must be at least 2 for a stderr, not 1")
-    return samples
+    """samples as an int, if a whole number of at least 2: one draw has no
+    standard error."""
+    return _check_count("samples", samples, least=2)
 
 
 def shard_plan(samples):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _check_count, _check_finite
+from .algebra import _check_count, _check_finite, _check_positive
 
 TOL = 1e-9  # rounding slack of every membership test
 
@@ -251,9 +251,7 @@ def eps0_estimate(spec, rho_samples=40, resolution=1e-3):
     if spec.rank > 4:
         raise ValueError("rank must be at most 4 to estimate eps0, got %d"
                          % spec.rank)
-    if not (np.isfinite(resolution) and resolution > 0):
-        raise ValueError("resolution must be a positive finite number, "
-                         "got %r" % (resolution,))
+    resolution = _check_positive("resolution", resolution)
     scans = []
     for rho in _unit_rho_samples(spec, rho_samples):
         poly = OrbitPolytope(spec, rho)

@@ -386,8 +386,9 @@ class TestInputContract:
         kappa at q = 0, a series truncated at degree -1, a half-sum
         vector at q = 1.5, or c_function's "lam must have q=2 entries" at
         q = 2.5)."""
-        with pytest.raises(ValueError, match="^%s must be at least [01] and "
-                           "whole, not " % name):
+        least = 2 if name == "samples" else "[01]"
+        with pytest.raises(ValueError, match="^%s must be at least %s and "
+                           "whole, not " % (name, least)):
             call()
 
     @pytest.mark.parametrize("bad", [
@@ -407,8 +408,9 @@ class TestInputContract:
         so mc_run never saw their counts: each returned a value, and
         the shortcut recorded samples=1.5 and seed=1.9."""
         name = next(iter(bad))
-        with pytest.raises(ValueError, match="^%s must be at least [01] and "
-                           "whole, not " % name):
+        least = 2 if name == "samples" else "[01]"
+        with pytest.raises(ValueError, match="^%s must be at least %s and "
+                           "whole, not " % (name, least)):
             call(**bad)
 
     def test_integral_float_counts_run_as_ints(self):

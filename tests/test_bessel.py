@@ -482,6 +482,15 @@ class TestSeries:
                                  np.array([1.0, 0.5]), np.array([1.0, 0.2]))
 
 
+    def test_infinite_alpha_is_value_error(self):
+        """alpha = inf passed the positivity test and overflowed a hook
+        factor: an OverflowError, where jack_C raised a ValueError."""
+        with pytest.raises(ValueError, match="^idx.alpha must be positive "
+                           "and finite, not inf$"):
+            bessel.bessel_series(bessel.BesselIndex(1.5, np.inf), [0.5],
+                                 [0.3])
+
+
 class TestSeriesReference:
     """The shell-vector series against the per-partition reference: the
     same truncation degree and convergence, and values within 1e-13."""

@@ -241,11 +241,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         ("eval-bc --q 1 --p 3 --lambda 1 --t 0.5 --seed -1",
-         "--seed must be nonnegative, not -1"),
+         "--seed must be at least 0 and whole, not -1"),
         ("rate-p --q 2 --lambda 1,0.5 --t-grid 0.5,0.2 --p-list 9,5",
          "--p-list must be strictly increasing, got 9,5"),
         ("contraction --q 2 --p 5 --lambda 1 --t 1 --n-list 2,4",
-         "lambda has 1 entries, expected q=2"),
+         "--lambda must have q=2 entries, got 1"),
         ("contraction --q 2 --p 5 --lambda 1,0 --t 1,0.5 --n-list 4,2",
          "--n-list must be strictly increasing, got 4,2"),
         # A divide-by-zero warning, then "t must be finite, not inf".
@@ -256,7 +256,7 @@ class TestExitCodes:
          "--n-list=-2,-1",
          "--n-list entries must be integers of at least 1, not -2"),
         ("moment-decay --q 1 --n 0 --p-list 9,17",
-         "--n must be at least 1"),
+         "--n must be at least 1 and whole, not 0"),
         # A slope fitted through one point: -2.3136, -0.6588 and -0.2811,
         # the first two with "pass": true.
         ("contraction --q 1 --p 3 --lambda 1 --t 0.5 --n-list 2",
@@ -266,10 +266,11 @@ class TestExitCodes:
         ("moment-decay --q 1 --n 1 --p-list 9 --samples 8192",
          "--p-list needs at least two entries to fit a slope, got 9"),
         ("boundedness --q 1 --p 3 --n-lambda 0", "--n-lambda must be at "
-         "least 1"),
-        ("boundedness --q 1 --p 3 --n-t 0", "--n-t must be at least 1"),
+         "least 1 and whole, not 0"),
+        ("boundedness --q 1 --p 3 --n-t 0",
+         "--n-t must be at least 1 and whole, not 0"),
         ("jack-table --weight 2 --rank 2 --alpha nan",
-         "alpha must be positive and finite, not nan"),
+         "--alpha must be positive and finite, not nan"),
         ("weyl-scan --family b --rank 2 --eps 1 --rho 1,2",
          "--rho must be weakly decreasing, got 1,2"),
         ("weyl-scan --family b --rank 0 --eps 1",
@@ -281,16 +282,17 @@ class TestExitCodes:
         # The bisection never ended: it cannot narrow below one float
         # spacing.
         ("eps0 --family a --rank 2 --rho-samples 0 --resolution 0",
-         "--resolution must be a positive finite number, got 0.0"),
+         "--resolution must be positive and finite, not 0.0"),
         ("eps0 --family a --rank 2 --rho-samples 0 --resolution -1",
-         "--resolution must be a positive finite number, got -1.0"),
+         "--resolution must be positive and finite, not -1.0"),
         # --q 0 divided by zero while chunking lambda; --q -1 reached
         # numpy's reshape as a domain error.
-        ("eval-bc --q 0 --p 3 --lambda 1 --t 1", "--q must be at least 1"),
+        ("eval-bc --q 0 --p 3 --lambda 1 --t 1",
+         "--q must be at least 1 and whole, not 0"),
         ("rate-p --q 0 --lambda 1 --t-grid 1 --p-list 5,9",
-         "--q must be at least 1"),
+         "--q must be at least 1 and whole, not 0"),
         ("rate-p --q -1 --lambda 1 --t-grid 1 --p-list 5,9",
-         "--q must be at least 1"),
+         "--q must be at least 1 and whole, not -1"),
         # An OverflowError traceback from round(inf) in the pole test.
         ("c-function --q 2 --p inf --lambda 3,1",
          "--p must be finite, not inf"),
@@ -302,15 +304,27 @@ class TestExitCodes:
         # One sample printed "stderr": 0.0 beside "pass": true, and rate-p
         # a slope halfwidth of 0.
         ("eval-bc --q 2 --p 5 --lambda 1,0.5 --t 0.8,0.4 --samples 1 "
-         "--seed 1", "--samples must be at least 2"),
+         "--seed 1", "--samples must be at least 2 and whole, not 1"),
         ("rate-p --q 2 --lambda 1,0.5 --t-grid 0.8,0.4 --p-list 10,20 "
-         "--samples 1 --seed 1", "--samples must be at least 2"),
+         "--samples 1 --seed 1",
+         "--samples must be at least 2 and whole, not 1"),
+        # mu's length was a config error, its other form errors domain
+        # errors (exit 3), each in its own words.
+        ("eval-ho-poly --q 2 --p 5 --mu 2 --t 0.5,0.2",
+         "--mu must be a weakly decreasing vector of even nonnegative "
+         "integers of length q=2, not [2]"),
+        ("eval-ho-poly --q 2 --p 5 --mu 2,1 --t 0.5,0.2",
+         "--mu must be a weakly decreasing vector of even nonnegative "
+         "integers of length q=2, not [2, 1]"),
+        ("contraction --q 2 --p 5 --lambda 1,0.5 --t 1 --n-list 2,4",
+         "--t must have q=2 entries, got 1"),
     ], ids=["seed", "p-list", "lambda-length", "n-list", "n-list-0",
             "n-list-negative", "moment-n", "n-list-one", "p-list-one",
             "moment-p-list-one", "n-lambda", "n-t", "alpha-nan", "rho-order", "rank-0",
             "vertex-rank", "eps0-rank", "resolution-0", "resolution-neg",
             "q-0", "q-0-rate-p", "q-neg", "p-inf", "p-inf-boundedness",
-            "eps-nan", "samples-1", "samples-1-rate-p"])
+            "eps-nan", "samples-1", "samples-1-rate-p", "mu-length", "mu-odd",
+            "contraction-t-length"])
     def test_input_error_under_optimize(self, argv, message):
         """Bad arguments are config errors naming them, also under -O."""
         proc = run_process(argv.split(), optimize=True)
@@ -332,18 +346,19 @@ class TestExitCodes:
          "--p-list must be finite, not inf"),
         # Only the first lambda row was used, with exit 0.
         ("rate-p --q 2 --lambda 1,0.5,2,3 --t-grid 0.5,0.2 --p-list 5,9 "
-         "--samples 2000", "lambda has 4 entries, expected q=2"),
+         "--samples 2000", "--lambda must have q=2 entries, got 4"),
         # "pass": true after 3 shells whatever the accuracy.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
-         "--rel-tol inf", "--rel-tol must be finite, not inf"),
+         "--rel-tol inf", "--rel-tol must be positive and finite, not inf"),
         # Every shell summed, then "pass": false with exit 0.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
-         "--rel-tol 0", "--rel-tol must be positive, not 0.0"),
+         "--rel-tol 0", "--rel-tol must be positive and finite, not 0.0"),
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
-         "--rel-tol -1", "--rel-tol must be positive, not -1.0"),
+         "--rel-tol -1", "--rel-tol must be positive and finite, not -1.0"),
         # "samples": -1 in the record.
         ("eval-bessel-series --q 2 --p 5 --lambda 1,0.5 --t 0.7,0.2 "
-         "--max-degree -1", "--max-degree must be at least 1"),
+         "--max-degree -1",
+         "--max-degree must be at least 1 and whole, not -1"),
         # Every i was read as j: "cannot parse --lambda 'inf'".
         ("eval-bc --q 1 --p 3 --lambda inf --t 0.5",
          "--lambda must be finite, not (inf+0j)"),

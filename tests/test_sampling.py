@@ -712,9 +712,18 @@ class TestShardEngine:
             lambda: bessel.bessel_phi_tilde("r", 5, [1.0], [0.0],
                                             mode="integral", samples=1)]
         for call in calls:
-            with pytest.raises(ValueError, match="^samples must be at least "
-                               "2 for a stderr, not 1$"):
+            with pytest.raises(ValueError, match=r"^samples must be at least "
+                               r"2 and whole, not 1(\.0)?$"):
                 call()
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_samples_below_two_share_one_message(self, samples):
+        """0 and 1 broke two rules with two messages, "at least 1 and
+        whole" and "at least 2 for a stderr"; both break the one rule."""
+        with pytest.raises(ValueError) as info:
+            sampling._check_samples(samples)
+        assert str(info.value) == \
+            "samples must be at least 2 and whole, not %d" % samples
 
     def test_shard_moments_bits(self):
         """Value sums, and sums of |v - mean|^2 about each column mean."""

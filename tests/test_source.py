@@ -19,13 +19,14 @@ ALLOWED = set()
 SHARD_CALLS = ("draw_ball", "draw_haar", "mc_run")
 
 
-def _asserts(path):
-    """(file name, enclosing function) for every assert in one file."""
+def _owned(path, match):
+    """(file name, innermost enclosing function) for every node of one
+    file that match accepts, in source order."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Assert):
+            if match(child):
                 found.append((path.name, func))
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
@@ -53,7 +54,8 @@ def _shard_calls(path):
 
 def test_no_asserts_guard_input():
     """Input checks raise, so they survive python -O."""
-    found = [a for path in sorted(SRC.glob("*.py")) for a in _asserts(path)]
+    found = [a for path in sorted(SRC.glob("*.py"))
+             for a in _owned(path, lambda node: isinstance(node, ast.Assert))]
     assert [a for a in found if a not in ALLOWED] == []
 
 
@@ -490,17 +492,21 @@ def test_one_gate_for_the_open_bound():
 
 def _spectral_reads(func):
     """func's parses of lam (a _check_finite of "lam") and its tests of
-    lam's length (a comparison that reads lam's size, shape or len and
-    q)."""
+    lam's length (a _check_length of "lam", or a comparison that reads
+    lam's size, shape or len and q)."""
     nodes = list(ast.walk(func))
     parses = [ast.unparse(node) for node in nodes
               if isinstance(node, ast.Call)
               and _names(node.func) == ["_check_finite"] and node.args
               and getattr(node.args[0], "value", None) == "lam"]
     lengths = [ast.unparse(node) for node in nodes
-               if isinstance(node, ast.Compare)
-               and {"lam", "q"} <= set(_names(node))
-               and {"size", "shape", "len"} & set(_names(node))]
+               if isinstance(node, ast.Call)
+               and _names(node.func) == ["_check_length"] and node.args
+               and getattr(node.args[0], "value", None) == "lam"]
+    lengths += [ast.unparse(node) for node in nodes
+                if isinstance(node, ast.Compare)
+                and {"lam", "q"} <= set(_names(node))
+                and {"size", "shape", "len"} & set(_names(node))]
     return parses + lengths
 
 
@@ -524,3 +530,44 @@ def test_one_gate_for_a_spectral_point():
     assert ungated == []
     assert [name for name, _ in reads] == [
         "_spectral", "_spectral", "eval_phi_bc_quadrature_q1"], reads
+
+
+
+def _is_config_raise(node):
+    return isinstance(node, ast.Raise) and node.exc is not None \
+        and "_ConfigError" in _names(node.exc)
+
+
+def test_cli_raises_only_parse_and_table_errors():
+    """The command line kept its own copy of most input rules, each with
+    its own wording and sometimes its own exit code: --mu's length was a
+    config error and its other form errors domain errors.  Every other
+    flag is checked by a library gate, run inside `_config_errors`, the
+    one relay, so the CLI raises a config error of its own only for a
+    list it cannot parse or chunk by q, a HYPERGEO_SEED that is no
+    integer of at least 0, and jack-table's weight and rank table
+    limits."""
+    found = [func for _, func in _owned(SRC / "cli.py", _is_config_raise)]
+    assert found == ["_config_errors", "_parse_list", "_chunk", "_seed_of",
+                     "_cmd_jack_table", "_cmd_jack_table"]
+
+
+def _is_positive_test(node):
+    """A `not` of a test that compares something above 0: x > 0 or 0 < x."""
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
+        and any(isinstance(c, ast.Compare) and (
+            isinstance(c.ops[0], ast.Gt)
+            and getattr(c.comparators[0], "value", None) == 0
+            or isinstance(c.ops[0], ast.Lt)
+            and getattr(c.left, "value", None) == 0)
+            for c in ast.walk(node.operand))
+
+
+def test_one_gate_for_positive_and_finite():
+    """alpha, rel_tol, resolution and the CLI's --alpha and --rel-tol were
+    each tested positive by hand, six times in four wordings, and
+    bessel_series let alpha = inf through to an OverflowError.  The test
+    is written only in `algebra._check_positive`."""
+    found = [o for path in sorted(SRC.glob("*.py"))
+             for o in _owned(path, _is_positive_test)]
+    assert found == [("algebra.py", "_check_positive")]

@@ -17,7 +17,9 @@ per-layer metrics (ms per shard for each (field, q), stream reuse and
 the rest), and the check counts of every run; and, once, the
 ``machine`` line run.py prints, the tier-1 wall time, and the median,
 min and max wall time and the exit codes of each timed check and
-command.
+command.  A command that exits other than as expected (0, and 4 for the
+README's weyl-scan example) may have failed fast, so its time measures
+nothing: the recorder then exits 2 naming it, and writes no file.
 Two files recorded on one machine, before and after a change, back a
 speed claim; the min-max spread shows how far one run moves alone.
 The runs are sequential, so nothing else of the record competes for the
@@ -50,6 +52,10 @@ CLI = ["eval-bc --field c --q 2 --p 5 --lambda 1+0.5i,0.5 --t 0.8,0.4 "
        "jack-table --weight 3 --rank 2",
        "eval-bessel-integral --field r --q 2 --p 3 --lambda 1,0.5,2,1,0.5,0.25"
        " --t 0.9,0.4,0.6,0.3,1.2,0.2 --samples 100000 --seed 1"]
+
+# The exit code of a timed command that did its work, where it is not 0:
+# weyl-scan's example finds a violation by design.
+EXIT_CODES = {CLI[2]: 4}
 
 
 def _run_bench(root, command, workload, seed, seconds, trace):
@@ -121,6 +127,19 @@ def record_tier1(root):
             "summary": lines[-1] if lines else ""}
 
 
+def _unexpected_exits(out):
+    """One line for each timed command of a record that exited other
+    than as EXIT_CODES expects."""
+    codes = {"tier-1": [out["tier1"]["exit_code"]]}
+    for group in ("slow_tests", "cli"):
+        codes.update((name, rec["exit_codes"])
+                     for name, rec in out[group].items())
+    return ["%r exited %s, not %d" % (name, ",".join(map(str, got)),
+                                      EXIT_CODES.get(name, 0))
+            for name, got in codes.items()
+            if any(code != EXIT_CODES.get(name, 0) for code in got)]
+
+
 def _commit(root):
     """HEAD of the checkout, and whether its tracked files differ; a
     ValueError holds git's message if a git call fails, as it does
@@ -168,6 +187,9 @@ def main(argv=None):
                           for node in SLOW_TESTS},
            "cli": {cmd: record_timed(root, ["-m", "hypergeo.cli"]
                                      + cmd.split()) for cmd in CLI}}
+    failed = _unexpected_exits(out)
+    if failed:
+        ap.error("no file written: %s" % "; ".join(failed))
     path = args.output or Path("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print("wrote %s" % path, file=sys.stderr)
