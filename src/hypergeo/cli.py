@@ -6,16 +6,18 @@ Output is deterministic for a given configuration: floats print with 17
 significant digits, JSON keys are sorted, and nothing timestamps.
 
 Exit codes: 0 success, 2 configuration problems, 3 domain errors, 4 a
-declared acceptance predicate failed.  A flag that fails its library
-gate exits 2 with a message naming it: a count such as --q, --n-t,
---max-degree or an --n-list entry below 1, a --samples below 2, a
---rho-samples or --seed below 0, a --p, --eps or an entry of --lambda,
---t, --t-grid, --p-list or --rho that is not finite, a --rel-tol,
---resolution or --alpha that is not positive and finite, a --lambda or
-contraction --t of other than q entries, a --mu other than q weakly
-decreasing even nonnegative integers, a --p-list or --n-list of fewer
-than two entries or not increasing, or a --rho or --rank that weyl-scan
-or eps0 rejects.  So do a list that does not parse or chunk by q, a
+declared acceptance predicate failed.  main turns each flag into its
+value once, by its library gate, and the commands read only that value.
+A flag that fails its gate exits 2 with a message naming it: a count
+such as --q, --n-t, --max-degree or an --n-list entry below 1, a
+--samples below 2, a --rho-samples or --seed below 0, a --p, --eps or an
+entry of --lambda, --t, --t-grid, --p-list or --rho that is not finite,
+a --rel-tol, --resolution or --alpha that is not positive and finite, a
+--lambda or contraction --t of other than q entries, a --mu other than q
+weakly decreasing even nonnegative integers, a --p-list or --n-list of
+fewer than two entries or not increasing, or a --rho or --rank that
+weyl-scan or eps0 rejects.  So do a list that does not parse or chunk by
+q (contraction and eval-bessel-integral take only a real --lambda), a
 HYPERGEO_SEED that is no integer of at least 0, and a jack-table
 --weight or --rank beyond its tables.  A domain error is a named
 precondition that failed: a --t or --t-grid row outside the chamber
@@ -115,12 +117,11 @@ def _chunk(values, q, label):
     return values.reshape(-1, q)
 
 
-def _seed_of(args):
-    """--seed, else HYPERGEO_SEED, else 0, if `sampling._check_seed` takes
+def _seed_of(seed):
+    """seed, else HYPERGEO_SEED, else 0, if `sampling._check_seed` takes
     it; a config error names the source."""
-    if args.seed is not None:
-        with _config_errors():
-            return sampling._check_seed(args.seed)
+    if seed is not None:
+        return sampling._check_seed(seed)
     text = os.environ.get("HYPERGEO_SEED", "0")
     try:
         return sampling._check_seed(int(text))
@@ -155,34 +156,33 @@ def _mc(est):
     return est.value, est.stderr, est.samples, True
 
 
-def _series(a, field, lam, t):
+def _series(a, lam, t):
     """The Bessel series record at one (lambda, t) pair."""
-    res = bessel_phi_tilde(field, a.p, lam, t, mode="series",
+    res = bessel_phi_tilde(a.field, a.p, lam, t, mode="series",
                            max_degree=a.max_degree, rel_tol=a.rel_tol)
     return res.value, res.tail_bound, res.truncation_degree, res.converged
 
 
-# Each evaluator maps (args, field, lambda row, t row, seed) to the
-# record's (value, stderr, samples, pass).
+# Each evaluator maps (args, lambda row, t row) to the record's (value,
+# stderr, samples, pass).
 _EVALUATORS = {
-    "eval-bc": lambda a, field, lam, t, seed: _mc(eval_phi_bc(
-        field, a.p, lam, t, samples=a.samples, seed=seed,
+    "eval-bc": lambda a, lam, t: _mc(eval_phi_bc(
+        a.field, a.p, lam, t, samples=a.samples, seed=a.seed,
         workers=a.workers)),
-    "eval-bc-degenerate": lambda a, field, lam, t, seed: _mc(eval_phi_bc(
-        field, 2 * a.q - 1, lam, t, samples=a.samples, seed=seed,
+    "eval-bc-degenerate": lambda a, lam, t: _mc(eval_phi_bc(
+        a.field, 2 * a.q - 1, lam, t, samples=a.samples, seed=a.seed,
         workers=a.workers)),
-    "eval-a": lambda a, field, lam, t, seed: _mc(eval_psi(
-        field, lam, t, samples=a.samples, seed=seed, workers=a.workers)),
-    "eval-bessel-series": lambda a, field, lam, t, seed: _series(
-        a, field, lam, t),
-    "eval-bessel-integral": lambda a, field, lam, t, seed: _mc(
-        bessel_phi_tilde(field, a.p, lam, t, mode="integral",
-                         samples=a.samples, seed=seed, workers=a.workers)),
-    "eval-ho-poly": lambda a, field, lam, t, seed: _mc(eval_ho_polynomial(
-        field, a.p, lam, t, samples=a.samples, seed=seed,
+    "eval-a": lambda a, lam, t: _mc(eval_psi(
+        a.field, lam, t, samples=a.samples, seed=a.seed, workers=a.workers)),
+    "eval-bessel-series": _series,
+    "eval-bessel-integral": lambda a, lam, t: _mc(
+        bessel_phi_tilde(a.field, a.p, lam, t, mode="integral",
+                         samples=a.samples, seed=a.seed, workers=a.workers)),
+    "eval-ho-poly": lambda a, lam, t: _mc(eval_ho_polynomial(
+        a.field, a.p, lam, t, samples=a.samples, seed=a.seed,
         workers=a.workers)),
-    "c-function": lambda a, field, lam, t, seed: (c_function(
-        lam, multiplicity_bc(a.p, field_dim(field), a.q), a.q), 0.0, 0, True),
+    "c-function": lambda a, lam, t: (c_function(lam, multiplicity_bc(
+        a.p, field_dim(a.field), a.q), a.q), 0.0, 0, True),
 }
 
 # What overflows in a subcommand, with the flag its message names beside
@@ -201,13 +201,12 @@ _RECORD_COLUMNS = ["command", "field", "q", "p", "lambda", "t", "value",
 def _cmd_eval(args):
     """One record per (lambda, t) pair of the cross product."""
     q = args.q
-    seed = _seed_of(args) if hasattr(args, "seed") else 0
+    entry = float if args.command == "eval-bessel-integral" else _complex
     with _config_errors():
-        field = normalize_field(args.field)
         if hasattr(args, "mu"):
             lam_rows = [_check_mu(_parse_list(args.mu, "--mu", int), q)]
         else:
-            lam_rows = _chunk(_parse_list(args.lam, "--lambda", _complex), q,
+            lam_rows = _chunk(_parse_list(args.lam, "--lambda", entry), q,
                               "lambda")
     t_rows = _chunk(_parse_list(args.t, "--t"), q, "t") if hasattr(args, "t") \
         else [None]
@@ -215,18 +214,19 @@ def _cmd_eval(args):
     records = []
     for lam in lam_rows:
         for t in t_rows:
-            inputs = {"field": field, "q": q,
+            inputs = {"field": args.field, "q": q,
                       "lambda": ",".join(_fmt_complex(z) for z in lam)}
             if hasattr(args, "p"):
                 inputs["p"] = args.p
             if t is not None:
                 inputs["t"] = [float(x) for x in t]
-            value, stderr, samples, ok = evaluate(args, field, lam, t, seed)
+            value, stderr, samples, ok = evaluate(args, lam, t)
             value = complex(value)
             records.append({"command": args.command, "inputs": inputs,
                             "value_re": value.real, "value_im": value.imag,
                             "stderr": float(stderr), "samples": int(samples),
-                            "seed": int(seed), "pass": bool(ok)})
+                            "seed": getattr(args, "seed", 0),
+                            "pass": bool(ok)})
     # Serializing every record first makes a non-finite value a domain
     # error before anything is written, whatever the format.
     lines = [_json_line(rec) for rec in records]
@@ -299,15 +299,12 @@ def _emit_rate(args, cols, report, checks):
 
 
 def _cmd_rate_p(args):
-    seed = _seed_of(args)
     with _config_errors():
-        field = normalize_field(args.field)
         lam = _spectral(_parse_list(args.lam, "--lambda", _complex), args.q)
         t_grid = _chunk(_parse_list(args.t_grid, "--t-grid"), args.q,
                         "t-grid")
-        p_list = _increasing(_parse_list(args.p_list, "--p-list"), "p_list")
-    report = rate_p_experiment(field, args.q, lam, t_grid, p_list,
-                               samples=args.samples, seed=seed,
+    report = rate_p_experiment(args.field, args.q, lam, t_grid, args.p_list,
+                               samples=args.samples, seed=args.seed,
                                workers=args.workers)
     checks = {"slope<=-0.45": report.slope <= -0.45 + report.slope_halfwidth,
               "normalized-ratio<10": _ratio_ok(report.normalized)}
@@ -316,16 +313,14 @@ def _cmd_rate_p(args):
 
 
 def _cmd_contraction(args):
-    seed = _seed_of(args)
     with _config_errors():
-        field = normalize_field(args.field)
         lam = _spectral(_parse_list(args.lam, "--lambda"), args.q)
         t = _check_length("t", _parse_list(args.t, "--t"), args.q)
         n_list = _increasing(_check_count(
             "n_list", _parse_list(args.n_list, "--n-list", int)), "n_list")
-    report = contraction_experiment(field, args.q, args.p, lam, t, n_list,
-                                    samples=args.samples, seed=seed,
-                                    workers=args.workers)
+    report = contraction_experiment(args.field, args.q, args.p, lam, t,
+                                    n_list, samples=args.samples,
+                                    seed=args.seed, workers=args.workers)
     checks = {"slope<=-0.8": report.slope <= -0.8 + report.slope_halfwidth,
               "normalized-ratio<10": _ratio_ok(report.normalized)}
     return _emit_rate(args, ["n", "error", "stderr", "normalized"], report,
@@ -333,12 +328,8 @@ def _cmd_contraction(args):
 
 
 def _cmd_moment_decay(args):
-    seed = _seed_of(args)
-    with _config_errors():
-        field = normalize_field(args.field)
-        p_list = _increasing(_parse_list(args.p_list, "--p-list"), "p_list")
-    report = moment_decay_experiment(field, args.q, args.n, p_list,
-                                     samples=args.samples, seed=seed,
+    report = moment_decay_experiment(args.field, args.q, args.n, args.p_list,
+                                     samples=args.samples, seed=args.seed,
                                      workers=args.workers)
     bound = -0.9 * args.n
     checks = {"slope<=%.2g" % bound:
@@ -348,12 +339,9 @@ def _cmd_moment_decay(args):
 
 
 def _cmd_boundedness(args):
-    seed = _seed_of(args)
-    with _config_errors():
-        field = normalize_field(args.field)
-    report = boundedness_sweep(field, args.q, args.p,
+    report = boundedness_sweep(args.field, args.q, args.p,
                                n_lambda=args.n_lambda, n_t=args.n_t,
-                               samples=args.samples, seed=seed,
+                               samples=args.samples, seed=args.seed,
                                workers=args.workers)
     rows = [[",".join(_fmt_complex(z) for z in row["lam"]),
              ",".join(_fmt(x) for x in row["t"]),
@@ -376,7 +364,6 @@ def _cmd_weyl_scan(args):
     with _config_errors():
         spec = weyl.RootSystemSpec(args.family, args.rank)
         weyl.check_vertex_rank(spec)  # before 2^rank wall pinches are built
-        _check_count("rho_samples", args.rho_samples, least=0)
         if args.rho is not None:
             rhos = [_parse_list(args.rho, "--rho")]
         else:
@@ -419,15 +406,13 @@ def _cmd_jack_table(args):
         raise _ConfigError("weight must lie in 0..30")
     if args.rank > 6 or args.rank < 1:
         raise _ConfigError("rank must lie in 1..6")
-    with _config_errors():
-        alpha = _check_positive("alpha", args.alpha)
     try:
-        shell = _shell(args.weight, alpha, args.rank)
+        shell = _shell(args.weight, args.alpha, args.rank)
     except OverflowError:
         raise ValueError("--alpha %r overflows the Jack coefficients of "
-                         "weight %d" % (alpha, args.weight))
+                         "weight %d" % (args.alpha, args.weight))
     name = ["+".join(str(x) for x in lam) for lam in shell.parts]
-    alpha_text = _fmt(alpha)
+    alpha_text = _fmt(args.alpha)
     at_ones = [_fmt(x) for x in shell.at_ones]
     rows_i, cols_j = np.nonzero(shell.support)
     rows = [[name[i], name[j], _fmt(c), alpha_text, at_ones[i]]
@@ -438,10 +423,8 @@ def _cmd_jack_table(args):
     return 0
 
 
-# Each flag's argparse keywords.
+# Each flag's argparse keywords, in the order that main gates them.
 _FLAGS = {
-    "--field": dict(default="r",
-                    help="scalar field: r, c, or h (default r)"),
     "--q": dict(type=int, required=True, metavar="COUNT", help="rank q"),
     "--p": dict(type=float, required=True, metavar="REAL"),
     "--lambda": dict(dest="lam", required=True,
@@ -450,8 +433,6 @@ _FLAGS = {
                 help="comma list or start:stop:count grid, chunked by q"),
     "--mu": dict(required=True, help="comma list of even integers, length q"),
     "--samples": dict(type=int, default=100000, metavar="COUNT"),
-    "--seed": dict(type=int, default=None,
-                   help="falls back to HYPERGEO_SEED, then 0"),
     "--workers": dict(type=int, default=1, metavar="COUNT"),
     "--format": dict(choices=("jsonl", "csv"), default="jsonl"),
     "--output": dict(default=None,
@@ -460,7 +441,6 @@ _FLAGS = {
     "--max-degree": dict(type=int, default=30, metavar="COUNT"),
     "--rel-tol": dict(type=float, default=1e-12, metavar="REAL"),
     "--t-grid": dict(required=True),
-    "--p-list": dict(required=True),
     "--n-list": dict(required=True),
     "--n-lambda": dict(type=int, default=12, metavar="COUNT"),
     "--n-t": dict(type=int, default=7, metavar="COUNT"),
@@ -475,6 +455,11 @@ _FLAGS = {
     "--resolution": dict(type=float, default=1e-3),
     "--weight": dict(type=int, required=True),
     "--alpha": dict(type=float, default=1.0),
+    "--seed": dict(type=int, default=None,
+                   help="falls back to HYPERGEO_SEED, then 0"),
+    "--field": dict(default="r",
+                    help="scalar field: r, c, or h (default r)"),
+    "--p-list": dict(required=True),
 }
 
 _EVAL = ("--field", "--q", "--lambda", "--t", "--samples", "--seed",
@@ -515,11 +500,18 @@ _COMMANDS = {
 _FLAG_OF = {spec.get("dest", flag[2:].replace("-", "_")): flag
             for flag, spec in _FLAGS.items()}
 
-# The library gate that main runs on a typed flag's value, by flag or
+# The library gate whose result main stores as a flag's value, by flag or
 # else by metavar: a COUNT is a whole number of at least 1, a REAL finite.
-_GATES = {"--samples": lambda name, value: sampling._check_samples(value),
-          "--rel-tol": _check_positive, "COUNT": _check_count,
-          "REAL": _check_finite}
+_GATES = {"--field": lambda name, value: normalize_field(value),
+          "--seed": lambda name, value: _seed_of(value),
+          "--samples": lambda name, value: sampling._check_samples(value),
+          "--p-list": lambda name, value: _increasing(
+              _parse_list(value, "--p-list"), name),
+          "--rho-samples": lambda name, value: _check_count(name, value,
+                                                            least=0),
+          "--rel-tol": _check_positive, "--alpha": _check_positive,
+          "COUNT": _check_count,
+          "REAL": lambda name, value: float(_check_finite(name, value))}
 
 # Defaults that differ from the flag table's.
 _OWN_DEFAULTS = {"weyl-scan": {"rho_samples": 20}}
@@ -550,8 +542,8 @@ def main(argv=None):
             for name, flag in _FLAG_OF.items():
                 kind = _FLAGS[flag].get("metavar")
                 gate = _GATES.get(flag, _GATES.get(kind))
-                if gate and getattr(args, name, None) is not None:
-                    gate(name, getattr(args, name))
+                if gate and hasattr(args, name):
+                    setattr(args, name, gate(name, getattr(args, name)))
         return int(args.func(args) or 0)
     except _ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)

@@ -129,11 +129,8 @@ def rate_p_experiment(field, q, lam, t_grid, p_list, samples=100000, seed=0,
         t_grid = t_grid[:, None]
     if not len(t_grid):
         raise ValueError("t_grid has no rows")
-    if t_grid.shape[1] != q:
-        raise ValueError("t_grid rows have %d entries, expected q=%d"
-                         % (t_grid.shape[1], q))
-    for t in t_grid:
-        _cone(field, None, t)
+    t_grid = [_cone(field, None, _check_length("t_grid", t, q))[1]
+              for t in t_grid]
 
     rho0 = rho_bc(p_list[0], d, q)
     poly = weyl.OrbitPolytope(weyl.RootSystemSpec("b", q), rho0)
@@ -186,8 +183,7 @@ def contraction_experiment(field, q, p, lam, t, n_list, samples=100000,
     if np.any(lam.imag != 0.0):
         raise ValueError("contraction needs a real lam")
     lam = lam.real
-    _check_length("t", t, q)
-    field, t = _cone(field, p, t)
+    field, t = _cone(field, p, _check_length("t", t, q))
     n_list = _increasing(_check_count("n_list", np.reshape(n_list, -1)),
                          "n_list")
 

@@ -322,8 +322,9 @@ def _gauss_jacobi(a, b):
         y = np.array([-1.0, 1.0])[[b == -1.0, a == -1.0]]
         return y, np.full(y.size, 1.0 / y.size)
     from scipy.special import roots_jacobi
-    y, wts = roots_jacobi(NODES, a, b)
-    return y, wts / wts.sum()
+    with np.errstate(all="ignore"):
+        y, wts = roots_jacobi(NODES, a, b)
+        return y, wts / wts.sum()
 
 
 def eval_phi_bc_quadrature_q1(p, lam, t, field="r"):
@@ -336,7 +337,8 @@ def eval_phi_bc_quadrature_q1(p, lam, t, field="r"):
     (Koornwinder's Laplace-type integral); a tensor Gauss-Jacobi rule
     takes it, over u first.  A Beta parameter 0 is an atom (u = 0 over R,
     u = 1 at p = 1, x = +-1 over R at p = 1).  lam and t broadcast, and
-    scalars give a complex; a value out of float range raises OverflowError.
+    scalars give a complex; a value out of float range raises OverflowError,
+    and a p whose Gauss-Jacobi rule is not finite (dp past 1400) a ValueError.
     """
     d = field_dim(normalize_field(field))
     if not _check_finite("p", p) >= 1:
@@ -345,6 +347,10 @@ def eval_phi_bc_quadrature_q1(p, lam, t, field="r"):
     t = _check_finite("t", np.asarray(t, float))
     x, x_wts = _gauss_jacobi(0.5 * (d * p - 3.0), 0.5 * (d * p - 3.0))
     y, u_wts = _gauss_jacobi(0.5 * d * (p - 1.0) - 1.0, 0.5 * (d - 3.0))
+    if not np.isfinite(np.concatenate([x, x_wts, y, u_wts])).all():
+        raise ValueError("the rank-one quadrature has no finite Gauss-Jacobi "
+                         "rule at p=%r over %s: (dp - 3)/2 is above about 700"
+                         % (p, normalize_field(field)))
     nu = (1j * lam - 0.5 * (d * p - (2.0 - d)))[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         sh = np.sinh(t)[..., None, None]

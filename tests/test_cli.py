@@ -136,6 +136,15 @@ class TestEvalRecords:
         assert rec["stderr"] == 0.0
         assert rec["value_re"] > 1.0
 
+    def test_field_alias_is_resolved_once(self, capsys):
+        """A full field name prints as its tag, byte for byte as the tag."""
+        argv = ["eval-bc", "--q", "1", "--p", "3", "--lambda", "1.5",
+                "--t", "0.5", "--samples", "4000", "--seed", "3"]
+        _, by_name = run(argv + ["--field", "Quaternion"], capsys)
+        _, by_tag = run(argv + ["--field", "h"], capsys)
+        assert json.loads(by_name)["inputs"]["field"] == "h"
+        assert by_name == by_tag
+
     def test_c_function_record(self, capsys):
         code, out = run(["c-function", "--q", "2", "--p", "5",
                          "--lambda", "3,1"], capsys)
@@ -364,10 +373,13 @@ class TestExitCodes:
          "--lambda must be finite, not (inf+0j)"),
         ("eval-bc --q 1 --p 3 --lambda 1+infi --t 0.5",
          "--lambda must be finite, not (1+infj)"),
+        # A domain error, exit 3: "integral mode needs a real lam".
+        ("eval-bessel-integral --q 1 --p 3 --lambda 1+1i --t 0.5",
+         "cannot parse --lambda '1+1i'"),
     ], ids=["t-nan", "lambda-nan", "t-grid-nan", "contraction-lambda-nan",
             "p-list-inf", "rate-p-lambda-length", "rel-tol-inf",
             "rel-tol-0", "rel-tol-negative", "max-degree-neg", "lambda-inf",
-            "lambda-inf-imaginary"])
+            "lambda-inf-imaginary", "integral-lambda-complex"])
     def test_input_list_config_error(self, argv, message, capsys):
         """A bad entry of a list flag, or a bad series flag, is a config
         error naming the flag."""
@@ -474,6 +486,12 @@ class TestExitCodes:
          "800"),
         ("rate-p --q 1 --lambda 0.001 --t-grid 800 --p-list 3,4",
          "phi or psi overflows at --lambda 0.001 and --t-grid 800"),
+        # RuntimeWarnings from scipy's Gauss-Jacobi roots, then "phi or psi
+        # overflows": the rule, not the value, was out of range.
+        ("rate-p --field h --q 1 --lambda 1.3 --t-grid 0.7 "
+         "--p-list 100,1000",
+         "the rank-one quadrature has no finite Gauss-Jacobi rule at "
+         "p=1000.0 over h: (dp - 3)/2 is above about 700"),
         # phi equals phi-tilde here: errors of 1.1e-16 to 5.1e-16 gave
         # slope 0.73 and "pass": false, exit 4.
         ("contraction --field r --q 1 --p 1 --lambda 1 --t 0.8 "
@@ -496,8 +514,9 @@ class TestExitCodes:
             "psi-lambda-imaginary", "c-function-cancel-1e12",
             "c-function-cancel-1e300", "contraction-series",
             "contraction-quadrature", "rate-p-quadrature",
-            "contraction-rounding", "rate-p-one-shard",
-            "moment-decay-one-shard", "contraction-one-shard"])
+            "rate-p-quadrature-large-p", "contraction-rounding",
+            "rate-p-one-shard", "moment-decay-one-shard",
+            "contraction-one-shard"])
     def test_domain_error_stderr_is_one_line(self, argv, message):
         """A domain error prints its own line and no numpy warnings."""
         proc = run_process(argv.split())
@@ -636,6 +655,13 @@ class TestExperimentCommands:
         assert code == 0
         summary = json.loads(out.strip().split("\n")[-1])
         assert summary["slope"] <= -0.9
+
+    def test_boundedness_field_alias(self, capsys):
+        argv = ["boundedness", "--q", "1", "--p", "3", "--n-lambda", "2",
+                "--n-t", "2", "--samples", "4000", "--seed", "3"]
+        code, by_name = run(argv + ["--field", "Quaternion"], capsys)
+        assert code == 0
+        assert by_name == run(argv + ["--field", "h"], capsys)[1]
 
     def test_boundedness_small(self, capsys):
         code, out = run(["boundedness", "--q", "1", "--p", "3",

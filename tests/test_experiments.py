@@ -104,7 +104,7 @@ class TestSweepLengths:
     @pytest.mark.parametrize("lam, t_grid, message", [
         ([1.0, 0.5, 2.0], [[0.5, 0.2]], "lam must have q=2 entries, got 3"),
         ([1.0, 0.5], [[0.5, 0.2, 0.1]],
-         "t_grid rows have 3 entries, expected q=2"),
+         "t_grid must have q=2 entries, got 3"),
     ], ids=["lam", "t-grid-width"])
     def test_rate_p(self, lam, t_grid, message, monkeypatch):
         monkeypatch.setattr(ex, "_phi_means", None)

@@ -172,6 +172,13 @@ class TestQuadrature:
         with pytest.raises(OverflowError, match=r"t=800\.0"):
             hyper_bc.eval_phi_bc_quadrature_q1(3.0, 1.0, 800.0)
 
+    def test_large_p_names_p_and_field(self):
+        """scipy's Gauss-Jacobi rule has no finite node above an exponent
+        of about 700: p = 1000 over h raised an OverflowError naming the
+        value, after RuntimeWarnings."""
+        with pytest.raises(ValueError, match=r"at p=1000\.0 over h:"):
+            hyper_bc.eval_phi_bc_quadrature_q1(1000.0, 1.3, 0.7, "h")
+
 
 class TestMonteCarloPhi:
     """The Monte-Carlo estimator of the BC spherical function."""

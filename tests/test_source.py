@@ -571,3 +571,36 @@ def test_one_gate_for_positive_and_finite():
     found = [o for path in sorted(SRC.glob("*.py"))
              for o in _owned(path, _is_positive_test)]
     assert found == [("algebra.py", "_check_positive")]
+
+
+def _calls(*names):
+    """A match for a call of one of the bare names."""
+    return lambda node: isinstance(node, ast.Call) \
+        and any(_names(node.func) == [name] for name in names)
+
+
+def test_main_resolves_each_flag_once():
+    """Five commands normalized --field and read --seed again after main
+    had gated every flag and thrown the results away.  In cli.py,
+    normalize_field and _seed_of are called only in `_GATES`, whose
+    results main stores on args, and only main reads that table."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    owners = [getattr(top, "name", None)
+              or ast.unparse(getattr(top, "targets", [top])[0])
+              for top in tree.body
+              for node in ast.walk(top)
+              if _calls("normalize_field", "_seed_of")(node)]
+    readers = [top.name for top in tree.body
+               if isinstance(top, ast.FunctionDef)
+               and "_GATES" in _names(top)]
+    assert (owners, readers) == (["_GATES", "_GATES"], ["main"])
+
+
+def test_no_cone_result_is_discarded():
+    """rate_p_experiment ran `_cone` on every t-grid row and went on with
+    the unchecked row.  No statement in the package calls `_cone` and
+    drops what it returns."""
+    found = [o for path in sorted(SRC.glob("*.py"))
+             for o in _owned(path, lambda node: isinstance(node, ast.Expr)
+                             and _calls("_cone")(node.value))]
+    assert found == []
